@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from .errors import GoodCountOutOfRange
+
 MIN_GOODS = 3
 MAX_GOODS = 16
 
 
 def check_good_count(m: int) -> None:
     if not MIN_GOODS <= m <= MAX_GOODS:
-        raise ValueError(f"good count m={m} outside supported range [{MIN_GOODS}, {MAX_GOODS}]")
+        raise GoodCountOutOfRange(f"good count m={m} outside supported range [{MIN_GOODS}, {MAX_GOODS}]")
 
 
 def full_set(m: int) -> int:

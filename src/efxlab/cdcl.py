@@ -5,12 +5,25 @@ with phase saving, Luby restarts (unit 64), and LBD-aware learned-clause
 reduction; standard defaults, untuned.  SAT answers always carry a model that
 has been checked against every input clause before being returned; UNSAT
 answers carry no certificate and are trusted at desk scale only.
+
+The decision variable comes from a binary heap (``heapq``) of
+``(-activity, var)`` entries rather than a scan over all variables: the top
+valid entry is the unassigned variable of highest activity, lowest index on
+ties, which is exactly what the scan picked.  Entries are lazy: a bump (always
+of an assigned variable) leaves its entry stale, the backtrack that unassigns
+a variable pushes a fresh one, stale or assigned entries are skipped when
+popped, and the heap is rebuilt when the activity rescale fires or it grows
+past twice the variable count.  Truth values and watch lists are indexed by
+literal (negative literals at the negative end of the list).  The search is
+therefore the same as with the scan: the same decisions, learned clauses,
+restarts, counters and models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
 from .dimacs import Assignment, CnfFormula
 
@@ -42,19 +55,27 @@ def luby(i: int) -> int:
 
 class _Solver:
     def __init__(self, formula: CnfFormula) -> None:
-        self.num_vars = formula.num_vars
+        formula.check_literals()  # an out-of-range literal would alias another's slot
+        n = self.num_vars = formula.num_vars
         self.clauses: list[list[int]] = []
         self.learned_from = 0
-        self.value: list[int] = [0] * (self.num_vars + 1)  # 0 unset, 1 true, -1 false
-        self.level: list[int] = [0] * (self.num_vars + 1)
-        self.reason: list[int] = [-1] * (self.num_vars + 1)
-        self.phase: list[int] = [-1] * (self.num_vars + 1)
-        self.activity: list[float] = [0.0] * (self.num_vars + 1)
+        # indexed by literal (value[-v] at the negative end): 1 true, -1 false, 0 unset
+        self.value: list[int] = [0] * (2 * n + 1)
+        self.level: list[int] = [0] * (n + 1)
+        self.reason: list[int] = [-1] * (n + 1)
+        self.phase: list[int] = [-1] * (n + 1)
+        self.activity: list[float] = [0.0] * (n + 1)
         self.act_inc = 1.0
+        # decision order: entries (-activity, var), so the top is the most active
+        # variable with the lowest index on ties; queued[v] says v has an entry
+        # carrying its current activity
+        self.heap: list[tuple[float, int]] = [(-0.0, var) for var in range(1, n + 1)]
+        self.queued: list[bool] = [True] * (n + 1)
+        self.seen: list[bool] = [False] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.prop_head = 0
-        self.watches: dict[int, list[int]] = {}
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]  # by literal
         self.units: list[int] = []
         self.clause_lbd: list[int] = []
         self.ok = True
@@ -80,19 +101,17 @@ class _Solver:
         idx = len(self.clauses)
         self.clauses.append(lits)
         self.clause_lbd.append(lbd)
-        self.watches.setdefault(lits[0], []).append(idx)
-        self.watches.setdefault(lits[1], []).append(idx)
+        self.watches[lits[0]].append(idx)
+        self.watches[lits[1]].append(idx)
         return idx
 
-    def _lit_value(self, lit: int) -> int:
-        val = self.value[abs(lit)]
-        return val if lit > 0 else -val
-
     def _enqueue(self, lit: int, reason: int) -> bool:
+        value = self.value
+        if value[lit] != 0:
+            return value[lit] > 0
+        value[lit] = 1
+        value[-lit] = -1
         var = abs(lit)
-        if self.value[var] != 0:
-            return self._lit_value(lit) > 0
-        self.value[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.phase[var] = 1 if lit > 0 else -1
@@ -101,60 +120,80 @@ class _Solver:
 
     def _propagate(self) -> int | None:
         """Returns the index of a conflicting clause, or None."""
-        while self.prop_head < len(self.trail):
-            lit = self.trail[self.prop_head]
-            self.prop_head += 1
-            false_lit = -lit
-            watch_list = self.watches.get(false_lit)
+        trail = self.trail
+        value = self.value
+        clauses = self.clauses
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        current_level = len(self.trail_lim)
+        head = self.prop_head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watch_list = watches[false_lit]
             if not watch_list:
                 continue
             kept: list[int] = []
-            i = 0
-            while i < len(watch_list):
-                idx = watch_list[i]
-                i += 1
-                clause = self.clauses[idx]
+            for i, idx in enumerate(watch_list):
+                clause = clauses[idx]
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) > 0:
+                if value[first] > 0:
                     kept.append(idx)
                     continue
-                moved = False
                 for pos in range(2, len(clause)):
-                    if self._lit_value(clause[pos]) >= 0:
+                    if value[clause[pos]] >= 0:
                         clause[1], clause[pos] = clause[pos], clause[1]
-                        self.watches.setdefault(clause[1], []).append(idx)
-                        moved = True
+                        watches[clause[1]].append(idx)
                         break
-                if moved:
-                    continue
-                kept.append(idx)
-                if self._lit_value(first) < 0:
-                    kept.extend(watch_list[i:])
-                    self.watches[false_lit] = kept
-                    return idx
-                self._enqueue(first, idx)
-            self.watches[false_lit] = kept
+                else:
+                    kept.append(idx)
+                    if value[first] < 0:
+                        kept.extend(watch_list[i + 1 :])
+                        watches[false_lit] = kept
+                        self.prop_head = head
+                        return idx
+                    value[first] = 1
+                    value[-first] = -1
+                    var = abs(first)
+                    level[var] = current_level
+                    reason[var] = idx
+                    phase[var] = 1 if first > 0 else -1
+                    trail.append(first)
+            watches[false_lit] = kept
+        self.prop_head = head
         return None
 
     # -- learning --------------------------------------------------------
 
     def _bump(self, var: int) -> None:
-        self.activity[var] += self.act_inc
-        if self.activity[var] > 1e100:
+        """Raise an assigned variable's activity.
+
+        Its heap entry, if any, goes stale; the backtrack that unassigns the
+        variable pushes one carrying the new activity.
+        """
+        activity = self.activity
+        activity[var] += self.act_inc
+        self.queued[var] = False
+        if activity[var] > 1e100:
             for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.act_inc *= 1e-100
+            self._rebuild_heap()
 
     def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
         """First-UIP learned clause, backjump level, and LBD."""
         learned: list[int] = []
-        seen = [False] * (self.num_vars + 1)
+        seen = self.seen
+        level = self.level
+        trail = self.trail
         counter = 0
         propagated = 0  # trail literal whose reason is being expanded
         reason_idx = conflict_idx
-        trail_pos = len(self.trail) - 1
+        trail_pos = len(trail) - 1
         current_level = len(self.trail_lim)
 
         while True:
@@ -162,45 +201,66 @@ class _Solver:
                 if cl_lit == propagated:
                     continue
                 var = abs(cl_lit)
-                if seen[var] or self.level[var] == 0:
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
                 self._bump(var)
-                if self.level[var] == current_level:
+                if level[var] == current_level:
                     counter += 1
                 else:
                     learned.append(cl_lit)
-            while not seen[abs(self.trail[trail_pos])]:
+            while not seen[abs(trail[trail_pos])]:
                 trail_pos -= 1
-            propagated = self.trail[trail_pos]
+            propagated = trail[trail_pos]
             seen[abs(propagated)] = False
             trail_pos -= 1
             counter -= 1
             if counter == 0:
                 break
             reason_idx = self.reason[abs(propagated)]
+        for lit in learned:
+            seen[abs(lit)] = False
         learned.insert(0, -propagated)
 
         if len(learned) == 1:
             backjump = 0
         else:
-            best = max(range(1, len(learned)), key=lambda i: self.level[abs(learned[i])])
+            best = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
             learned[1], learned[best] = learned[best], learned[1]
-            backjump = self.level[abs(learned[1])]
-        lbd = len({self.level[abs(l)] for l in learned})
+            backjump = level[abs(learned[1])]
+        lbd = len({level[abs(l)] for l in learned})
         return learned, backjump, lbd
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return
+        value = self.value
+        reason = self.reason
+        activity = self.activity
+        heap = self.heap
+        queued = self.queued
         cut = self.trail_lim[target_level]
         for lit in self.trail[cut:]:
+            value[lit] = 0
+            value[-lit] = 0
             var = abs(lit)
-            self.value[var] = 0
-            self.reason[var] = -1
+            reason[var] = -1
+            if not queued[var]:
+                heappush(heap, (-activity[var], var))
+                queued[var] = True
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.prop_head = min(self.prop_head, len(self.trail))
+        if len(heap) > 2 * self.num_vars:
+            self._rebuild_heap()  # shed the entries that bumps left behind
+
+    def _rebuild_heap(self) -> None:
+        value = self.value
+        activity = self.activity
+        unassigned = [var for var in range(1, self.num_vars + 1) if value[var] == 0]
+        self.heap[:] = [(-activity[var], var) for var in unassigned]
+        heapify(self.heap)
+        self.queued[:] = [value[var] == 0 for var in range(self.num_vars + 1)]
 
     def _reduce_db(self) -> None:
         """Drop the weaker half of the learned clauses (high LBD, long)."""
@@ -224,10 +284,10 @@ class _Solver:
             new_lbd.append(self.clause_lbd[idx])
         self.clauses = new_clauses
         self.clause_lbd = new_lbd
-        self.watches = {}
+        self.watches = [[] for _ in range(2 * self.num_vars + 1)]
         for idx, clause in enumerate(self.clauses):
-            self.watches.setdefault(clause[0], []).append(idx)
-            self.watches.setdefault(clause[1], []).append(idx)
+            self.watches[clause[0]].append(idx)
+            self.watches[clause[1]].append(idx)
         for var in range(1, self.num_vars + 1):
             if self.reason[var] >= 0:
                 self.reason[var] = keep_map[self.reason[var]]
@@ -237,13 +297,17 @@ class _Solver:
         return self.value[abs(first)] != 0 and self.reason[abs(first)] == idx
 
     def _pick_branch_var(self) -> int:
-        best = 0
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.value[var] == 0 and self.activity[var] > best_act:
-                best = var
-                best_act = self.activity[var]
-        return best
+        """The unassigned variable of highest activity, lowest index on ties; 0 if none."""
+        heap = self.heap
+        activity = self.activity
+        while heap:
+            neg_act, var = heappop(heap)
+            if -neg_act != activity[var]:
+                continue  # superseded by a bump
+            self.queued[var] = False
+            if self.value[var] == 0:
+                return var
+        return 0
 
     # -- main loop ---------------------------------------------------------
 

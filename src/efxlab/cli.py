@@ -50,6 +50,16 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _conflict_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"conflict budget must be an integer, got {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"conflict budget must be >= 0, got {budget}")
+    return budget
+
+
 def _load_valuations(path: str, n: int, m: int, extended: bool):
     text = _read(path)
     if extended:
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sat = sub.add_parser("sat", help="run the embedded CDCL solver on a DIMACS file")
     sat.add_argument("-i", "--input", required=True)
-    sat.add_argument("--budget", type=int, default=None, help="conflict budget")
+    sat.add_argument("--budget", type=_conflict_budget, default=None, help="conflict budget")
     sat.set_defaults(func=cmd_sat)
 
     decode = sub.add_parser("decode", help="turn a model (v lines) into valuation blocks")

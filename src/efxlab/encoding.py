@@ -36,6 +36,7 @@ from typing import IO
 from .allocations import count_allocations, enumerate_bundle_tuples
 from .bitset import cardinality, check_good_count, is_proper_subset, singleton_bits
 from .dimacs import Clause, CnfFormula
+from .errors import LevelOutOfRange
 from . import reference
 
 NUM_AGENTS = 3
@@ -52,7 +53,7 @@ class EncodeOptions:
     def validate(self) -> None:
         check_good_count(self.m)
         if self.level_k is not None and not 0 <= self.level_k <= self.m + 1:
-            raise ValueError(f"level_k={self.level_k} outside 0..{self.m + 1}")
+            raise LevelOutOfRange(f"level_k={self.level_k} outside 0..{self.m + 1}")
 
 
 @dataclass

@@ -7,6 +7,16 @@ class EfxLabError(Exception):
     """Base class for all library errors."""
 
 
+# -- arguments -----------------------------------------------------------------
+
+class GoodCountOutOfRange(EfxLabError, ValueError):
+    """The number of goods m lies outside the supported range."""
+
+
+class LevelOutOfRange(EfxLabError, ValueError):
+    """A level threshold k lies outside 0..m+1."""
+
+
 # -- valuations ---------------------------------------------------------------
 
 class NotAPermutation(EfxLabError):

@@ -4,9 +4,15 @@ Unit propagation runs to fixpoint: clauses containing a satisfied literal are
 removed (the propagated units themselves included; fixed variables are
 reported separately) and falsified literals are stripped, possibly producing
 further units or the empty clause (immediate UNSAT).  The surviving clauses
-then get one forward-subsumption pass with signature filtering: a clause is
-dropped when some other surviving clause is a subset of it.  Deletion-only
-subsumption cannot enable further propagation, so that is the fixpoint.
+then get one forward-subsumption pass with signature filtering, shortest
+clauses first.  A clause is dropped when a kept clause that contains the
+clause's rarest literal (the one in fewest kept clauses so far) is a subset
+of it.  The pass is incomplete: a kept subset that lacks that literal is
+missed, so ``(1, 2)`` does not remove ``(1, 2, 5)``.  On the EFX encodings
+m=6 k=5, m=6 k=4 with item order, m=5 k=3 with item order and m=5 without a
+level it removes exactly what a complete check removes.
+Deletion-only subsumption cannot enable further propagation, so that is the
+fixpoint.
 """
 
 from __future__ import annotations
@@ -103,7 +109,11 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
 
 
 def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
-    """Forward subsumption: drop clauses that are supersets of kept clauses."""
+    """Forward subsumption: drop clauses that are supersets of kept clauses.
+
+    Only kept clauses holding the candidate's rarest literal are tried, so
+    some subsumed clauses survive (see the module docstring).
+    """
     order = sorted(range(len(formula.clauses)), key=lambda i: len(formula.clauses[i]))
     kept_sets: list[frozenset[int]] = []
     kept_sigs: list[int] = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .allocations import count_allocations, enumerate_bundle_tuples
 from .bitset import check_good_count, is_proper_subset, singleton_bits
+from .errors import GoodCountOutOfRange
 
 NUM_AGENTS = 3
 
@@ -37,7 +38,7 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     """SMT-LIB 2 script plus emission statistics for the given good count."""
     check_good_count(m)
     if m > 8:
-        raise ValueError("LRA emission supported for m <= 8")
+        raise GoodCountOutOfRange(f"LRA emission supported for m <= 8, got m={m}")
     n_sets = 1 << m
     lines: list[str] = ["(set-logic QF_LRA)"]
 

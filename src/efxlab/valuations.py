@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import cardinality, check_good_count, singleton_bits
-from .errors import MonotonicityViolated, NotAPermutation
+from .errors import LevelOutOfRange, MonotonicityViolated, NotAPermutation
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def leveled(v: RankValuation, k: int) -> RankValuation:
     smaller set.  k = m + 1 leaves the order unchanged.
     """
     if not 0 <= k <= v.m + 1:
-        raise ValueError(f"level threshold k={k} outside 0..{v.m + 1}")
+        raise LevelOutOfRange(f"level threshold k={k} outside 0..{v.m + 1}")
     low = [mask for mask in v.order() if cardinality(mask) < k]
     high = sorted(
         (mask for mask in range(1 << v.m) if cardinality(mask) >= k),

@@ -1,6 +1,9 @@
+import pytest
+
 from efxlab.bitset import (
     bitstring,
     cardinality,
+    check_good_count,
     goods,
     is_proper_subset,
     is_subset,
@@ -8,6 +11,7 @@ from efxlab.bitset import (
     singleton_bits,
     submasks,
 )
+from efxlab.errors import EfxLabError, GoodCountOutOfRange
 
 
 def test_cardinality_and_membership():
@@ -35,3 +39,12 @@ def test_bitstring_leftmost_is_high_bit():
     assert bitstring(5, 8) == "00000101"
     assert parse_bitstring("00000101") == 5
     assert parse_bitstring(bitstring(0b1100101, 7)) == 0b1100101
+
+
+def test_good_count_range_error_is_typed():
+    check_good_count(3)
+    check_good_count(16)
+    for m in (2, 17):
+        with pytest.raises(GoodCountOutOfRange) as exc:
+            check_good_count(m)
+        assert isinstance(exc.value, EfxLabError) and isinstance(exc.value, ValueError)

@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from efxlab.cdcl import SolveStatus, _Solver, luby, solve
 from efxlab.dimacs import CnfFormula
 from efxlab.encoding import EncodeOptions, encode_formula
-from efxlab.simplify import propagate_units
+from efxlab.errors import LiteralOutOfRange
+from efxlab.simplify import preprocess, propagate_units
 
 
 def brute_force_satisfiable(formula: CnfFormula) -> bool:
@@ -66,6 +69,13 @@ def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
     return CnfFormula(pigeons * holes, clauses)
 
 
+def test_out_of_range_literal_is_rejected():
+    with pytest.raises(LiteralOutOfRange):
+        solve(CnfFormula(2, [(1, 3), (-1,)]))
+    with pytest.raises(LiteralOutOfRange):
+        solve(CnfFormula(2, [(1, 0)]))
+
+
 def test_budget_exhaustion_returns_unknown():
     # the pigeonhole principle has no units, so refuting it needs conflicts;
     # a zero-conflict budget must therefore give up
@@ -119,3 +129,120 @@ def test_counterexample_assignment_satisfies_reduced_encoding():
     assert result.status is SolveStatus.SATISFIABLE
     assert result.assignment is not None
     assert all(result.assignment.values[var] == val for var, val in assignment.values.items())
+
+
+def test_learning_search_on_efx_encoding_is_pinned():
+    # the preprocessed m=5 no-level encoding needs learning and restarts; its
+    # counters pin the search (decision order, learned clauses, restart points)
+    reduced = preprocess(encode_formula(EncodeOptions(5, None, False)))
+    assert not reduced.unsat
+    result = solve(reduced.formula)
+    assert result.status is SolveStatus.UNSATISFIABLE
+    assert (result.conflicts, result.decisions, result.restarts) == (955, 1885, 9)
+
+
+def scan_branch_var(solver: _Solver) -> int:
+    """Reference decision order: the O(n) scan the heap replaced."""
+    best = 0
+    best_act = -1.0
+    for var in range(1, solver.num_vars + 1):
+        if solver.value[var] == 0 and solver.activity[var] > best_act:
+            best = var
+            best_act = solver.activity[var]
+    return best
+
+
+class ScanCheckedSolver(_Solver):
+    """Checks the decision heap against the O(n) scan it replaced.
+
+    At every decision the heap must pick what the scan picks.  After every
+    analysis (where bumps and rescales happen) and every backtrack, each
+    unassigned or queued variable must have an entry carrying its current
+    activity, and stale entries must not take the heap past twice the
+    variable count.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.checked = 0
+
+    def _check_heap(self) -> None:
+        assert len(self.heap) <= 2 * self.num_vars
+        entries = set(self.heap)
+        for var in range(1, self.num_vars + 1):
+            if self.value[var] == 0 or self.queued[var]:
+                assert (-self.activity[var], var) in entries, f"variable {var} has no current entry"
+
+    def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
+        analysis = super()._analyze(conflict_idx)
+        self._check_heap()
+        return analysis
+
+    def _backtrack(self, target_level: int) -> None:
+        super()._backtrack(target_level)
+        self._check_heap()
+
+    def _pick_branch_var(self) -> int:
+        want = scan_branch_var(self)
+        got = super()._pick_branch_var()
+        assert got == want, f"decision {self.decisions + 1}: heap {got}, scan {want}"
+        self.checked += 1
+        return got
+
+
+def test_heap_decisions_match_scan_on_random_formulas():
+    rng = random.Random(3)
+    for _ in range(200):
+        formula = random_formula(rng)
+        solver = ScanCheckedSolver(formula)
+        result = solver.solve(None)
+        assert result.status is solve(formula).status
+        assert solver.checked == result.decisions + (result.status is SolveStatus.SATISFIABLE)
+
+
+def test_heap_decisions_match_scan_with_learning_and_restarts():
+    solver = ScanCheckedSolver(pigeonhole(7, 6))
+    result = solver.solve(None)
+    assert result.status is SolveStatus.UNSATISFIABLE
+    assert (result.conflicts, result.restarts) == (869, 8)
+    assert solver.checked == result.decisions
+
+
+def test_heap_decisions_match_scan_across_activity_rescale():
+    solver = ScanCheckedSolver(pigeonhole(7, 6))
+    solver.act_inc = 1e99  # a few bumps pass 1e100
+    assert solver.solve(None).status is SolveStatus.UNSATISFIABLE
+    assert solver.act_inc < 1e99  # only the rescale ever lowers the increment
+    assert solver.checked > 0
+
+
+class ReducingSolver(ScanCheckedSolver):
+    """Halves the learned clauses every 200 conflicts, at a decision point."""
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.reductions = 0
+
+    def _pick_branch_var(self) -> int:
+        if self.conflicts >= 200 * (self.reductions + 1):
+            before = len(self.clauses)
+            self._reduce_db()
+            self.reductions += 1
+            assert len(self.clauses) < before
+            self._check_invariants()
+        return super()._pick_branch_var()
+
+    def _check_invariants(self) -> None:
+        watched = sorted(idx for watch_list in self.watches for idx in watch_list)
+        assert watched == sorted(2 * list(range(len(self.clauses))))
+        for idx, clause in enumerate(self.clauses):
+            assert idx in self.watches[clause[0]] and idx in self.watches[clause[1]]
+        for lit in self.trail:
+            reason = self.reason[abs(lit)]
+            assert reason == -1 or self.clauses[reason][0] == lit
+
+
+def test_reduce_db_mid_search_keeps_watches_and_reasons():
+    solver = ReducingSolver(pigeonhole(7, 6))
+    assert solver.solve(None).status is SolveStatus.UNSATISFIABLE
+    assert solver.reductions >= 2

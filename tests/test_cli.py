@@ -141,3 +141,30 @@ def test_domain_errors_exit_one(tmp_path, capsys):
 
 def test_io_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--vals", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "-m", "20"], ["encode", "-m", "2"], ["stats", "-m", "6", "-k", "20"], ["smt", "-m", "9"]],
+)
+def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["-5", "many"])
+def test_bad_conflict_budget_is_a_usage_error(tmp_path, capsys, budget):
+    cnf = tmp_path / "tiny.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sat", "-i", str(cnf), "--budget", budget])
+    assert exc.value.code == 2
+    assert "conflict budget" in capsys.readouterr().err
+
+
+def test_zero_conflict_budget_is_accepted(tmp_path, capsys):
+    cnf = tmp_path / "tiny.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    assert main(["sat", "-i", str(cnf), "--budget", "0"]) == 0
+    assert "s SATISFIABLE" in capsys.readouterr().out
