@@ -29,10 +29,10 @@ from .encoding import (
     EncodeOptions,
     clause_counts,
     encode_formula,
-    not_efx_clauses,
     num_variables,
     var_id,
 )
+from .fairness import efx_conditions
 from .simplify import preprocess, subsume
 from .submodular import (
     DyadicValuation,
@@ -173,23 +173,15 @@ def reduced_clause_count(opts: EncodeOptions) -> int | None:
             return bool(above[agent][index[lo]] >> index[hi] & 1)
         return (cardinality(lo), lo) < (cardinality(hi), hi)
 
-    pair_of = {
-        var_id(agent, a, b, m): (agent, a, b)
-        for agent in range(NUM_AGENTS)
-        for a in range(1 << m)
-        for b in range(a + 1, 1 << m)
-    }
     residues: list[tuple[int, ...]] = []
-    for clause in not_efx_clauses(m):
+    for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
         residue = []
-        for lit in dict.fromkeys(clause):
-            agent, lo, hi = pair_of[abs(lit)]
-            if lit < 0:
-                lo, hi = hi, lo
-            if fixed(agent, lo, hi):
+        # The no-EFX literal of (agent, removed, own) says v(own) < v(removed).
+        for agent, removed, own in dict.fromkeys(efx_conditions(bundles)):
+            if fixed(agent, own, removed):
                 break
-            if not fixed(agent, hi, lo):
-                residue.append(lit)
+            if not fixed(agent, removed, own):
+                residue.append(-var_id(agent, removed, own, m))
         else:
             if not residue:
                 return None

@@ -29,11 +29,6 @@ def cardinality(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def is_subset(a: int, b: int) -> bool:
-    """True iff a is a (not necessarily proper) subset of b."""
-    return a & ~b == 0
-
-
 def is_proper_subset(a: int, b: int) -> bool:
     return a != b and a & ~b == 0
 

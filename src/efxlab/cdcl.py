@@ -26,6 +26,7 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 
 from .dimacs import Assignment, CnfFormula
+from .errors import BudgetOutOfRange
 
 
 class SolveStatus(Enum):
@@ -374,8 +375,10 @@ def solve(formula: CnfFormula, conflict_budget: int | None = None) -> SolveResul
     """SAT/UNSAT/UNKNOWN for the formula; SAT models are verified before return.
 
     `conflict_budget` bounds the number of conflicts; exceeding it yields
-    UNKNOWN rather than an answer.
+    UNKNOWN rather than an answer.  A negative budget raises BudgetOutOfRange.
     """
+    if conflict_budget is not None and conflict_budget < 0:
+        raise BudgetOutOfRange(f"conflict budget must be >= 0, got {conflict_budget}")
     result = _Solver(formula).solve(conflict_budget)
     if result.status is SolveStatus.SATISFIABLE:
         assert result.assignment is not None

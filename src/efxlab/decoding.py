@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .bitset import bitstring, parse_bitstring
+from .bitset import bitstring, check_good_count, parse_bitstring
 from .dimacs import Assignment
 from .encoding import NUM_AGENTS, var_id
 from .errors import (
     BitstringMismatch,
     IncompleteAssignment,
     LineCountMismatch,
+    MalformedValuationLine,
     NotATotalOrder,
     RankNotIncreasing,
 )
@@ -75,6 +76,31 @@ def _find_three_cycle(below: list[list[bool]], a: int, b: int) -> tuple[int, int
     raise AssertionError("rank collision without a 3-cycle")
 
 
+# -- line parsing -----------------------------------------------------------------
+
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) of every non-blank line."""
+    lines = enumerate(text.splitlines(), 1)
+    return [(number, line.split()) for number, line in lines if line.strip()]
+
+
+def _parse_line(row: tuple[int, list[str]], m: int | None = None) -> tuple[int, int]:
+    """The integers of a ``<a> <b>`` line, or of a ``<set> <bitstring> <b>`` line given m."""
+    number, fields = row
+    width = 2 if m is None else 3
+    if len(fields) != width:
+        raise MalformedValuationLine(f"line {number}: need {width} fields, got {len(fields)}")
+    try:
+        first, last = int(fields[0]), int(fields[-1])
+    except ValueError:
+        text = " ".join(fields)
+        raise MalformedValuationLine(f"line {number}: a field of {text!r} is not an integer") from None
+    bits = fields[1]
+    if m is not None and (len(bits) != m or bits.strip("01") or parse_bitstring(bits) != first):
+        raise BitstringMismatch(f"line {number}: set {first} does not match bitstring {bits}")
+    return first, last
+
+
 # -- plain rank blocks ---------------------------------------------------------
 
 def load_bundled_counterexample() -> list[RankValuation]:
@@ -85,19 +111,14 @@ def load_bundled_counterexample() -> list[RankValuation]:
 
 def load_rank_blocks(text: str, n: int, m: int) -> list[RankValuation]:
     n_sets = 1 << m
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = _rows(text)
     if len(rows) != n * n_sets:
         raise LineCountMismatch(f"expected {n * n_sets} lines, got {len(rows)}")
     valuations = []
     for block in range(n):
         rank = [0] * n_sets
         for offset in range(n_sets):
-            fields = rows[block * n_sets + offset]
-            if len(fields) != 3:
-                raise LineCountMismatch(f"line {block * n_sets + offset + 1}: need 3 fields")
-            mask, bits, r = int(fields[0]), fields[1], int(fields[2])
-            if len(bits) != m or parse_bitstring(bits) != mask:
-                raise BitstringMismatch(f"set {mask} does not match bitstring {bits}")
+            mask, r = _parse_line(rows[block * n_sets + offset], m)
             if r != offset:
                 raise RankNotIncreasing(
                     f"block {block}: rank {r} at position {offset}, expected {offset}"
@@ -120,10 +141,13 @@ def dump_rank_blocks(valuations: list[RankValuation]) -> str:
 # -- generalized value blocks --------------------------------------------------
 
 def load_value_blocks(text: str) -> list[RealValuation]:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    rows = _rows(text)
+    if not rows or len(rows[0][1]) != 2:
         raise LineCountMismatch("missing 'n m' header line")
-    n, m = int(rows[0][0]), int(rows[0][1])
+    n, m = _parse_line(rows[0])
+    check_good_count(m)
+    if n < 1:
+        raise LineCountMismatch(f"need at least one valuation block, got n={n}")
     n_sets = 1 << m
     if len(rows) != 1 + n * n_sets:
         raise LineCountMismatch(f"expected {1 + n * n_sets} lines, got {len(rows)}")
@@ -131,12 +155,9 @@ def load_value_blocks(text: str) -> list[RealValuation]:
     for block in range(n):
         values: list[int] = [0] * n_sets
         for offset in range(n_sets):
-            fields = rows[1 + block * n_sets + offset]
-            mask, bits, value = int(fields[0]), fields[1], int(fields[2])
+            mask, value = _parse_line(rows[1 + block * n_sets + offset], m)
             if mask != offset:
                 raise LineCountMismatch(f"block {block}: expected set {offset}, got {mask}")
-            if len(bits) != m or parse_bitstring(bits) != mask:
-                raise BitstringMismatch(f"set {mask} does not match bitstring {bits}")
             values[mask] = value
         val = RealValuation(m, tuple(values))
         val.validate()
@@ -160,13 +181,13 @@ def dump_dyadic(m: int, values: tuple[int, ...]) -> str:
 
 
 def load_dyadic(text: str) -> tuple[int, tuple[int, ...]]:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = _rows(text)
     m = (len(rows) - 1).bit_length()
     if len(rows) != 1 << m:
         raise LineCountMismatch(f"line count {len(rows)} is not a power of two")
     values = [0] * len(rows)
-    for offset, fields in enumerate(rows):
-        mask, value = int(fields[0]), int(fields[1])
+    for offset, row in enumerate(rows):
+        mask, value = _parse_line(row)
         if mask != offset:
             raise LineCountMismatch(f"expected set {offset}, got {mask}")
         values[mask] = value

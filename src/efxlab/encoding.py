@@ -21,8 +21,9 @@ Clause families, emitted in this order with ascending loops inside each:
                      set, with equal-size sets at levels >= k ordered by set
                      number
 * no-EFX           - one clause per complete non-empty-bundle allocation,
-                     2m literals each (two per good, duplicates kept): some
-                     agent keeps strong envy after every single-good removal
+                     2m literals each (two per good, duplicates kept): the
+                     negation -x(i, X_j - g, X_i) of every EFX condition
+                     `fairness.efx_conditions` yields, in its order
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from math import comb
 from typing import IO
 
 from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import cardinality, check_good_count, is_proper_subset, singleton_bits
+from .bitset import cardinality, check_good_count, is_proper_subset
 from .dimacs import Clause, CnfFormula
 from .errors import LevelOutOfRange
+from .fairness import efx_conditions
 from . import reference
 
 NUM_AGENTS = 3
@@ -94,21 +96,6 @@ def var_id(agent: int, a: int, b: int, m: int) -> int:
     return -var_id(agent, b, a, m)
 
 
-def decode_var(var: int, m: int) -> tuple[int, int, int]:
-    """Inverse of var_id on positive ids: (agent, a, b) with a < b."""
-    p = 1 << m
-    per_agent = p * (p - 1) // 2
-    if not 1 <= var <= NUM_AGENTS * per_agent:
-        raise ValueError(f"variable {var} out of range")
-    agent, index = divmod(var - 1, per_agent)
-    index += 1
-    a = 0
-    while pair_index(a, p - 1, p) < index:
-        a += 1
-    b = a + (index - (p * a - a * (a + 1) // 2))
-    return agent, a, b
-
-
 # -- clause family streams ----------------------------------------------------
 
 def monotonicity_clauses(m: int) -> Iterator[Clause]:
@@ -162,16 +149,7 @@ def leveled_clauses(m: int, k: int) -> Iterator[Clause]:
 
 def not_efx_clauses(m: int) -> Iterator[Clause]:
     for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
-        clause: list[int] = []
-        for agent in range(NUM_AGENTS):
-            own = bundles[agent]
-            for j in range(NUM_AGENTS):
-                if j == agent:
-                    continue
-                other = bundles[j]
-                for bit in singleton_bits(other):
-                    clause.append(-var_id(agent, other ^ bit, own, m))
-        yield tuple(clause)
+        yield tuple(-var_id(i, removed, own, m) for i, removed, own in efx_conditions(bundles))
 
 
 def encode(opts: EncodeOptions) -> Iterator[Clause]:

@@ -17,6 +17,10 @@ class LevelOutOfRange(EfxLabError, ValueError):
     """A level threshold k lies outside 0..m+1."""
 
 
+class BudgetOutOfRange(EfxLabError, ValueError):
+    """A conflict budget is negative."""
+
+
 # -- valuations ---------------------------------------------------------------
 
 class NotAPermutation(EfxLabError):
@@ -104,6 +108,10 @@ class ThreeValsFormatError(EfxLabError):
 
 class LineCountMismatch(ThreeValsFormatError):
     pass
+
+
+class MalformedValuationLine(ThreeValsFormatError):
+    """A line has the wrong number of fields or a field that is not an integer."""
 
 
 class BitstringMismatch(ThreeValsFormatError):

@@ -1,5 +1,11 @@
 """Fairness predicates and envy-graph machinery.
 
+`efx_conditions` is the one definition of the EFX condition, v_i(X_j - g)
+<= v_i(X_i) for every agent i, other bundle X_j and good g in X_j.  The CNF
+and SMT encodings negate it, `violated_condition_count` counts its failures,
+and only the table-driven allocation scan in `verification` (see its
+`_scan_range`) writes it out again.
+
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate
 valuations are handled by the strictness of the inequalities themselves
@@ -8,7 +14,7 @@ valuations are handled by the strictness of the inequalities themselves
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -60,21 +66,30 @@ def is_efx(allocation: Allocation, valuations: Sequence[Valuation]) -> bool:
     return True
 
 
-def violated_condition_count(allocation: Allocation, valuations: Sequence[Valuation]) -> int:
-    """Number of violated (good, non-owner) conditions, in 0 .. m*(n-1).
+def efx_conditions(bundles: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The EFX conditions of an allocation as (i, X_j - g, X_i) triples.
 
-    For each good g owned by bundle X_j and each agent i != j, the condition
-    v_i(X_j - g) <= v_i(X_i) must hold; this counts the failures.
+    Each triple (i, removed, own) stands for v_i(removed) <= v_i(own).  They
+    come in agent, then bundle, then ascending-good order, which fixes the
+    literal order of the no-EFX clauses and the SMT conjuncts.
     """
+    for i, own in enumerate(bundles):
+        for j, other in enumerate(bundles):
+            if j != i:
+                rest = other
+                while rest:  # singleton_bits(other), inlined: this runs per literal
+                    bit = rest & -rest
+                    rest ^= bit
+                    yield i, other ^ bit, own
+
+
+def violated_condition_count(allocation: Allocation, valuations: Sequence[Valuation]) -> int:
+    """Number of violated EFX conditions (see `efx_conditions`), in 0 .. m*(n-1)."""
     _check_arity(allocation, valuations)
-    count = 0
-    for j, bundle in enumerate(allocation.bundles):
-        for bit in singleton_bits(bundle):
-            removed = bundle ^ bit
-            for i, v in enumerate(valuations):
-                if i != j and v.value(removed) > v.value(allocation.bundles[i]):
-                    count += 1
-    return count
+    return sum(
+        valuations[i].value(removed) > valuations[i].value(own)
+        for i, removed, own in efx_conditions(allocation.bundles)
+    )
 
 
 def is_efx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:

@@ -4,7 +4,8 @@ One real constant per (agent, set) pair carries the set's value; the script
 asserts positivity, monotonicity over all proper-subset pairs, agent 0's
 singleton order, and the negation of "some allocation is EFX" (a disjunction
 with one conjunct of 2m strict inequalities per complete non-empty-bundle
-allocation).  Unsatisfiability of the script is equivalent to EFX existence
+allocation, the negations of the EFX conditions `fairness.efx_conditions`
+yields).  Unsatisfiability of the script is equivalent to EFX existence
 for the given m; no solver is invoked here.
 """
 
@@ -13,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import check_good_count, is_proper_subset, singleton_bits
+from .bitset import check_good_count, is_proper_subset
+from .encoding import NUM_AGENTS
 from .errors import GoodCountOutOfRange
-
-NUM_AGENTS = 3
+from .fairness import efx_conditions
 
 
 @dataclass
@@ -72,15 +73,11 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     inequalities = 0
     lines.append("(assert (not (or")
     for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
-        terms: list[str] = []
-        for agent in range(NUM_AGENTS):
-            own = const_name(agent, bundles[agent])
-            for j in range(NUM_AGENTS):
-                if j == agent:
-                    continue
-                for bit in singleton_bits(bundles[j]):
-                    terms.append(f"(< {const_name(agent, bundles[j] ^ bit)} {own})")
-                    inequalities += 1
+        owns = [const_name(i, own) for i, own in enumerate(bundles)]
+        terms = [
+            f"(< {const_name(i, removed)} {owns[i]})" for i, removed, _ in efx_conditions(bundles)
+        ]
+        inequalities += len(terms)
         lines.append("  (and " + " ".join(terms) + ")")
         disjuncts += 1
     lines.append(")))")

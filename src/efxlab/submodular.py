@@ -62,17 +62,6 @@ def is_submodular(f: DyadicValuation) -> tuple[bool, tuple[int, int, int] | None
     return True, None
 
 
-def is_submodular_four_point(f: DyadicValuation) -> bool:
-    """Naive f(S) + f(T) >= f(S|T) + f(S&T) check over all pairs (small m)."""
-    values = f.values
-    n_sets = 1 << f.m
-    for s in range(n_sets):
-        for t in range(n_sets):
-            if values[s] + values[t] < values[s | t] + values[s & t]:
-                return False
-    return True
-
-
 def extend_counterexample(base: Sequence[RankValuation], n: int) -> list[RealValuation]:
     """Extension of a 3-agent, 8-good instance to n >= 4 agents, n + 5 goods.
 

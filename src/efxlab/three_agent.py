@@ -198,12 +198,11 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
 
 def _feasible_sets(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], ...]:
     allocation = Allocation(valuations[0].m, tuple(partition))
-    tefx0 = [j for j in range(3) if fairness.is_tefx_feasible(valuations[0], j, allocation)]
-    tefx1 = [j for j in range(3) if fairness.is_tefx_feasible(valuations[1], j, allocation)]
-    tefx2 = [j for j in range(3) if fairness.is_tefx_feasible(valuations[2], j, allocation)]
-    return tefx0, tefx1, tefx2
+    return tuple(
+        [j for j in range(3) if fairness.is_tefx_feasible(v, j, allocation)] for v in valuations
+    )
 
 
 def _try_direct_tefx(
@@ -250,6 +249,15 @@ def _efx_feasible(v: RankValuation, index: int, partition: tuple[int, int, int])
     return fairness.is_efx_feasible(v, index, Allocation(v.m, partition))
 
 
+def _hand_out(
+    tag: str, to_zero: int, agent: int, to_agent: int, to_other: int
+) -> tuple[str, tuple[int, int, int]]:
+    """An exit: agent 0 gets `to_zero`, `agent` (1 or 2) `to_agent`, the third `to_other`."""
+    if agent == 1:
+        return tag, (to_zero, to_agent, to_other)
+    return tag, (to_zero, to_other, to_agent)
+
+
 def _dispatch(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
 ) -> tuple[str, tuple[int, int, int]]:
@@ -265,17 +273,17 @@ def _dispatch(
     # Case 2: some non-zero agent prefers X0 over X1.
     for agent, v in ((1, v1), (2, v2)):
         if v.rank[x0] > v.rank[x1]:
-            other = 3 - agent
-            bundles = [0, 0, 0]
-            bundles[agent] = x0
-            bundles[0] = x1
-            bundles[other] = x2
-            return "tefx", tuple(bundles)
+            return _hand_out("tefx", x1, agent, x0, x2)
 
-    # Case 3: a reduced X2 beats X1 for both non-zero agents.
+    # Case 3: a reduced X2 beats X1 for both non-zero agents.  Agent 1 splits;
+    # agent 0 takes X1 if it can, and agent 2 its favorite side.
     for bit in singleton_bits(x2):
         if v1.rank[x2 ^ bit] > v1.rank[x1] and v2.rank[x2 ^ bit] > v2.rank[x1]:
-            return _case_split(partition, valuations, splitter=1, chooser=2, bit=bit)
+            rebuilt = _split_sides(partition, v1, bit)
+            if _efx_feasible(v0, 1, rebuilt):
+                favored = max((0, 2), key=lambda j: v2.rank[rebuilt[j]])
+                return _hand_out("tefx", x1, 2, rebuilt[favored], rebuilt[2 - favored])
+            return _repair_middle(rebuilt, v0)
 
     return _remaining_case(partition, valuations)
 
@@ -301,48 +309,35 @@ def _case_shift(
     return "continue", equalize_for_valuation(repaired, v0)
 
 
-def _case_split(
-    partition: tuple[int, int, int],
-    valuations: Sequence[RankValuation],
-    splitter: int,
-    chooser: int,
-    bit: int,
-) -> tuple[str, tuple[int, int, int]]:
-    """Cases 3 and beyond: rebalance X0+g against X2-g for the splitter agent."""
-    v0 = valuations[0]
-    v_split = valuations[splitter]
-    v_choose = valuations[chooser]
+def _split_sides(
+    partition: tuple[int, int, int], v_split: RankValuation, bit: int
+) -> tuple[int, int, int]:
+    """Rebalance X0+g against X2-g for the splitting agent, keeping X1 in the middle."""
     x0, x1, x2 = partition
     part_first, part_third = transfer_split(v_split, x0 | bit, x2 ^ bit)
     rebuilt = (part_first, x1, part_third)
-    for index in (0, 2):
-        if not fairness.is_tefx_feasible(
-            v_split, index, Allocation(v_split.m, rebuilt)
-        ):
-            raise InvariantBroken("split parts not tEFX-feasible for the splitting agent")
+    allocation = Allocation(v_split.m, rebuilt)
+    if not all(fairness.is_tefx_feasible(v_split, index, allocation) for index in (0, 2)):
+        raise InvariantBroken("split parts not tEFX-feasible for the splitting agent")
+    return rebuilt
 
-    if _efx_feasible(v0, 1, rebuilt):
-        # Give agent 0 the middle bundle, the chooser its favorite side.
-        favored = max((0, 2), key=lambda j: v_choose.rank[rebuilt[j]])
-        remaining = 2 - favored
-        bundles = [0, 0, 0]
-        bundles[0] = x1
-        bundles[chooser] = rebuilt[favored]
-        bundles[splitter] = rebuilt[remaining]
-        return "tefx", tuple(bundles)
 
-    envied = [
-        j
-        for j in (0, 2)
-        if fairness.strongly_envies(v0, x1, rebuilt[j])
-    ]
+def _repair_middle(
+    rebuilt: tuple[int, int, int], v0: RankValuation
+) -> tuple[str, tuple[int, int, int]]:
+    """X1 = rebuilt[1] is not EFX-feasible for agent 0: regroup around X1.
+
+    Agent 0 strongly envies a side part Z.  The next partition is X1, the
+    inclusion-minimal subset of Z still beating X1, and the remaining goods;
+    it is equalized for agent 0 unless X1 is EFX-feasible in it.
+    """
+    x1 = rebuilt[1]
+    envied = [j for j in (0, 2) if fairness.strongly_envies(v0, x1, rebuilt[j])]
     if not envied:
         raise InvariantBroken("agent 0 holds no strong envy yet X1 is infeasible")
-    z_index = envied[0]
-    z = rebuilt[z_index]
-    z_other = rebuilt[2 - z_index]
+    z = rebuilt[envied[0]]
     z_minimal = minimal_satisfying_subset(z, lambda s: v0.rank[s] > v0.rank[x1])
-    candidate = (x1, z_minimal, z_other | (z ^ z_minimal))
+    candidate = (x1, z_minimal, rebuilt[2 - envied[0]] | (z ^ z_minimal))
     if _efx_feasible(v0, 0, candidate):
         if not _efx_feasible(v0, 1, candidate):
             raise InvariantBroken("minimal subset lost EFX-feasibility for agent 0")
@@ -353,34 +348,27 @@ def _case_split(
 def _remaining_case(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
 ) -> tuple[str, tuple[int, int, int]]:
-    v0, v1, v2 = valuations
+    v0 = valuations[0]
     x0, x1, x2 = partition
     m = v0.m
     allocation = Allocation(m, partition)
 
-    ef1 = {agent: fairness.is_ef1_feasible(valuations[agent], 1, allocation) for agent in (1, 2)}
-    if not (ef1[1] or ef1[2]):
+    # The keeper ("a") holds X1 in the EF1&EEFX exits.
+    keeper = next((a for a in (1, 2) if fairness.is_ef1_feasible(valuations[a], 1, allocation)), 0)
+    if not keeper:
         raise InvariantBroken("middle bundle EF1-feasible for neither agent")
-    keeper = 1 if ef1[1] else 2  # "a": holds X1 in the EF1&EEFX exits
     other = 3 - keeper
-    v_keep = valuations[keeper]
-    v_other = valuations[other]
+    v_keep, v_other = valuations[keeper], valuations[other]
 
     rest = ((1 << m) - 1) ^ x1
     if fairness.eefx_certificate(v_keep, x1, rest, 3) is not None:
-        bundles = [0, 0, 0]
-        bundles[0] = x0
-        bundles[keeper] = x1
-        bundles[other] = x2
-        return "ef1_eefx", tuple(bundles)
+        return _hand_out("ef1_eefx", x0, keeper, x1, x2)
 
     # X1 is neither tEFX- nor EEFX-feasible for the keeper, so a good in X2
     # witnesses the transfer failure.
-    witness = None
-    for bit in singleton_bits(x2):
-        if v_keep.rank[x2 ^ bit] > v_keep.rank[x1 | bit]:
-            witness = bit
-            break
+    witness = next(
+        (bit for bit in singleton_bits(x2) if v_keep.rank[x2 ^ bit] > v_keep.rank[x1 | bit]), None
+    )
     if witness is None:
         raise InvariantBroken("transfer-infeasible bundle has no witnessing good")
     if not v_keep.rank[x0 | witness] > v_keep.rank[x2 ^ witness]:
@@ -388,39 +376,11 @@ def _remaining_case(
     if not v_other.rank[x1] > v_other.rank[x2 ^ witness]:
         raise InvariantBroken("middle bundle not EF1-feasible for the other agent")
 
-    part_first, part_third = transfer_split(v_keep, x0 | witness, x2 ^ witness)
-    rebuilt = (part_first, x1, part_third)
-    for index in (0, 2):
-        if not fairness.is_tefx_feasible(v_keep, index, Allocation(m, rebuilt)):
-            raise InvariantBroken("split parts not tEFX-feasible for the keeper")
-
+    rebuilt = _split_sides(partition, v_keep, witness)
     favorite = max(range(3), key=lambda j: v_other.rank[rebuilt[j]])
     if favorite == 1:
         # `rebuilt` certifies X1 is EEFX-feasible for the other agent.
-        bundles = [0, 0, 0]
-        bundles[0] = x0
-        bundles[keeper] = x2
-        bundles[other] = x1
-        return "ef1_eefx", tuple(bundles)
-
+        return _hand_out("ef1_eefx", x0, keeper, x2, x1)
     if _efx_feasible(v0, 1, rebuilt):
-        remaining = 2 - favorite
-        bundles = [0, 0, 0]
-        bundles[0] = x1
-        bundles[other] = rebuilt[favorite]
-        bundles[keeper] = rebuilt[remaining]
-        return "tefx", tuple(bundles)
-
-    envied = [j for j in (0, 2) if fairness.strongly_envies(v0, x1, rebuilt[j])]
-    if not envied:
-        raise InvariantBroken("agent 0 holds no strong envy yet X1 is infeasible")
-    z_index = envied[0]
-    z = rebuilt[z_index]
-    z_other = rebuilt[2 - z_index]
-    z_minimal = minimal_satisfying_subset(z, lambda s: v0.rank[s] > v0.rank[x1])
-    candidate = (x1, z_minimal, z_other | (z ^ z_minimal))
-    if _efx_feasible(v0, 0, candidate):
-        if not _efx_feasible(v0, 1, candidate):
-            raise InvariantBroken("minimal subset lost EFX-feasibility for agent 0")
-        return "continue", candidate
-    return "continue", equalize_for_valuation(candidate, v0)
+        return _hand_out("tefx", x1, other, rebuilt[favorite], rebuilt[2 - favorite])
+    return _repair_middle(rebuilt, v0)

@@ -165,17 +165,3 @@ def numeric_order_valuation(m: int) -> RankValuation:
 def as_real(v: RankValuation) -> RealValuation:
     """Rank valuation reinterpreted as integer values (rank = value)."""
     return RealValuation(v.m, tuple(v.rank))
-
-
-def check_pairwise_order_preserved(a: RealValuation, b: RealValuation) -> bool:
-    """True iff every strict comparison of a holds in b as well."""
-    n_sets = 1 << a.m
-    for s in range(n_sets):
-        for t in range(n_sets):
-            if a.values[s] < a.values[t] and not b.values[s] < b.values[t]:
-                return False
-    return True
-
-
-def is_nondegenerate(v: RealValuation) -> bool:
-    return len(set(v.values)) == len(v.values)

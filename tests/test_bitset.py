@@ -6,7 +6,6 @@ from efxlab.bitset import (
     check_good_count,
     goods,
     is_proper_subset,
-    is_subset,
     parse_bitstring,
     singleton_bits,
     submasks,
@@ -22,9 +21,6 @@ def test_cardinality_and_membership():
 
 
 def test_subset_relations():
-    assert is_subset(0b101, 0b111)
-    assert is_subset(0b101, 0b101)
-    assert not is_subset(0b101, 0b011)
     assert is_proper_subset(0b001, 0b011)
     assert not is_proper_subset(0b011, 0b011)
 

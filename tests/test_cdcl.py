@@ -5,7 +5,7 @@ import pytest
 from efxlab.cdcl import SolveStatus, _Solver, luby, solve
 from efxlab.dimacs import CnfFormula
 from efxlab.encoding import EncodeOptions, encode_formula
-from efxlab.errors import LiteralOutOfRange
+from efxlab.errors import BudgetOutOfRange, EfxLabError, LiteralOutOfRange
 from efxlab.simplify import preprocess, propagate_units
 
 
@@ -83,6 +83,12 @@ def test_budget_exhaustion_returns_unknown():
     assert solve(formula).status is SolveStatus.UNSATISFIABLE
     result = solve(formula, conflict_budget=0)
     assert result.status is SolveStatus.UNKNOWN
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(BudgetOutOfRange) as err:
+        solve(pigeonhole(4, 3), conflict_budget=-5)
+    assert isinstance(err.value, EfxLabError) and isinstance(err.value, ValueError)
 
 
 def test_watched_propagation_agrees_with_naive_propagation():

@@ -3,9 +3,15 @@ import json
 import pytest
 
 from efxlab.cli import main
-from efxlab.decoding import dump_rank_blocks, load_bundled_counterexample, load_value_blocks
+from efxlab.decoding import (
+    dump_dyadic,
+    dump_rank_blocks,
+    dump_value_blocks,
+    load_bundled_counterexample,
+    load_value_blocks,
+)
 from efxlab.dimacs import parse_dimacs, parse_model
-from efxlab.valuations import random_monotone_rank_valuation
+from efxlab.valuations import as_real, random_monotone_rank_valuation
 
 
 @pytest.fixture()
@@ -137,6 +143,27 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     bad.write_text("0 00000000 1\n")
     assert main(["verify", "--vals", str(bad), "-m", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loader", ["rank", "value", "dyadic"])
+def test_malformed_valuation_line_exits_one_naming_the_line(tmp_path, capsys, loader):
+    v = random_monotone_rank_valuation(3, 8)
+    path = tmp_path / "vals.txt"
+    if loader == "rank":
+        text, line, broken = dump_rank_blocks([v] * 3), 2, "1 001 x"
+        argv = ["verify", "-n", "3", "-m", "3", "--vals", str(path)]
+    elif loader == "value":
+        text, line, broken = dump_value_blocks([as_real(v)] * 3), 3, "1 001"
+        argv = ["verify", "--extended", "--vals", str(path)]
+    else:
+        text, line, broken = dump_dyadic(3, tuple(range(8))), 2, "1 x"
+        argv = ["check-submodular", "-i", str(path)]
+    lines = text.splitlines()
+    lines[line - 1] = broken
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}:") and err.count("\n") == 1
 
 
 def test_io_errors_exit_two(tmp_path, capsys):

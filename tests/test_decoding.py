@@ -14,8 +14,10 @@ from efxlab.dimacs import Assignment, assignment_from_ranks
 from efxlab.encoding import num_variables, var_id
 from efxlab.errors import (
     BitstringMismatch,
+    GoodCountOutOfRange,
     IncompleteAssignment,
     LineCountMismatch,
+    MalformedValuationLine,
     NotATotalOrder,
     RankNotIncreasing,
 )
@@ -98,6 +100,17 @@ def test_value_block_roundtrip():
     again = load_value_blocks(text)
     assert [v.values for v in again] == [v.values for v in vals]
     assert dump_value_blocks(again) == text
+
+
+def test_value_block_header_and_bitstrings_are_checked():
+    body = dump_value_blocks([as_real(random_monotone_rank_valuation(3, 4))]).splitlines()[1:]
+    headers = {"x 3": MalformedValuationLine, "1 -1": GoodCountOutOfRange, "0 3": LineCountMismatch}
+    for header, error in headers.items():
+        with pytest.raises(error):
+            load_value_blocks("\n".join([header, *body]))
+    body[1] = "1 0_1 1"  # int("0_1", 2) == 1, but it is no bitstring
+    with pytest.raises(BitstringMismatch):
+        load_value_blocks("\n".join(["1 3", *body]))
 
 
 def test_dyadic_roundtrip():

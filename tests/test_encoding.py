@@ -3,9 +3,9 @@ import pytest
 from efxlab.cdcl import solve
 from efxlab.dimacs import CnfFormula
 from efxlab.encoding import (
+    NUM_AGENTS,
     EncodeOptions,
     clause_counts,
-    decode_var,
     encode,
     encode_formula,
     item_order_clauses,
@@ -18,6 +18,21 @@ from efxlab.encoding import (
     var_id,
 )
 from efxlab.bitset import cardinality
+
+
+def decode_var(var: int, m: int) -> tuple[int, int, int]:
+    """Inverse of var_id on positive ids: (agent, a, b) with a < b."""
+    p = 1 << m
+    per_agent = p * (p - 1) // 2
+    if not 1 <= var <= NUM_AGENTS * per_agent:
+        raise ValueError(f"variable {var} out of range")
+    agent, index = divmod(var - 1, per_agent)
+    index += 1
+    a = 0
+    while pair_index(a, p - 1, p) < index:
+        a += 1
+    b = a + (index - (p * a - a * (a + 1) // 2))
+    return agent, a, b
 
 
 def test_pair_index_lexicographic_positions():

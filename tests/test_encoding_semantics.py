@@ -23,6 +23,7 @@ from efxlab.encoding import (
     var_id,
     write_dimacs_stream,
 )
+from efxlab.smtlib import emit_smtlib
 
 
 def all_rank_tables(m: int) -> list[tuple[int, ...]]:
@@ -119,11 +120,37 @@ def test_stream_output_reparses_to_the_same_clause_list():
     assert parsed.clauses == list(encode(opts))
 
 
+# sha256 of the emitted text, frozen so that a refactor of the encoder or of
+# the SMT writer must leave every byte unchanged.
+DIMACS_DIGESTS = {
+    EncodeOptions(4): "0f8002670b8fc2c991f9ddb5d3c04eb6e82df2aa4c05e378a8271618c996b9cd",
+    EncodeOptions(4, 2, True): "441311868a97944f340cdc06b089fb08c20d0a1605b9ee5dc1827754f3c14010",
+    EncodeOptions(5, 3, True): "474dd6fc68a0eff3aa4da802e257b9f92219ae27fc5190569e47e87506e9e178",
+}
+SMT_DIGESTS = {
+    4: "f3bc3f97c914737380fb4662d9efa2f659c92874e8652939345afd962699f4a7",
+    5: "1f63ca91ccca0fe958d6ebf090e3519d8607f62155edad5efc4feda3c3f1d440",
+    6: "709d711cfe561e3feda0a5c462ae751e6269dc4e29ba1ba35dd070db8bde8533",
+    7: "e25498a701650fe87d31a90f958784520f785222bdfa659476393f76d84775d3",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_emission_is_byte_reproducible():
     opts = EncodeOptions(3, 4, True)
     digests = set()
     for _ in range(2):
         buffer = io.StringIO()
         write_dimacs_stream(opts, buffer, comments=["determinism probe"])
-        digests.add(hashlib.sha256(buffer.getvalue().encode()).hexdigest())
+        digests.add(_sha256(buffer.getvalue()))
     assert len(digests) == 1
+
+    for opts, digest in DIMACS_DIGESTS.items():
+        buffer = io.StringIO()
+        write_dimacs_stream(opts, buffer)
+        assert _sha256(buffer.getvalue()) == digest, opts
+    for m, digest in SMT_DIGESTS.items():
+        assert _sha256(emit_smtlib(m)[0]) == digest, m

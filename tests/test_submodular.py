@@ -6,11 +6,21 @@ from efxlab.submodular import (
     add_dummy_goods,
     extend_counterexample,
     is_submodular,
-    is_submodular_four_point,
     submodular_realize,
 )
 from efxlab.valuations import as_real, random_monotone_rank_valuation
 from efxlab.verification import verify
+
+
+def is_submodular_four_point(f: DyadicValuation) -> bool:
+    """Naive f(S) + f(T) >= f(S|T) + f(S&T) check over all pairs (small m)."""
+    values = f.values
+    n_sets = 1 << f.m
+    for s in range(n_sets):
+        for t in range(n_sets):
+            if values[s] + values[t] < values[s | t] + values[s & t]:
+                return False
+    return True
 
 
 def test_dyadic_values_at_the_anchor_ranks():

@@ -21,6 +21,7 @@ from efxlab.three_agent import (
     TAG_EF1_EEFX,
     TAG_TEFX,
     _dispatch,
+    _repair_middle,
     _Verifier,
     equalize_for_valuation,
     minimal_satisfying_subset,
@@ -150,6 +151,31 @@ def test_transfer_split_rejects_bad_setups():
         transfer_split(v, 0b0001, 0b1110)
     with pytest.raises(SetupViolated):
         transfer_split(v, 0b0011, 0b0110)
+
+
+def test_repair_tail_regroups_around_the_middle_bundle():
+    """The shared tail of the split cases, on states where X1 fails for agent 0."""
+    seen = {"kept": 0, "equalized": 0}
+    for seed in range(60):
+        v0 = random_monotone_rank_valuation(5, 300 + seed)
+        for owners in ((0, 0, 1, 2, 2), (2, 0, 0, 1, 2), (0, 1, 2, 2, 2)):
+            rebuilt = [0, 0, 0]
+            for good, owner in enumerate(owners):
+                rebuilt[owner] |= 1 << good
+            rebuilt = tuple(rebuilt)
+            if fairness.is_efx_feasible(v0, 1, Allocation(5, rebuilt)):
+                continue
+            tag, out = _repair_middle(rebuilt, v0)
+            assert tag == "continue"
+            assert Allocation(5, out).validate() is None
+            assert all(fairness.is_efx_feasible(v0, j, Allocation(5, out)) for j in (0, 1))
+            if out[0] == rebuilt[1]:
+                seen["kept"] += 1
+                envied = next(side for side in (rebuilt[0], rebuilt[2]) if out[1] & side)
+                assert out[1] & ~envied == 0 and v0.rank[out[1]] > v0.rank[rebuilt[1]]
+            else:
+                seen["equalized"] += 1
+    assert seen["kept"] and seen["equalized"]
 
 
 # -- full runs --------------------------------------------------------------------

@@ -7,14 +7,26 @@ from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
     RealValuation,
     as_real,
-    check_pairwise_order_preserved,
-    is_nondegenerate,
     leveled,
     numeric_order_valuation,
     perturb_nondegenerate,
     random_monotone_rank_valuation,
     rank_valuation_from_order,
 )
+
+
+def check_pairwise_order_preserved(a: RealValuation, b: RealValuation) -> bool:
+    """True iff every strict comparison of a holds in b as well."""
+    n_sets = 1 << a.m
+    for s in range(n_sets):
+        for t in range(n_sets):
+            if a.values[s] < a.values[t] and not b.values[s] < b.values[t]:
+                return False
+    return True
+
+
+def is_nondegenerate(v: RealValuation) -> bool:
+    return len(set(v.values)) == len(v.values)
 
 
 def test_from_order_binary_numbering_is_identity():

@@ -1,10 +1,11 @@
 import json
 
-from efxlab.allocations import Allocation
+from efxlab.allocations import Allocation, count_allocations, enumerate_allocations
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.fairness import is_efx
+from efxlab.fairness import is_efx, violated_condition_count
+from efxlab.submodular import add_dummy_goods
 from efxlab.three_agent import equalize_for_valuation
-from efxlab.valuations import numeric_order_valuation, random_monotone_rank_valuation
+from efxlab.valuations import as_real, numeric_order_valuation, random_monotone_rank_valuation
 from efxlab.verification import (
     count_mms_violation_tuples,
     find_mms_violations,
@@ -35,15 +36,31 @@ def test_parallel_scan_matches_serial():
 
 
 def test_report_matches_fairness_predicates_on_small_instance():
-    vals = [random_monotone_rank_valuation(4, 500 + j) for j in range(3)]
-    report = verify(vals)
-    from efxlab.allocations import enumerate_allocations
+    """The table-driven scan against the EFX-condition kernel, allocation by allocation.
 
-    expected = sum(1 for a in enumerate_allocations(3, 4) if is_efx(a, vals))
-    assert report.efx_count == expected
-    if expected:
-        witness = Allocation(4, report.first_efx_witness)
-        assert is_efx(witness, vals)
+    Instances: a random m=4 one, the same with two worthless goods added (so
+    values tie), the bundled m=8 counterexample (5,796 allocations) and four
+    random n=4, m=6 ones (1,560 allocations each).
+    """
+    instances = [[random_monotone_rank_valuation(4, 500 + j) for j in range(3)]]
+    instances.append(add_dummy_goods([as_real(v) for v in instances[0]], 2))
+    instances.append(load_bundled_counterexample())
+    for seed in range(4):
+        instances.append([random_monotone_rank_valuation(6, 40 * seed + j) for j in range(4)])
+    for vals in instances:
+        n, m = len(vals), vals[0].m
+        report = verify(vals)
+        histogram: dict[int, int] = {}
+        for allocation in enumerate_allocations(n, m):
+            count = violated_condition_count(allocation, vals)
+            histogram[count] = histogram.get(count, 0) + 1
+        assert report.violation_histogram == histogram
+        assert report.total_allocations == count_allocations(n, m)
+
+        expected = sum(1 for a in enumerate_allocations(n, m) if is_efx(a, vals))
+        assert report.efx_count == expected == histogram.get(0, 0)
+        if expected:
+            assert is_efx(Allocation(m, report.first_efx_witness), vals)
 
 
 def test_identical_two_agent_instance_has_efx():
