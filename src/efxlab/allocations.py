@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bitset import full_set
+from .errors import AgentCountOutOfRange
 
 
 @dataclass(frozen=True)
@@ -37,48 +38,72 @@ class Allocation:
             raise ValueError("bundles do not cover all goods")
 
 
+def _check_agent_count(n: int, m: int) -> None:
+    """Every agent needs a good of its own: 1 <= n <= m."""
+    if not 1 <= n <= m:
+        raise AgentCountOutOfRange(f"need 1 <= agents <= goods, got n={n}, m={m}")
+
+
 def count_allocations(n: int, m: int) -> int:
     """Number of ordered partitions of m goods into n non-empty bundles.
 
     Inclusion-exclusion over the set of agents left empty:
     sum_k (-1)^k C(n,k) (n-k)^m.
     """
-    if n > m:
-        raise ValueError(f"need at least as many goods as agents (n={n}, m={m})")
+    _check_agent_count(n, m)
     return sum((-1) ** k * comb(n, k) * (n - k) ** m for k in range(n + 1))
 
 
-def bundle_codes(n: int, m: int, start: int = 0, stop: int | None = None) -> Iterator[int]:
-    """Owner codes in [start, stop) whose digits use every agent at least once."""
-    if stop is None:
-        stop = n**m
-    covers_all = (1 << n) - 1
-    for code in range(start, stop):
-        seen = 0
-        rest = code
-        for _ in range(m):
-            seen |= 1 << (rest % n)
-            rest //= n
-        if seen == covers_all:
-            yield code
+def coded_bundles(
+    n: int, m: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(code, bundles)`` for the owner codes in [start, stop) that leave no bundle empty.
 
-
-def bundles_of_code(code: int, n: int, m: int) -> tuple[int, ...]:
+    Codes ascend like an odometer over the owners of the goods: ``start`` is
+    decoded once, and each later step moves only the goods whose digit
+    changes (the lowest one, plus one more per carry; n/(n-1) goods per step
+    on average).
+    """
+    _check_agent_count(n, m)
+    stop = n**m if stop is None else min(stop, n**m)
+    if start >= stop:
+        return
+    owners = [0] * m
     bundles = [0] * n
+    rest = start
     for good in range(m):
-        bundles[code % n] |= 1 << good
-        code //= n
-    return tuple(bundles)
+        rest, owner = divmod(rest, n)
+        owners[good] = owner
+        bundles[owner] |= 1 << good
+    last = n - 1
+    code = start
+    while True:
+        if 0 not in bundles:
+            yield code, tuple(bundles)
+        code += 1
+        if code == stop:
+            return
+        # code < n**m, so the carry stops at or before the last good
+        good, bit = 0, 1
+        owner = owners[0]
+        while owner == last:
+            bundles[last] ^= bit
+            bundles[0] |= bit
+            owners[good] = 0
+            good += 1
+            bit <<= 1
+            owner = owners[good]
+        bundles[owner] ^= bit
+        bundles[owner + 1] |= bit
+        owners[good] = owner + 1
 
 
 def enumerate_bundle_tuples(
     n: int, m: int, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Raw bundle tuples, ascending by owner code; all bundles non-empty."""
-    if n > m:
-        raise ValueError(f"need at least as many goods as agents (n={n}, m={m})")
-    for code in bundle_codes(n, m, start, stop):
-        yield bundles_of_code(code, n, m)
+    for _, bundles in coded_bundles(n, m, start, stop):
+        yield bundles
 
 
 def enumerate_allocations(n: int, m: int) -> Iterator[Allocation]:

@@ -26,7 +26,7 @@ from .decoding import (
 )
 from .dimacs import parse_dimacs, parse_model, write_dimacs
 from .encoding import EncodeOptions, clause_counts, write_dimacs_file
-from .errors import EfxLabError
+from .errors import EfxLabError, IndexOutOfRange
 from .simplify import preprocess
 from .submodular import DyadicValuation, extend_counterexample, is_submodular, submodular_realize
 
@@ -175,6 +175,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_submodular(args: argparse.Namespace) -> int:
     valuations = load_rank_blocks(_read(args.vals), args.agents, args.m)
+    if not 0 <= args.agent < len(valuations):
+        raise IndexOutOfRange(f"agent {args.agent} outside 0..{len(valuations) - 1}")
     dyadic = submodular_realize(valuations[args.agent])
     _write(args.output, dump_dyadic(dyadic.m, dyadic.values))
     return EXIT_OK

@@ -25,6 +25,7 @@ from .bitset import bitstring, check_good_count, parse_bitstring
 from .dimacs import Assignment
 from .encoding import NUM_AGENTS, var_id
 from .errors import (
+    AgentCountOutOfRange,
     BitstringMismatch,
     IncompleteAssignment,
     LineCountMismatch,
@@ -110,6 +111,9 @@ def load_bundled_counterexample() -> list[RankValuation]:
 
 
 def load_rank_blocks(text: str, n: int, m: int) -> list[RankValuation]:
+    check_good_count(m)
+    if n < 1:
+        raise AgentCountOutOfRange(f"need at least one agent, got n={n}")
     n_sets = 1 << m
     rows = _rows(text)
     if len(rows) != n * n_sets:

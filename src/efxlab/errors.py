@@ -13,6 +13,10 @@ class GoodCountOutOfRange(EfxLabError, ValueError):
     """The number of goods m lies outside the supported range."""
 
 
+class AgentCountOutOfRange(EfxLabError, ValueError):
+    """The number of agents n is below 1 or above the number of goods m."""
+
+
 class LevelOutOfRange(EfxLabError, ValueError):
     """A level threshold k lies outside 0..m+1."""
 

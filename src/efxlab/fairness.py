@@ -2,9 +2,10 @@
 
 `efx_conditions` is the one definition of the EFX condition, v_i(X_j - g)
 <= v_i(X_i) for every agent i, other bundle X_j and good g in X_j.  The CNF
-and SMT encodings negate it, `violated_condition_count` counts its failures,
-and only the table-driven allocation scan in `verification` (see its
-`_scan_range`) writes it out again.
+and SMT encodings negate it and `violated_condition_count` counts its
+failures.  The allocation scan in `verification` counts the same failures
+from sorted per-agent tables of v_i(Y - g), one bisect per agent pair (see
+its `_scan_range`); tests hold its histogram to `violated_condition_count`.
 
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate

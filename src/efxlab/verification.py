@@ -2,20 +2,23 @@
 
 The verifier scans every complete allocation with non-empty bundles, counting
 EFX allocations and building a histogram of how many (good, non-owner)
-conditions each allocation violates.  The scan works on raw value tables so
-it stays fast at the 5796- and 186480-allocation scales, can be partitioned
-into owner-code ranges for parallel workers, and merges partial reports as a
-commutative monoid, so serial and parallel runs produce identical reports.
+conditions each allocation violates.  The scan walks the allocations with
+the odometer `allocations.coded_bundles` and counts violations from value
+tables and sorted removal tables, can be partitioned into owner-code ranges
+for parallel workers, and merges partial reports as a commutative monoid, so
+serial and parallel runs produce identical reports.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .allocations import bundle_codes, bundles_of_code, count_allocations
+from .allocations import coded_bundles, count_allocations
 from .bitset import cardinality, singleton_bits, submasks
 from .fairness import Valuation
 from .valuations import RankValuation
@@ -93,35 +96,45 @@ def _is_monotone_table(table: list[int], m: int) -> bool:
     return True
 
 
+def _removal_tables(tables: list[list[int]], m: int) -> list[list[list[int]]]:
+    """``removal[i][Y]``: the values v_i(Y - g) over the goods g in Y, sorted."""
+    return [
+        [sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)]
+        for table in tables
+    ]
+
+
 def _scan_range(
     tables: list[list[int]], n: int, m: int, start: int, stop: int
 ) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
     """Count EFX allocations and violated conditions over one owner-code range.
 
-    The EFX conditions are walked inline rather than drawn from
-    `fairness.efx_conditions`, because this is the hot loop of every scan:
-    on the n=4, m=9 extension (186,480 allocations; 2-vCPU Xeon, Python
-    3.11.7, best of three) it takes 1.9-2.1 s, and versions built on the
-    generator take 3.1-3.5 s.  Tests hold it to the generator-based
-    `fairness.violated_condition_count`.
+    A violated condition is a triple (i, j, g), j != i and g in X_j, with
+    v_i(X_j - g) > v_i(X_i), as in `fairness.efx_conditions`.  With the
+    sorted `_removal_tables`, bisect_right(removal[i][X_j], v_i(X_i)) counts
+    the goods of X_j whose condition holds for i, so one C-level bisect
+    replaces |X_j| comparisons.  The bundles partition the m goods, so the
+    pairs j != i of agent i cover m - |X_i| conditions and all pairs cover
+    (n - 1) * m; the violations are that total minus the bisect counts.
+    Each call builds its own tables, so parallel workers share nothing.
+    Tests hold the scan to `fairness.violated_condition_count`.
     """
+    removal = _removal_tables(tables, m)
+    agents = [
+        (i, tables[i], removal[i], tuple(j for j in range(n) if j != i)) for i in range(n)
+    ]
+    conditions = (n - 1) * m
     total = efx_count = 0
     hist: dict[int, int] = {}
     witness: tuple[int, ...] | None = None
     witness_code: int | None = None
-    for code in bundle_codes(n, m, start, stop):
-        bundles = bundles_of_code(code, n, m)
-        violations = 0
-        for j in range(n):
-            bundle = bundles[j]
-            rest = bundle
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                removed = bundle ^ bit
-                for i in range(n):
-                    if i != j and tables[i][removed] > tables[i][bundles[i]]:
-                        violations += 1
+    for code, bundles in coded_bundles(n, m, start, stop):
+        held = 0
+        for i, table, rows, others in agents:
+            own = table[bundles[i]]
+            for j in others:
+                held += bisect_right(rows[bundles[j]], own)
+        violations = conditions - held
         total += 1
         hist[violations] = hist.get(violations, 0) + 1
         if violations == 0:
@@ -134,18 +147,19 @@ def _scan_range(
 def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     """Scan all complete non-empty allocations of the instance.
 
-    With jobs > 1 the owner-code range is split into contiguous chunks
-    handled by worker processes; the merged report is identical to a serial
+    With jobs > 1 the owner-code range is split into contiguous chunks, one
+    per worker process, with at most one worker per CPU (each chunk builds
+    its own removal tables); the merged report is identical to a serial
     scan.
     """
     n, m = len(valuations), valuations[0].m
-    if n > m:
-        raise ValueError(f"need at least as many goods as agents (n={n}, m={m})")
+    expected = count_allocations(n, m)
     tables = value_tables(valuations)
     monotone = tuple(_is_monotone_table(table, m) for table in tables)
     report = VerifyReport(n, m, monotone)
 
     code_space = n**m
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         parts = [_scan_range(tables, n, m, 0, code_space)]
     else:
@@ -162,7 +176,6 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
         report = report.merge(
             VerifyReport(n, m, monotone, total, efx_count, hist, witness, code)
         )
-    expected = count_allocations(n, m)
     if report.total_allocations != expected:
         raise AssertionError(
             f"scanned {report.total_allocations} allocations, expected {expected}"

@@ -1,12 +1,28 @@
+import random
+
 import pytest
 
 from efxlab.allocations import (
     Allocation,
+    coded_bundles,
     count_allocations,
     enumerate_allocations,
     enumerate_bundle_tuples,
     singleton_histogram,
 )
+from efxlab.errors import AgentCountOutOfRange
+
+
+def decoded_bundles(n, m, start, stop):
+    """Reference: decode every owner code in [start, stop) digit by digit."""
+    for code in range(start, stop):
+        bundles = [0] * n
+        rest = code
+        for good in range(m):
+            bundles[rest % n] |= 1 << good
+            rest //= n
+        if all(bundles):
+            yield code, tuple(bundles)
 
 
 @pytest.mark.parametrize(
@@ -44,10 +60,27 @@ def test_singleton_subcounts_for_seven_goods():
 
 
 def test_requires_enough_goods():
-    with pytest.raises(ValueError):
+    with pytest.raises(AgentCountOutOfRange):
         count_allocations(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(AgentCountOutOfRange):
         list(enumerate_bundle_tuples(4, 3))
+    with pytest.raises(ValueError):
+        list(coded_bundles(0, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_odometer_matches_digit_by_digit_decode(n):
+    rng = random.Random(n)
+    for m in range(n, 8):
+        space = n**m
+        ranges = [(0, space), (0, 1), (space - 1, space), (5, 5)]
+        for _ in range(6):
+            start = rng.randrange(space)
+            ranges.append((start, rng.randrange(start, space + 1)))
+        for start, stop in ranges:
+            got = list(coded_bundles(n, m, start, stop))
+            assert got == list(decoded_bundles(n, m, start, stop)), (m, start, stop)
+        assert len(list(coded_bundles(n, m))) == count_allocations(n, m)
 
 
 def test_stream_is_resumable_from_code_offsets():

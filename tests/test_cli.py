@@ -180,6 +180,35 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_more_agents_than_goods_exits_one_with_one_error_line(tmp_path, capsys):
+    v = as_real(random_monotone_rank_valuation(3, 9))
+    path = tmp_path / "four_agents_three_goods.txt"
+    path.write_text(dump_value_blocks([v] * 4))
+    assert main(["verify", "--extended", "--vals", str(path), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 1 <= agents <= goods, got n=4, m=3") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,flags,named",
+    [
+        ("verify", ["-m", "-1"], "good count m=-1"),
+        ("verify", ["-m", "40"], "good count m=40"),
+        ("verify", ["-n", "0"], "at least one agent"),
+        ("verify", ["-n", "-2"], "at least one agent"),
+        ("submodular", ["-m", "-1"], "good count m=-1"),
+        ("submodular", ["-m", "2"], "good count m=2"),
+        ("submodular", ["-n", "0"], "at least one agent"),
+        ("submodular", ["--agent", "3"], "agent 3 outside 0..2"),
+        ("submodular", ["--agent", "-1"], "agent -1 outside 0..2"),
+    ],
+)
+def test_out_of_range_counts_on_valuation_files_exit_one(counterexample_file, capsys, command, flags, named):
+    assert main([command, "--vals", str(counterexample_file), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("budget", ["-5", "many"])
 def test_bad_conflict_budget_is_a_usage_error(tmp_path, capsys, budget):
     cnf = tmp_path / "tiny.cnf"

@@ -1,16 +1,25 @@
+import hashlib
+import itertools
 import json
+import random
 
-from efxlab.allocations import Allocation, count_allocations, enumerate_allocations
+import pytest
+
+from efxlab import verification
+from efxlab.allocations import Allocation, coded_bundles, count_allocations, enumerate_allocations
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.fairness import is_efx, violated_condition_count
-from efxlab.submodular import add_dummy_goods
+from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
 from efxlab.valuations import as_real, numeric_order_valuation, random_monotone_rank_valuation
 from efxlab.verification import (
+    VerifyReport,
+    _scan_range,
     count_mms_violation_tuples,
     find_mms_violations,
     iter_mms_violations,
     marginal_values,
+    value_tables,
     verify,
 )
 
@@ -61,6 +70,100 @@ def test_report_matches_fairness_predicates_on_small_instance():
         assert report.efx_count == expected == histogram.get(0, 0)
         if expected:
             assert is_efx(Allocation(m, report.first_efx_witness), vals)
+
+
+def test_report_bytes_are_pinned():
+    """sha256 of the JSON report: the counterexample and the n=4, m=9 extension."""
+    counterexample = load_bundled_counterexample()
+    digests = {
+        "8207f714ae92243b9f6afd2bbb587073bd4eb54cb4307332d06941ab3f2a4b62": counterexample,
+        "38237044f16886b92cdbd7a6eda08cc451d75114cade63960e3f798f0c72062b": extend_counterexample(
+            counterexample, 4
+        ),
+    }
+    for digest, vals in digests.items():
+        assert hashlib.sha256(verify(vals).to_json().encode()).hexdigest() == digest
+
+
+def _instances_with_efx():
+    v = random_monotone_rank_valuation(4, 5)
+    yield [v, v]
+    for seed in range(3):
+        yield [random_monotone_rank_valuation(5, 10 * seed + j) for j in range(3)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_witness_is_first_efx_allocation_in_code_order(monkeypatch, jobs):
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    for vals in _instances_with_efx():
+        n, m = len(vals), vals[0].m
+        first = next(a for a in enumerate_allocations(n, m) if is_efx(a, vals))
+        report = verify(vals, jobs=jobs)
+        assert report.efx_count > 0
+        assert report.first_efx_witness == first.bundles
+
+
+def _merged(parts, n, m):
+    report = VerifyReport(n, m, ())
+    for part in parts:
+        report = report.merge(VerifyReport(n, m, (), *part))
+    return report
+
+
+def test_scan_ranges_cut_at_arbitrary_codes_merge_to_the_full_scan():
+    rng = random.Random(11)
+    for vals in _instances_with_efx():
+        n, m = len(vals), vals[0].m
+        tables = value_tables(vals)
+        space = n**m
+        full = _merged([_scan_range(tables, n, m, 0, space)], n, m)
+        # starts with an empty bundle: code n**m - 1 gives every good to the
+        # last agent; code 1 gives good 0 to agent 1, the rest to agent 0
+        cuts = sorted({1, space - 1, *rng.sample(range(2, space - 1), 5)})
+        bounds = [0, *cuts, space]
+        parts = [_scan_range(tables, n, m, a, b) for a, b in itertools.pairwise(bounds)]
+        assert _merged(parts, n, m) == full
+
+        start, stop = cuts[1], cuts[-1]
+        total, efx_count, hist, witness, code = _scan_range(tables, n, m, start, stop)
+        expected: dict[int, int] = {}
+        efx_codes = []
+        for c, bundles in coded_bundles(n, m, start, stop):
+            count = violated_condition_count(Allocation(m, bundles), vals)
+            expected[count] = expected.get(count, 0) + 1
+            if count == 0:
+                efx_codes.append((c, bundles))
+        assert (total, efx_count, hist) == (sum(expected.values()), len(efx_codes), expected)
+        assert (code, witness) == (efx_codes[0] if efx_codes else (None, None))
+
+
+class _RecordingPool:
+    """Stands in for `multiprocessing.Pool`: records its size and chunk count, runs in-process."""
+
+    calls: list[tuple[int, int]] = []
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, args):
+        self.calls.append((self.processes, len(args)))
+        return list(itertools.starmap(func, args))
+
+
+@pytest.mark.parametrize("cpus,pools", [(2, [(2, 2)]), (3, [(3, 3)]), (None, [])])
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, pools):
+    vals = [random_monotone_rank_valuation(4, 30 + j) for j in range(3)]
+    monkeypatch.setattr(verification, "Pool", _RecordingPool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    assert verify(vals, jobs=5000) == verify(vals, jobs=1)
+    assert _RecordingPool.calls == pools
 
 
 def test_identical_two_agent_instance_has_efx():
