@@ -31,6 +31,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 from typing import IO
 
@@ -44,6 +45,9 @@ from . import reference
 NUM_AGENTS = 3
 
 FAMILY_ORDER = ("monotonicity", "transitivity", "item_order", "leveled", "not_efx")
+
+# Clauses formatted per `write` call by the DIMACS stream writer.
+WRITE_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -113,16 +117,26 @@ def transitivity_clauses(m: int, level_k: int | None = None) -> Iterator[Clause]
         sets = range(n_sets)
     else:
         sets = [s for s in range(n_sets) if cardinality(s) < level_k]
+    positions = range(len(sets))
+    # The third set C of a triple ranges over every other set except the
+    # proper supersets of A, whose monotonicity unit satisfies the clause.
+    thirds = [
+        [k for k, c in enumerate(sets) if c != a and not is_proper_subset(a, c)] for a in sets
+    ]
     for agent in range(NUM_AGENTS):
-        for a in sets:
-            for b in sets:
-                if b == a:
+        # lit[i][j] = var_id(agent, sets[i], sets[j], m), looked up once per literal
+        lit = [[var_id(agent, a, b, m) if a != b else 0 for b in sets] for a in sets]
+        for i in positions:
+            lit_a = lit[i]
+            third = thirds[i]
+            for j in positions:
+                if j == i:
                     continue
-                lit_ab = var_id(agent, a, b, m)
-                for c in sets:
-                    if c == a or c == b or is_proper_subset(a, c):
-                        continue
-                    yield (-lit_ab, -var_id(agent, b, c, m), var_id(agent, a, c, m))
+                not_ab = -lit_a[j]
+                lit_b = lit[j]
+                for k in third:
+                    if k != j:
+                        yield (not_ab, -lit_b[k], lit_a[k])
 
 
 def item_order_clauses(m: int) -> Iterator[Clause]:
@@ -215,10 +229,13 @@ def write_dimacs_stream(
     for comment in comments:
         out.write(f"c {comment}\n")
     out.write(f"p cnf {stats.variables} {stats.total_clauses}\n")
+    # One line format per clause width; no family emits more than 2m literals.
+    line_formats = ["%d " * width + "0\n" for width in range(2 * opts.m + 1)]
     written = 0
-    for clause in encode(opts):
-        out.write(" ".join(map(str, clause)) + " 0\n")
-        written += 1
+    clauses = encode(opts)
+    while batch := list(islice(clauses, WRITE_BATCH)):
+        out.write("".join([line_formats[len(clause)] % clause for clause in batch]))
+        written += len(batch)
     if written != stats.total_clauses:
         raise AssertionError(
             f"counting pre-pass predicted {stats.total_clauses} clauses, emitted {written}"

@@ -3,14 +3,16 @@
 Unit propagation runs to fixpoint: clauses containing a satisfied literal are
 removed (the propagated units themselves included; fixed variables are
 reported separately) and falsified literals are stripped, possibly producing
-further units or the empty clause (immediate UNSAT).  The surviving clauses
-then get one forward-subsumption pass with signature filtering, shortest
-clauses first.  A clause is dropped when a kept clause that contains the
-clause's rarest literal (the one in fewest kept clauses so far) is a subset
-of it.  The pass is incomplete: a kept subset that lacks that literal is
-missed, so ``(1, 2)`` does not remove ``(1, 2, 5)``.  On the EFX encodings
-m=6 k=5, m=6 k=4 with item order, m=5 k=3 with item order and m=5 without a
-level it removes exactly what a complete check removes.
+further units or the empty clause (immediate UNSAT).  The unit clauses are
+assigned first, then one sweep over the other clauses applies them; only the
+units that sweep derives go through a queue over occurrence lists of the
+clauses it left, so the work stays linear in the formula size.
+
+Subsumption then keeps the first clause of each literal set, in clause order,
+and drops every clause whose literal set strictly contains another clause's.
+The check is complete; shortest clauses are tried first, and a kept subset is
+found by looking up the candidate's proper subsets (short candidates) or by
+scanning the kept clauses watched by the candidate's literals (long ones).
 Deletion-only subsumption cannot enable further propagation, so that is the
 fixpoint.
 """
@@ -18,8 +20,13 @@ fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .dimacs import CnfFormula
+from .dimacs import Clause, CnfFormula
+
+# Candidates up to this width look up each of their proper subsets among the
+# kept literal sets (at most 2^width probes); wider ones scan watch lists.
+SUBSET_PROBE_WIDTH = 4
 
 
 @dataclass
@@ -27,7 +34,6 @@ class SimplifyStats:
     input_clauses: int
     propagated_units: int
     satisfied_removed: int
-    literals_stripped: int
     subsumed_removed: int
     output_clauses: int
 
@@ -47,108 +53,113 @@ class SimplifyResult:
         return CnfFormula(self.formula.num_vars, units + list(self.formula.clauses))
 
 
-def _signature(clause: tuple[int, ...]) -> int:
-    sig = 0
-    for lit in clause:
-        sig |= 1 << (hash(lit) & 63)
-    return sig
-
-
 def propagate_units(formula: CnfFormula) -> SimplifyResult:
     """Unit propagation to fixpoint, without subsumption."""
-    assignment: dict[int, bool] = {}
-    queue: list[int] = []
-    clauses: list[list[int] | None] = []
-    occur: dict[int, list[int]] = {}
-    stats = SimplifyStats(len(formula.clauses), 0, 0, 0, 0, 0)
-    unsat = False
+    clauses = formula.clauses
+    # true literals in assignment order: the unit clauses first
+    trail = list(dict.fromkeys(clause[0] for clause in clauses if len(clause) == 1))
+    true_lits = set(trail)
+    false_lits = {-lit for lit in trail}
+    unsat = not true_lits.isdisjoint(false_lits)
 
-    for idx, clause in enumerate(formula.clauses):
-        lits = list(dict.fromkeys(clause))
-        if len(lits) == 1:
-            queue.append(lits[0])
-            clauses.append(None)
-            stats.satisfied_removed += 1
+    # One sweep applies the unit clauses to every other clause.  Clauses
+    # that hold no assigned literal and no repeated one are kept as they are.
+    residue: list[Clause | None] = []
+    derived: list[int] = []  # units the sweep left, not yet assigned
+    for clause in () if unsat else clauses:
+        if len(clause) == 1 or not true_lits.isdisjoint(clause):
             continue
-        if len(lits) == 0:
+        if clause and false_lits.isdisjoint(clause) and len(set(clause)) == len(clause):
+            residue.append(clause)
+            continue
+        lits = tuple(lit for lit in dict.fromkeys(clause) if lit not in false_lits)
+        if len(lits) > 1:
+            residue.append(lits)
+        elif lits:
+            derived.append(lits[0])
+        else:
             unsat = True
-        clauses.append(lits)
-        for lit in lits:
-            occur.setdefault(lit, []).append(idx)
+            break
 
-    while queue and not unsat:
-        lit = queue.pop()
-        var, value = abs(lit), lit > 0
-        if var in assignment:
-            if assignment[var] != value:
-                unsat = True
-            continue
-        assignment[var] = value
-        stats.propagated_units += 1
-        for idx in occur.get(lit, ()):  # satisfied clauses
-            if clauses[idx] is not None:
-                clauses[idx] = None
-                stats.satisfied_removed += 1
-        for idx in occur.get(-lit, ()):  # falsified literals
-            clause = clauses[idx]
-            if clause is None:
+    if derived and not unsat:
+        occur: dict[int, list[int]] = {}
+        for idx, clause in enumerate(residue):
+            for lit in clause:
+                occur.setdefault(lit, []).append(idx)
+        while derived:
+            lit = derived.pop()
+            if lit in true_lits:
                 continue
-            clause.remove(-lit)
-            stats.literals_stripped += 1
-            if len(clause) == 1:
-                queue.append(clause[0])
-                clauses[idx] = None
-                stats.satisfied_removed += 1
-            elif len(clause) == 0:
+            if -lit in true_lits:
                 unsat = True
                 break
+            true_lits.add(lit)
+            trail.append(lit)
+            for idx in occur.get(lit, ()):  # satisfied clauses
+                residue[idx] = None
+            for idx in occur.get(-lit, ()):  # falsified literals
+                clause = residue[idx]
+                if clause is None:
+                    continue
+                clause = tuple(other for other in clause if other != -lit)
+                if len(clause) == 1:
+                    derived.append(clause[0])
+                    residue[idx] = None
+                else:
+                    residue[idx] = clause
 
-    remaining = [tuple(c) for c in clauses if c is not None]
-    stats.output_clauses = len(remaining)
-    return SimplifyResult(CnfFormula(formula.num_vars, remaining), assignment, unsat, stats)
+    remaining = [clause for clause in residue if clause is not None]
+    fixed = {abs(lit): lit > 0 for lit in trail}
+    stats = SimplifyStats(
+        input_clauses=len(clauses),
+        propagated_units=len(fixed),
+        satisfied_removed=len(clauses) - len(remaining),
+        subsumed_removed=0,
+        output_clauses=len(remaining),
+    )
+    return SimplifyResult(CnfFormula(formula.num_vars, remaining), fixed, unsat, stats)
 
 
 def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
-    """Forward subsumption: drop clauses that are supersets of kept clauses.
+    """Complete subsumption: drop repeated literal sets and strict supersets.
 
-    Only kept clauses holding the candidate's rarest literal are tried, so
-    some subsumed clauses survive (see the module docstring).
+    A clause is kept iff no earlier clause has the same literal set and no
+    clause's literal set is a strict subset of its own.  Kept clauses keep
+    their order.
     """
-    order = sorted(range(len(formula.clauses)), key=lambda i: len(formula.clauses[i]))
-    kept_sets: list[frozenset[int]] = []
-    kept_sigs: list[int] = []
-    occur: dict[int, list[int]] = {}
-    keep_flags = [False] * len(formula.clauses)
-    removed = 0
+    clauses = formula.clauses
+    keys = [tuple(sorted(set(clause))) for clause in clauses]  # literal sets
+    if () in keys:  # the empty clause is a strict subset of every other clause
+        return CnfFormula(formula.num_vars, [()]), len(clauses) - 1
 
-    for idx in order:
-        clause = frozenset(formula.clauses[idx])
-        sig = _signature(tuple(clause))
-        rarest = min(clause, key=lambda lit: len(occur.get(lit, ())), default=None)
-        subsumed = False
-        if rarest is not None:
-            for kept_id in occur.get(rarest, ()):
-                if kept_sigs[kept_id] & ~sig:
-                    continue
-                if kept_sets[kept_id] <= clause:
-                    subsumed = True
-                    break
+    kept: set[Clause] = set()
+    kept_widths: list[int] = []  # ascending
+    watch: dict[int, list[Clause]] = {}  # each kept set under its first literal
+    for key in sorted(dict.fromkeys(keys), key=len):
+        # Every kept set is narrower than the key or distinct from it at the
+        # same width, so only a strict subset of the key can be found.
+        if len(key) <= SUBSET_PROBE_WIDTH:
+            subsumed = any(not kept.isdisjoint(combinations(key, w)) for w in kept_widths)
+        else:
+            lits = set(key)
+            subsumed = any(lits.issuperset(other) for lit in key for other in watch.get(lit, ()))
         if subsumed:
-            removed += 1
             continue
-        keep_flags[idx] = True
-        kept_id = len(kept_sets)
-        kept_sets.append(clause)
-        kept_sigs.append(sig)
-        for lit in clause:
-            occur.setdefault(lit, []).append(kept_id)
+        kept.add(key)
+        watch.setdefault(key[0], []).append(key)
+        if not kept_widths or kept_widths[-1] < len(key):
+            kept_widths.append(len(key))
 
-    kept = [formula.clauses[i] for i in range(len(formula.clauses)) if keep_flags[i]]
-    return CnfFormula(formula.num_vars, kept), removed
+    survivors = []
+    for clause, key in zip(clauses, keys):
+        if key in kept:
+            kept.remove(key)  # later clauses with this literal set are repeats
+            survivors.append(clause)
+    return CnfFormula(formula.num_vars, survivors), len(clauses) - len(survivors)
 
 
 def preprocess(formula: CnfFormula) -> SimplifyResult:
-    """Unit propagation to fixpoint, then one subsumption pass."""
+    """Unit propagation to fixpoint, then complete subsumption."""
     result = propagate_units(formula)
     if result.unsat:
         return result

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from efxlab.cdcl import solve
@@ -17,7 +19,7 @@ from efxlab.encoding import (
     transitivity_clauses,
     var_id,
 )
-from efxlab.bitset import cardinality
+from efxlab.bitset import cardinality, is_proper_subset
 
 
 def decode_var(var: int, m: int) -> tuple[int, int, int]:
@@ -80,6 +82,40 @@ def test_transitivity_instantiation_and_level_restriction():
     # all triples obey the cardinality bound and skip subset (A, C) pairs
     for clause in transitivity_clauses(4, level_k=2):
         assert len(clause) == 3
+
+
+def reference_transitivity_clauses(m, level_k=None):
+    """The transitivity family with one var_id call per literal."""
+    n_sets = 1 << m
+    if level_k is None:
+        sets = range(n_sets)
+    else:
+        sets = [s for s in range(n_sets) if cardinality(s) < level_k]
+    for agent in range(NUM_AGENTS):
+        for a in sets:
+            for b in sets:
+                if b == a:
+                    continue
+                lit_ab = var_id(agent, a, b, m)
+                for c in sets:
+                    if c == a or c == b or is_proper_subset(a, c):
+                        continue
+                    yield (-lit_ab, -var_id(agent, b, c, m), var_id(agent, a, c, m))
+
+
+@pytest.mark.parametrize(
+    "m,level_k",
+    [pytest.param(m, k, id=f"m{m}_k{k}") for m in (3, 4, 5, 6) for k in (None, *range(m + 2))],
+)
+def test_transitivity_table_matches_per_literal_reference(m, level_k):
+    got = transitivity_clauses(m, level_k)
+    want = reference_transitivity_clauses(m, level_k)
+    # compared slice by slice, which is list equality without holding either list
+    while True:
+        chunk = list(islice(want, 50_000))
+        assert list(islice(got, 50_000)) == chunk
+        if not chunk:
+            break
 
 
 def test_transitivity_unrestricted_stays_below_all_triples_bound():

@@ -1,11 +1,20 @@
+import hashlib
 import random
 
 import pytest
 
 from efxlab.cdcl import SolveStatus, solve
-from efxlab.dimacs import CnfFormula
-from efxlab.encoding import EncodeOptions, encode_formula
-from efxlab.simplify import preprocess, propagate_units, subsume
+from efxlab.dimacs import CnfFormula, write_dimacs
+from efxlab.encoding import (
+    EncodeOptions,
+    encode_formula,
+    item_order_clauses,
+    leveled_clauses,
+    monotonicity_clauses,
+    num_variables,
+    transitivity_clauses,
+)
+from efxlab.simplify import SimplifyResult, SimplifyStats, preprocess, propagate_units, subsume
 
 
 def test_unit_propagation_chains_to_fixpoint():
@@ -80,3 +89,187 @@ def test_propagate_units_only_no_subsumption():
     assert result.fixed == {1: True}
     assert (2, 3) in result.formula.clauses
     assert (2, 3, 4) in result.formula.clauses
+
+
+def test_subsumption_finds_subsets_without_a_shared_rarest_literal():
+    reduced, removed = subsume(CnfFormula(5, [(1, 2), (1, 2, 5)]))
+    assert removed == 1
+    assert reduced.clauses == [(1, 2)]
+
+
+def reference_subsume(formula):
+    """Keep a clause iff no clause is a strict subset of it and no earlier one equals it."""
+    sets = [frozenset(clause) for clause in formula.clauses]
+    kept = [
+        clause
+        for i, clause in enumerate(formula.clauses)
+        if not any(other < sets[i] for other in sets) and sets[i] not in sets[:i]
+    ]
+    return kept, len(formula.clauses) - len(kept)
+
+
+def random_subsumption_formula(rng):
+    num_vars = rng.randint(2, 7)
+    clauses = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if clauses and roll < 0.2:  # the same literal set, reordered or repeated
+            clause = list(rng.choice(clauses))
+            rng.shuffle(clause)
+            clause += rng.sample(clause, rng.randint(0, len(clause)))
+        elif clauses and roll < 0.35:  # a superset of an earlier clause
+            clause = list(rng.choice(clauses))
+            clause += [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(rng.randint(1, 4))]
+        elif roll < 0.37:
+            clause = []
+        else:
+            width = rng.choice((1, 2, 2, 3, 3, 4, 5, 6, 8))
+            clause = [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(width)]
+        clauses.append(tuple(clause))
+    return CnfFormula(num_vars, clauses)
+
+
+def test_subsume_matches_brute_force_reference():
+    rng = random.Random(2005)
+    for _ in range(400):
+        formula = random_subsumption_formula(rng)
+        reduced, removed = subsume(formula)
+        assert (reduced.clauses, removed) == reference_subsume(formula), formula
+        assert reduced.num_vars == formula.num_vars
+
+
+def reference_propagate(formula):
+    """Queue-based unit propagation over occurrence lists of every clause."""
+    assignment = {}
+    queue = []
+    clauses = []
+    occur = {}
+    stats = SimplifyStats(len(formula.clauses), 0, 0, 0, 0)
+    unsat = False
+
+    for idx, clause in enumerate(formula.clauses):
+        lits = list(dict.fromkeys(clause))
+        if len(lits) == 1:
+            queue.append(lits[0])
+            clauses.append(None)
+            stats.satisfied_removed += 1
+            continue
+        if len(lits) == 0:
+            unsat = True
+        clauses.append(lits)
+        for lit in lits:
+            occur.setdefault(lit, []).append(idx)
+
+    while queue and not unsat:
+        lit = queue.pop()
+        var, value = abs(lit), lit > 0
+        if var in assignment:
+            if assignment[var] != value:
+                unsat = True
+            continue
+        assignment[var] = value
+        stats.propagated_units += 1
+        for idx in occur.get(lit, ()):
+            if clauses[idx] is not None:
+                clauses[idx] = None
+                stats.satisfied_removed += 1
+        for idx in occur.get(-lit, ()):
+            clause = clauses[idx]
+            if clause is None:
+                continue
+            clause.remove(-lit)
+            if len(clause) == 1:
+                queue.append(clause[0])
+                clauses[idx] = None
+                stats.satisfied_removed += 1
+            elif len(clause) == 0:
+                unsat = True
+                break
+
+    remaining = [tuple(c) for c in clauses if c is not None]
+    stats.output_clauses = len(remaining)
+    return SimplifyResult(CnfFormula(formula.num_vars, remaining), assignment, unsat, stats)
+
+
+def random_propagation_formula(rng, index):
+    num_vars = rng.randint(1, 16)
+    lit = lambda: rng.choice((1, -1)) * rng.randint(1, num_vars)
+    clauses = [
+        tuple(lit() for _ in range(rng.choice((1, 2, 2, 3, 3, 3, 4, 6))))  # repeats allowed
+        for _ in range(rng.randint(0, 30))
+    ]
+    if index % 7 == 0:  # units on both polarities of a variable
+        var = rng.randint(1, num_vars)
+        clauses += [(var,), (-var,)]
+    if index % 11 == 0:
+        clauses.append(())
+    if index % 5 == 0:
+        # a unit and a chain of implications from it, shuffled so that each
+        # round of units reaches only the next link; its last variable then
+        # shortens a clause over the other variables
+        first, last = num_vars + 1, num_vars + rng.randint(30, 80)
+        clauses += [(first,)] + [(-v, v + 1) for v in range(first, last)]
+        clauses.append((-last, lit(), lit()))
+        num_vars = last
+    rng.shuffle(clauses)
+    return CnfFormula(num_vars, clauses)
+
+
+def test_propagate_units_matches_queue_reference():
+    rng = random.Random(1960)
+    outcomes = set()
+    for index in range(300):
+        formula = random_propagation_formula(rng, index)
+        got, want = propagate_units(formula), reference_propagate(formula)
+        assert got.unsat == want.unsat, formula
+        outcomes.add(got.unsat)
+        if not want.unsat:
+            assert got.formula.clauses == want.formula.clauses, formula
+            assert got.fixed == want.fixed, formula
+            assert got.stats == want.stats, formula
+    assert outcomes == {False, True}
+
+
+def test_long_implication_chain_propagates_to_the_end():
+    length = 500
+    chain = [(-v, v + 1) for v in range(1, length)]
+    random.Random(3).shuffle(chain)
+    result = propagate_units(CnfFormula(length, chain + [(1,), (2, -length, 7)]))
+    assert not result.unsat
+    assert result.fixed == {v: True for v in range(1, length + 1)}
+    assert result.formula.clauses == []
+
+
+def consistency_formula(m, k):
+    """Every family except no-EFX, with item order: satisfiable."""
+    clauses = [
+        *monotonicity_clauses(m),
+        *transitivity_clauses(m, k),
+        *item_order_clauses(m),
+        *leveled_clauses(m, k),
+    ]
+    return CnfFormula(num_variables(m), clauses)
+
+
+# sha256 of the DIMACS text of the reduced formula, fixed units included,
+# frozen so that a faster reduction must leave every byte unchanged.
+REDUCED_DIGESTS = [
+    ("m6_k5", lambda: encode_formula(EncodeOptions(6, 5, False)),
+     "135076a0683080f37f328b5a8240a1a33157c0a9580ddea2466dc3e39989c4d3"),
+    ("m6_k4_item_order", lambda: encode_formula(EncodeOptions(6, 4, True)),
+     "cb7342ea669a581a8eeda14c12fa1b53177eb5bb9f7ede2170c6fbe93ba8468b"),
+    ("m6_k3_item_order", lambda: encode_formula(EncodeOptions(6, 3, True)),
+     "3a385c6c1b2e4bd233e74e203c60ed9cc809b545dd9e40a15f157243103658f1"),
+    ("m5_no_level", lambda: encode_formula(EncodeOptions(5, None, False)),
+     "e33624f2f2a8426353b8b9c916774ca142bd98af9d25c7ea775c8d771c9d257c"),
+    ("m6_k4_consistency", lambda: consistency_formula(6, 4),
+     "0743c158a216911774d239881d9778119c59114f8da54b0af1e666c48882d03e"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,digest", [pytest.param(make, digest, id=name) for name, make, digest in REDUCED_DIGESTS]
+)
+def test_reduced_output_is_pinned(make, digest):
+    text = write_dimacs(preprocess(make()).as_standalone_formula())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
