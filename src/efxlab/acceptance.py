@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from math import comb
@@ -33,7 +34,7 @@ from .encoding import (
     var_id,
 )
 from .fairness import efx_conditions
-from .simplify import preprocess, subsume
+from .simplify import preprocess
 from .submodular import (
     DyadicValuation,
     add_dummy_goods,
@@ -145,11 +146,11 @@ def reduced_clause_count(opts: EncodeOptions) -> int | None:
       clause would be a single literal.
     * An empty no-EFX residue refutes the formula.  A single-literal one
       would propagate further; no configuration with m = 3..8 has one, and
-      the count raises rather than follow it.  The others are reduced by
-      `subsume` itself.
+      the count raises rather than follow it.  The others are reduced among
+      themselves by `_minimal_sets`, which shares no code with `subsume`.
 
     Subsumption keeps the distinct minimal clauses, so the count is the open
-    triangles plus the no-EFX residues `subsume` keeps.
+    triangles plus the distinct minimal no-EFX residues.
     """
     opts.validate()
     m, k = opts.m, opts.level_k
@@ -190,8 +191,27 @@ def reduced_clause_count(opts: EncodeOptions) -> int | None:
                     f"{opts}: a no-EFX clause propagates a unit, which this count does not follow"
                 )
             residues.append(tuple(residue))
-    kept, _ = subsume(CnfFormula(num_variables(m), residues))
-    return sum(_open_triangles(rows) for rows in above) + len(kept.clauses)
+    return sum(_open_triangles(rows) for rows in above) + len(_minimal_sets(residues))
+
+
+def _minimal_sets(clauses: list[tuple[int, ...]]) -> list[frozenset[int]]:
+    """The distinct literal sets of `clauses` that contain no other of them.
+
+    Sets are taken shortest first, so every proper subset of a set comes
+    before it.  A kept set T lies inside the candidate S when S holds all
+    |T| of its literals, counted over the kept sets in which each literal
+    of S occurs.
+    """
+    kept: list[frozenset[int]] = []
+    holding: dict[int, list[int]] = {}  # literal -> indices of the kept sets with it
+    for clause in sorted({frozenset(c) for c in clauses}, key=len):
+        shared = Counter(t for lit in clause for t in holding.get(lit, ()))
+        if any(count == len(kept[t]) for t, count in shared.items()):
+            continue
+        for lit in clause:
+            holding.setdefault(lit, []).append(len(kept))
+        kept.append(clause)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -334,15 +354,10 @@ def check_submodular_realization() -> CheckResult:
 
 
 def check_extension(jobs: int = 1) -> CheckResult:
-    res = _result("7 extension (n=4, m=9 exhaustive; one dummy good)")
+    res = _result("7 extension (n=4, m=9 and n=5, m=10 exhaustive; one dummy good)")
     base = load_bundled_counterexample()
-    extended = extend_counterexample(base, 4)
-    report = verification.verify(extended, jobs=jobs)
-    res.details.append(
-        f"n=4, m=9: scanned {report.total_allocations} (expected 186480), EFX {report.efx_count}"
-    )
-    if report.total_allocations != 186_480 or report.efx_count != 0:
-        res.passed = False
+    for n, want in ((4, 186_480), (5, 5_103_000)):
+        _scan_extension(res, base, n, want, jobs)
     padded = add_dummy_goods([as_real(v) for v in base], 1)
     dummy_report = verification.verify(padded, jobs=jobs)
     res.details.append(
@@ -351,6 +366,23 @@ def check_extension(jobs: int = 1) -> CheckResult:
     if dummy_report.efx_count != 0:
         res.passed = False
     return res
+
+
+def check_extension_n6(jobs: int = 1) -> CheckResult:
+    res = _result("13 extension (n=6, m=11 exhaustive, 129230640 allocations)")
+    _scan_extension(res, load_bundled_counterexample(), 6, 129_230_640, jobs)
+    return res
+
+
+def _scan_extension(res: CheckResult, base, n: int, want: int, jobs: int) -> None:
+    """Scan the n-agent, (n+5)-good extension: `want` allocations, none EFX."""
+    report = verification.verify(extend_counterexample(base, n), jobs=jobs)
+    res.details.append(
+        f"n={n}, m={n + 5}: scanned {report.total_allocations} (expected {want}), "
+        f"EFX {report.efx_count}"
+    )
+    if report.total_allocations != want or report.efx_count != 0:
+        res.passed = False
 
 
 def check_desk_solving() -> CheckResult:
@@ -487,6 +519,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
     ("three-agent", check_three_agent),
     ("smt", check_smt_emission),
     ("formats", check_format_roundtrips),
+    ("extension-n6", check_extension_n6),
 )
 
 
@@ -495,7 +528,7 @@ def run_all(jobs: int = 1, skip: frozenset[str] = frozenset()) -> Iterator[Check
         if key in skip:
             continue
         start = time.monotonic()
-        if key in ("counterexample", "extension"):
+        if key in ("counterexample", "extension", "extension-n6"):
             result = check(jobs=jobs)
         else:
             result = check()

@@ -5,13 +5,20 @@ integer whose digit ``i`` is the owner of good ``g_i``; enumeration ascends
 through these codes, keeping only codes in which every agent owns something.
 The lazy stream is resumable from any code offset, so it can be split into
 independent ranges for parallel consumption.
+
+Given ordered pairs of agents, the stream keeps only the codes in which the
+first agent of each pair holds the larger bundle (as an integer), and skips
+whole blocks of codes that break a pair.  Pairs taken along classes of
+interchangeable agents (`class_pairs`) leave one code per orbit of bundle
+swaps within the classes, the lowest one; `count_ordered_codes_below` counts
+those codes in closed form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 
 from .bitset import full_set
 from .errors import AgentCountOutOfRange
@@ -51,18 +58,86 @@ def count_allocations(n: int, m: int) -> int:
     sum_k (-1)^k C(n,k) (n-k)^m.
     """
     _check_agent_count(n, m)
-    return sum((-1) ** k * comb(n, k) * (n - k) ** m for k in range(n + 1))
+    return _surjections(n, n, m)
+
+
+def _surjections(required: int, n: int, length: int) -> int:
+    """Strings of `length` base-n digits in which `required` given digits all occur."""
+    return sum(
+        (-1) ** k * comb(required, k) * (n - k) ** length for k in range(required + 1)
+    )
+
+
+def class_pairs(classes: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, b) of consecutive members of each class (ascending agent lists)."""
+    return tuple(pair for members in classes for pair in zip(members, members[1:]))
+
+
+def count_ordered_codes_below(
+    n: int, m: int, classes: Sequence[Sequence[int]], code: int
+) -> int:
+    """How many codes below `code` ``coded_bundles(n, m, pairs=class_pairs(classes))`` yields.
+
+    Disjoint bundles satisfy X_a > X_b exactly when the top good of X_a | X_b
+    is in X_a.  Read from good m-1 down, a code is therefore yielded when
+    every agent occurs and the members of each class first occur in
+    ascending order.  The codes below `code` are grouped by the first digit,
+    from the top, at which they fall below it.  A group that fixes the
+    digits above position p is completed by the p lower digits in
+    surj(u, n, p) / prod_c r_c! ways: u agents have yet to occur, r_c of
+    them in class c, and permuting the waiting members of a class maps the
+    completions with one order of first occurrence onto those with another.
+    """
+    _check_agent_count(n, m)
+    if code >= n**m:
+        return count_allocations(n, m) // prod(factorial(len(members)) for members in classes)
+    class_of = {agent: c for c, members in enumerate(classes) for agent in members}
+    occurred = [0] * len(classes)  # members of each class seen so far
+    seen: set[int] = set()
+    below = 0
+    for pos in range(m - 1, -1, -1):
+        digit = code // n**pos % n
+        for d in range(digit + 1):
+            c = class_of.get(d)
+            new = d not in seen
+            if new and c is not None and classes[c][occurred[c]] != d:
+                if d == digit:
+                    return below  # d occurs ahead of a lower member of its class
+                continue
+            if new:
+                seen.add(d)
+                if c is not None:
+                    occurred[c] += 1
+            if d == digit:
+                break
+            below += _surjections(n - len(seen), n, pos) // prod(
+                factorial(len(members) - k) for members, k in zip(classes, occurred)
+            )
+            if new:
+                seen.discard(d)
+                if c is not None:
+                    occurred[c] -= 1
+    return below
 
 
 def coded_bundles(
-    n: int, m: int, start: int = 0, stop: int | None = None
+    n: int,
+    m: int,
+    start: int = 0,
+    stop: int | None = None,
+    pairs: Sequence[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(code, bundles)`` for the owner codes in [start, stop) that leave no bundle empty.
+    """``(code, bundles)`` for the owner codes in [start, stop) that leave no bundle empty
+    and have ``bundles[a] > bundles[b]`` for every pair (a, b) in `pairs`.
 
     Codes ascend like an odometer over the owners of the goods: ``start`` is
     decoded once, and each later step moves only the goods whose digit
     changes (the lowest one, plus one more per carry; n/(n-1) goods per step
-    on average).
+    on average).  A code with ``bundles[a] < bundles[b]`` is not stepped
+    past but jumped past: with p the top good of X_b, every code that shares
+    its digits from p up puts p in X_b and no good above p in X_a, so the
+    odometer moves on to the next multiple of n**p, handing the goods below
+    p to agent 0 and carrying from p.  Without pairs no code jumps.
     """
     _check_agent_count(n, m)
     stop = n**m if stop is None else min(stop, n**m)
@@ -78,14 +153,30 @@ def coded_bundles(
     last = n - 1
     code = start
     while True:
-        if 0 not in bundles:
-            yield code, tuple(bundles)
-        code += 1
-        if code == stop:
-            return
+        for a, b in pairs:
+            if bundles[a] < bundles[b]:
+                good = bundles[b].bit_length() - 1
+                block = n**good
+                code += block - code % block
+                if code >= stop:
+                    return
+                for low in range(good):
+                    owner = owners[low]
+                    if owner:
+                        bundles[owner] ^= 1 << low
+                        bundles[0] |= 1 << low
+                        owners[low] = 0
+                bit = 1 << good
+                break
+        else:
+            if 0 not in bundles:
+                yield code, tuple(bundles)
+            code += 1
+            if code == stop:
+                return
+            good, bit = 0, 1
         # code < n**m, so the carry stops at or before the last good
-        good, bit = 0, 1
-        owner = owners[0]
+        owner = owners[good]
         while owner == last:
             bundles[last] ^= bit
             bundles[0] |= bit

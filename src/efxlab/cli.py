@@ -245,7 +245,9 @@ def cmd_smt(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    skip = frozenset({"solving", "extension", "three-agent"} if args.quick else ())
+    skip = frozenset(
+        {"solving", "extension", "three-agent", "extension-n6"} if args.quick else ()
+    )
     results = []
     for result in acceptance.run_all(jobs=args.jobs, skip=skip):
         results.append(result)

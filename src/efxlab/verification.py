@@ -2,23 +2,30 @@
 
 The verifier scans every complete allocation with non-empty bundles, counting
 EFX allocations and building a histogram of how many (good, non-owner)
-conditions each allocation violates.  The scan walks the allocations with
-the odometer `allocations.coded_bundles` and counts violations from value
-tables and sorted removal tables, can be partitioned into owner-code ranges
-for parallel workers, and merges partial reports as a commutative monoid, so
-serial and parallel runs produce identical reports.
+conditions each allocation violates.  Agents with equal value tables are
+interchangeable: swapping their bundles changes neither EFX status nor the
+violation count.  The scan therefore visits one allocation per orbit of such
+swaps, the one with the lowest owner code, and weights it by the orbit size.
+It walks those allocations with the skip-ahead odometer
+`allocations.coded_bundles` and counts violations from value tables and
+sorted removal tables, built once per distinct valuation.  The code space can
+be cut into ranges of equally many orbits for parallel workers, and partial
+reports merge as a commutative monoid, so serial and parallel runs produce
+identical reports, equal to a scan of every allocation.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from math import factorial, prod
 from multiprocessing import Pool
 
-from .allocations import coded_bundles, count_allocations
+from .allocations import class_pairs, coded_bundles, count_allocations, count_ordered_codes_below
 from .bitset import cardinality, singleton_bits, submasks
 from .fairness import Valuation
 from .valuations import RankValuation
@@ -96,60 +103,105 @@ def _is_monotone_table(table: list[int], m: int) -> bool:
     return True
 
 
-def _removal_tables(tables: list[list[int]], m: int) -> list[list[list[int]]]:
-    """``removal[i][Y]``: the values v_i(Y - g) over the goods g in Y, sorted."""
+def identical_classes(tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The agents whose value tables are equal, as ascending classes of two or more."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for agent, table in enumerate(tables):
+        groups.setdefault(tuple(table), []).append(agent)
+    return [tuple(members) for members in groups.values() if len(members) > 1]
+
+
+def _removal_table(table: list[int], m: int) -> list[list[int]]:
+    """``removal[Y]``: the values v(Y - g) over the goods g in Y, sorted."""
     return [
-        [sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)]
-        for table in tables
+        sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)
     ]
 
 
+@dataclass(frozen=True)
+class _Scan:
+    """Everything a range scan reads, built once per `verify` and sent to every worker.
+
+    `agents` holds (i, v_i table, v_i removal table, the other agents); the
+    members of a class of identical agents share one table and one removal
+    table.  `pairs` keeps the bundles of each class decreasing, which selects
+    the lowest code of each orbit, and `weight` is the orbit size, the
+    product of k! over the classes.
+    """
+
+    n: int
+    m: int
+    agents: tuple[tuple[int, list[int], list[list[int]], tuple[int, ...]], ...]
+    pairs: tuple[tuple[int, int], ...]
+    weight: int
+
+
+def _scan_plan(tables: list[list[int]], m: int, classes: list[tuple[int, ...]]) -> _Scan:
+    n = len(tables)
+    shared = list(range(n))
+    for members in classes:
+        for agent in members:
+            shared[agent] = members[0]
+    removal = {i: _removal_table(tables[i], m) for i in set(shared)}
+    agents = tuple(
+        (i, tables[shared[i]], removal[shared[i]], tuple(j for j in range(n) if j != i))
+        for i in range(n)
+    )
+    weight = prod(factorial(len(members)) for members in classes)
+    return _Scan(n, m, agents, class_pairs(classes), weight)
+
+
 def _scan_range(
-    tables: list[list[int]], n: int, m: int, start: int, stop: int
+    scan: _Scan, start: int, stop: int
 ) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
-    """Count EFX allocations and violated conditions over one owner-code range.
+    """Count EFX allocations and violated conditions, one orbit per lowest code in [start, stop).
 
     A violated condition is a triple (i, j, g), j != i and g in X_j, with
     v_i(X_j - g) > v_i(X_i), as in `fairness.efx_conditions`.  With the
-    sorted `_removal_tables`, bisect_right(removal[i][X_j], v_i(X_i)) counts
+    sorted removal tables, bisect_right(removal_i[X_j], v_i(X_i)) counts
     the goods of X_j whose condition holds for i, so one C-level bisect
     replaces |X_j| comparisons.  The bundles partition the m goods, so the
     pairs j != i of agent i cover m - |X_i| conditions and all pairs cover
     (n - 1) * m; the violations are that total minus the bisect counts.
-    Each call builds its own tables, so parallel workers share nothing.
-    Tests hold the scan to `fairness.violated_condition_count`.
+    Each lowest code stands for its whole orbit, so every count is taken
+    `scan.weight` times; the witness is the lowest EFX code, which is the
+    lowest of its orbit.  Tests hold the scan to
+    `fairness.violated_condition_count` and to a scan of every code.
     """
-    removal = _removal_tables(tables, m)
-    agents = [
-        (i, tables[i], removal[i], tuple(j for j in range(n) if j != i)) for i in range(n)
-    ]
-    conditions = (n - 1) * m
-    total = efx_count = 0
+    conditions = (scan.n - 1) * scan.m
+    found = efx_count = 0
     hist: dict[int, int] = {}
     witness: tuple[int, ...] | None = None
     witness_code: int | None = None
-    for code, bundles in coded_bundles(n, m, start, stop):
+    for code, bundles in coded_bundles(scan.n, scan.m, start, stop, scan.pairs):
         held = 0
-        for i, table, rows, others in agents:
+        for i, table, rows, others in scan.agents:
             own = table[bundles[i]]
             for j in others:
                 held += bisect_right(rows[bundles[j]], own)
         violations = conditions - held
-        total += 1
+        found += 1
         hist[violations] = hist.get(violations, 0) + 1
         if violations == 0:
             efx_count += 1
             if witness_code is None:
                 witness, witness_code = bundles, code
-    return total, efx_count, hist, witness, witness_code
+    weight = scan.weight
+    hist = {bucket: count * weight for bucket, count in hist.items()}
+    return found * weight, efx_count * weight, hist, witness, witness_code
 
 
 def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
-    """Scan all complete non-empty allocations of the instance.
+    """Scan all complete non-empty allocations of the instance, one per orbit.
 
-    With jobs > 1 the owner-code range is split into contiguous chunks, one
-    per worker process, with at most one worker per CPU (each chunk builds
-    its own removal tables); the merged report is identical to a serial
+    Agents with equal value tables form classes; the scan visits the lowest
+    code of each orbit of bundle swaps within the classes and weights it by
+    the orbit size, so the report equals that of a scan of every code.  The
+    value and removal tables are built once, one removal table per distinct
+    valuation, before any worker starts.  With jobs > 1 the owner-code range
+    is cut into contiguous chunks holding equally many orbits
+    (`allocations.count_ordered_codes_below`), one per worker process, with
+    at most one worker per CPU; the merged report is identical to a serial
     scan.
     """
     n, m = len(valuations), valuations[0].m
@@ -157,15 +209,23 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     tables = value_tables(valuations)
     monotone = tuple(_is_monotone_table(table, m) for table in tables)
     report = VerifyReport(n, m, monotone)
+    classes = identical_classes(tables)
+    scan = _scan_plan(tables, m, classes)
 
     code_space = n**m
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        parts = [_scan_range(tables, n, m, 0, code_space)]
+        parts = [_scan_range(scan, 0, code_space)]
     else:
-        bounds = [code_space * i // jobs for i in range(jobs + 1)]
+        orbits_below = partial(count_ordered_codes_below, n, m, classes)
+        orbits = orbits_below(code_space)
+        bounds = [
+            bisect_left(range(code_space), orbits * i // jobs, key=orbits_below)
+            for i in range(jobs)
+        ]
+        bounds.append(code_space)
         args = [
-            (tables, n, m, bounds[i], bounds[i + 1])
+            (scan, bounds[i], bounds[i + 1])
             for i in range(jobs)
             if bounds[i] < bounds[i + 1]
         ]

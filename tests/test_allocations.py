@@ -1,11 +1,14 @@
 import random
+from math import factorial, prod
 
 import pytest
 
 from efxlab.allocations import (
     Allocation,
+    class_pairs,
     coded_bundles,
     count_allocations,
+    count_ordered_codes_below,
     enumerate_allocations,
     enumerate_bundle_tuples,
     singleton_histogram,
@@ -81,6 +84,67 @@ def test_odometer_matches_digit_by_digit_decode(n):
             got = list(coded_bundles(n, m, start, stop))
             assert got == list(decoded_bundles(n, m, start, stop)), (m, start, stop)
         assert len(list(coded_bundles(n, m))) == count_allocations(n, m)
+
+
+# (n, m, classes of interchangeable agents): a class of 2, non-adjacent
+# members, a class of 3, and a class of 3 beside one of 2
+CLASSED = [
+    (2, 5, [(0, 1)]),
+    (3, 6, [(0, 2)]),
+    (3, 6, [(0, 1, 2)]),
+    (4, 6, [(1, 3)]),
+    (4, 7, [(2, 3)]),
+    (5, 6, [(0, 2, 4), (1, 3)]),
+]
+
+
+def filtered_bundles(n, m, start, stop, pairs):
+    """Reference: the plain odometer, keeping codes whose pairs hold bundles[a] > bundles[b]."""
+    for code, bundles in coded_bundles(n, m, start, stop):
+        if all(bundles[a] > bundles[b] for a, b in pairs):
+            yield code, bundles
+
+
+def _skipped_codes(n, m, pairs):
+    """Codes that break a pair but are not the first of their skipped block (code % n != 0)."""
+    for code in range(n**m):
+        owners = [code // n**g % n for g in range(m)]
+        bundles = [sum(1 << g for g in range(m) if owners[g] == a) for a in range(n)]
+        if code % n and any(bundles[a] < bundles[b] for a, b in pairs):
+            yield code
+
+
+@pytest.mark.parametrize("n,m,classes", CLASSED)
+def test_skip_ahead_matches_filtering_the_odometer(n, m, classes):
+    pairs = class_pairs(classes)
+    rng = random.Random(n * 100 + m)
+    space = n**m
+    skipped = list(_skipped_codes(n, m, pairs))
+    ranges = [(0, space), (1, space), (space - 1, space), (0, space - 1)]
+    # starts inside a skipped block; stops where a jump lands (multiples of n**p)
+    ranges += [(code, space) for code in rng.sample(skipped, 4)]
+    ranges += [(0, k * n**p) for p in (m - 1, m - 2, 2) for k in range(1, n)]
+    ranges += [(rng.choice(skipped), k * n ** (m - 1)) for k in range(1, n)]
+    for _ in range(12):
+        start = rng.randrange(space)
+        ranges.append((start, rng.randrange(start, space + 1)))
+    for start, stop in ranges:
+        got = list(coded_bundles(n, m, start, stop, pairs))
+        assert got == list(filtered_bundles(n, m, start, stop, pairs)), (start, stop)
+
+
+@pytest.mark.parametrize("n,m,classes", CLASSED)
+def test_ordered_code_count_matches_the_enumeration(n, m, classes):
+    pairs = class_pairs(classes)
+    orbit = prod(factorial(len(members)) for members in classes)
+    codes = [code for code, _ in coded_bundles(n, m, pairs=pairs)]
+    assert len(codes) * orbit == count_allocations(n, m)
+    rng = random.Random(m)
+    probes = [0, 1, codes[0], codes[-1], codes[-1] + 1, n**m, n**m + 5]
+    probes += rng.sample(range(n**m), min(40, n**m))
+    for code in probes:
+        below = sum(1 for c in codes if c < code)
+        assert count_ordered_codes_below(n, m, classes, code) == below, code
 
 
 def test_stream_is_resumable_from_code_offsets():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from efxlab import acceptance
 from efxlab.cli import main
 from efxlab.decoding import (
     dump_dyadic,
@@ -224,3 +225,17 @@ def test_zero_conflict_budget_is_accepted(tmp_path, capsys):
     cnf.write_text("p cnf 1 1\n1 0\n")
     assert main(["sat", "-i", str(cnf), "--budget", "0"]) == 0
     assert "s SATISFIABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,skipped", [(["--quick"], True), ([], False)])
+def test_quick_selfcheck_skips_the_n6_extension(monkeypatch, capsys, flags, skipped):
+    seen = []
+
+    def record(jobs, skip):
+        seen.append(skip)
+        return iter(())
+
+    monkeypatch.setattr(acceptance, "run_all", record)
+    assert main(["selfcheck", *flags]) == 0
+    assert ("extension-n6" in seen[0]) is skipped
+    assert "extension-n6" in dict(acceptance.ALL_CHECKS)

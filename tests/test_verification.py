@@ -2,11 +2,19 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_right
 
 import pytest
 
 from efxlab import verification
-from efxlab.allocations import Allocation, coded_bundles, count_allocations, enumerate_allocations
+from efxlab.allocations import (
+    Allocation,
+    class_pairs,
+    coded_bundles,
+    count_allocations,
+    enumerate_allocations,
+)
+from efxlab.bitset import goods
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
@@ -14,9 +22,12 @@ from efxlab.three_agent import equalize_for_valuation
 from efxlab.valuations import as_real, numeric_order_valuation, random_monotone_rank_valuation
 from efxlab.verification import (
     VerifyReport,
+    _is_monotone_table,
+    _scan_plan,
     _scan_range,
     count_mms_violation_tuples,
     find_mms_violations,
+    identical_classes,
     iter_mms_violations,
     marginal_values,
     value_tables,
@@ -72,22 +83,87 @@ def test_report_matches_fairness_predicates_on_small_instance():
             assert is_efx(Allocation(m, report.first_efx_witness), vals)
 
 
-def test_report_bytes_are_pinned():
-    """sha256 of the JSON report: the counterexample and the n=4, m=9 extension."""
+def test_report_bytes_are_pinned(monkeypatch):
+    """sha256 of the JSON report, serially and with 2 and 3 workers.
+
+    Instances: the counterexample, the n=4, m=9 extension, and the extension
+    plus one dummy good.
+    """
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
     counterexample = load_bundled_counterexample()
+    extension = extend_counterexample(counterexample, 4)
     digests = {
         "8207f714ae92243b9f6afd2bbb587073bd4eb54cb4307332d06941ab3f2a4b62": counterexample,
-        "38237044f16886b92cdbd7a6eda08cc451d75114cade63960e3f798f0c72062b": extend_counterexample(
-            counterexample, 4
+        "38237044f16886b92cdbd7a6eda08cc451d75114cade63960e3f798f0c72062b": extension,
+        "83713fdb96c1b9232e7640a7bd4355f385ed50008b757011dea319c1a2aee8ce": add_dummy_goods(
+            extension, 1
         ),
     }
     for digest, vals in digests.items():
-        assert hashlib.sha256(verify(vals).to_json().encode()).hexdigest() == digest
+        for jobs in (1, 2, 3):
+            report = verify(vals, jobs=jobs).to_json()
+            assert hashlib.sha256(report.encode()).hexdigest() == digest, jobs
+
+
+def _full_scan(vals):
+    """Reference: every owner code scanned one by one, each agent with its own removal table."""
+    n, m = len(vals), vals[0].m
+    tables = value_tables(vals)
+    removal = [
+        [sorted(table[bundle ^ (1 << g)] for g in goods(bundle)) for bundle in range(1 << m)]
+        for table in tables
+    ]
+    agents = [(i, tables[i], removal[i], tuple(j for j in range(n) if j != i)) for i in range(n)]
+    conditions = (n - 1) * m
+    total = efx_count = 0
+    hist: dict[int, int] = {}
+    witness = witness_code = None
+    for code, bundles in coded_bundles(n, m):
+        held = 0
+        for i, table, rows, others in agents:
+            own = table[bundles[i]]
+            for j in others:
+                held += bisect_right(rows[bundles[j]], own)
+        violations = conditions - held
+        total += 1
+        hist[violations] = hist.get(violations, 0) + 1
+        if violations == 0:
+            efx_count += 1
+            if witness_code is None:
+                witness, witness_code = bundles, code
+    monotone = tuple(_is_monotone_table(table, m) for table in tables)
+    return VerifyReport(n, m, monotone, total, efx_count, hist, witness, witness_code)
+
+
+def _instances_with_identical_agents():
+    """Classes of 2 (adjacent or not) and 3, one of 3 beside one of 2, and tied values."""
+    u, v, w = (random_monotone_rank_valuation(6, 700 + j) for j in range(3))
+    yield [u, v, v]
+    yield [v, u, v]
+    yield [v, v, v]
+    yield [u, v, v, v]
+    yield [v, w, v, w, v]
+    small = [random_monotone_rank_valuation(4, 710 + j) for j in range(2)]
+    yield add_dummy_goods([as_real(small[0]), as_real(small[1]), as_real(small[1])], 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_orbit_scan_matches_the_full_scan(monkeypatch, jobs):
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    for vals in _instances_with_identical_agents():
+        assert identical_classes(value_tables(vals))
+        report = verify(vals, jobs=jobs)
+        reference = _full_scan(vals)
+        assert report.to_json() == reference.to_json()
+        assert report.first_witness_code == reference.first_witness_code
+        assert report == reference
 
 
 def _instances_with_efx():
     v = random_monotone_rank_valuation(4, 5)
     yield [v, v]
+    a, b = (random_monotone_rank_valuation(6, 720 + j) for j in range(2))
+    yield [a, b, a, b, a]
     for seed in range(3):
         yield [random_monotone_rank_valuation(5, 10 * seed + j) for j in range(3)]
 
@@ -110,30 +186,54 @@ def _merged(parts, n, m):
     return report
 
 
+def _orbit(bundles, classes, n):
+    """Codes of every allocation reached by permuting bundles within the classes."""
+    codes = set()
+    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
+        moved = list(bundles)
+        for members, perm in zip(classes, perms):
+            for a, b in zip(members, perm):
+                moved[b] = bundles[a]
+        codes.add(sum(owner * n**g for owner, bundle in enumerate(moved) for g in goods(bundle)))
+    return codes
+
+
 def test_scan_ranges_cut_at_arbitrary_codes_merge_to_the_full_scan():
     rng = random.Random(11)
     for vals in _instances_with_efx():
         n, m = len(vals), vals[0].m
         tables = value_tables(vals)
+        classes = identical_classes(tables)
+        scan = _scan_plan(tables, m, classes)
         space = n**m
-        full = _merged([_scan_range(tables, n, m, 0, space)], n, m)
+        full = _merged([_scan_range(scan, 0, space)], n, m)
         # starts with an empty bundle: code n**m - 1 gives every good to the
         # last agent; code 1 gives good 0 to agent 1, the rest to agent 0
         cuts = sorted({1, space - 1, *rng.sample(range(2, space - 1), 5)})
         bounds = [0, *cuts, space]
-        parts = [_scan_range(tables, n, m, a, b) for a, b in itertools.pairwise(bounds)]
+        parts = [_scan_range(scan, a, b) for a, b in itertools.pairwise(bounds)]
         assert _merged(parts, n, m) == full
 
+        # A range counts the orbits whose lowest code lies in it, each weighted
+        # by its size.  Without identical agents every orbit is one code, and
+        # this is the allocation-by-allocation count.
         start, stop = cuts[1], cuts[-1]
-        total, efx_count, hist, witness, code = _scan_range(tables, n, m, start, stop)
+        total, efx_count, hist, witness, code = _scan_range(scan, start, stop)
         expected: dict[int, int] = {}
         efx_codes = []
+        efx_weight = 0
         for c, bundles in coded_bundles(n, m, start, stop):
+            orbit = _orbit(bundles, classes, n)
+            assert c in orbit
+            if c != min(orbit):
+                continue
             count = violated_condition_count(Allocation(m, bundles), vals)
-            expected[count] = expected.get(count, 0) + 1
+            expected[count] = expected.get(count, 0) + len(orbit)
             if count == 0:
                 efx_codes.append((c, bundles))
-        assert (total, efx_count, hist) == (sum(expected.values()), len(efx_codes), expected)
+                efx_weight += len(orbit)
+        assert classes or efx_weight == len(efx_codes)
+        assert (total, efx_count, hist) == (sum(expected.values()), efx_weight, expected)
         assert (code, witness) == (efx_codes[0] if efx_codes else (None, None))
 
 
@@ -141,6 +241,7 @@ class _RecordingPool:
     """Stands in for `multiprocessing.Pool`: records its size and chunk count, runs in-process."""
 
     calls: list[tuple[int, int]] = []
+    ranges: list[tuple[int, int]] = []
 
     def __init__(self, processes):
         self.processes = processes
@@ -153,6 +254,7 @@ class _RecordingPool:
 
     def starmap(self, func, args):
         self.calls.append((self.processes, len(args)))
+        self.ranges.extend((start, stop) for _, start, stop in args)
         return list(itertools.starmap(func, args))
 
 
@@ -164,6 +266,30 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, pools):
     monkeypatch.setattr(_RecordingPool, "calls", [])
     assert verify(vals, jobs=5000) == verify(vals, jobs=1)
     assert _RecordingPool.calls == pools
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_chunks_hold_equally_many_orbits(monkeypatch, jobs):
+    """Orbits cluster in low top digits, so equal code ranges would not balance the workers."""
+    u, v, w = (random_monotone_rank_valuation(6, 730 + j) for j in range(3))
+    vals = [u, v, w, v, w]
+    n, m = len(vals), vals[0].m
+    pairs = class_pairs(identical_classes(value_tables(vals)))
+    monkeypatch.setattr(verification, "Pool", _RecordingPool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: jobs)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    monkeypatch.setattr(_RecordingPool, "ranges", [])
+    assert verify(vals, jobs=jobs) == _full_scan(vals)
+    assert _RecordingPool.calls == [(jobs, jobs)]
+    bounds = [start for start, _ in _RecordingPool.ranges] + [_RecordingPool.ranges[-1][1]]
+    assert bounds[0] == 0 and bounds[-1] == n**m
+    assert all(stop == start for (_, stop), (start, _) in itertools.pairwise(_RecordingPool.ranges))
+    orbits = [
+        sum(1 for _ in coded_bundles(n, m, a, b, pairs)) for a, b in itertools.pairwise(bounds)
+    ]
+    assert max(orbits) - min(orbits) <= 1, orbits
+    codes = [(b - a) for a, b in itertools.pairwise(bounds)]
+    assert max(codes) > 2 * min(codes)  # the cuts follow the orbits, not the codes
 
 
 def test_identical_two_agent_instance_has_efx():
