@@ -9,10 +9,12 @@ ran out of budget), 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from collections.abc import Sequence
+from typing import TextIO
 
 from . import acceptance, cdcl, smtlib, three_agent, verification
 from .decoding import (
@@ -24,7 +26,7 @@ from .decoding import (
     load_rank_blocks,
     load_value_blocks,
 )
-from .dimacs import parse_dimacs, parse_model, write_dimacs
+from .dimacs import CnfFormula, parse_dimacs, parse_model, write_dimacs
 from .encoding import EncodeOptions, clause_counts, write_dimacs_file
 from .errors import EfxLabError, IndexOutOfRange
 from .simplify import preprocess
@@ -35,11 +37,22 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _read(path: str) -> str:
+def _open(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    """The file at `path` (stdin for "-") open for reading text."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
+
+
+def _read(path: str) -> str:
+    with _open(path) as handle:
         return handle.read()
+
+
+def _parse_dimacs_file(path: str) -> CnfFormula:
+    """Parse a DIMACS file line by line, without holding its whole text."""
+    with _open(path) as handle:
+        return parse_dimacs(handle)
 
 
 def _write(path: str, text: str) -> None:
@@ -109,7 +122,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    formula = parse_dimacs(_read(args.input))
+    formula = _parse_dimacs_file(args.input)
     result = preprocess(formula)
     payload = {
         "input_clauses": result.stats.input_clauses,
@@ -134,7 +147,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_sat(args: argparse.Namespace) -> int:
-    formula = parse_dimacs(_read(args.input))
+    formula = _parse_dimacs_file(args.input)
     result = cdcl.solve(formula, conflict_budget=args.budget)
     if result.status is cdcl.SolveStatus.SATISFIABLE:
         print("s SATISFIABLE")
@@ -143,10 +156,11 @@ def cmd_sat(args: argparse.Namespace) -> int:
             var if result.assignment.values[var] else -var
             for var in range(1, formula.num_vars + 1)
         ]
-        for start in range(0, len(literals), 20):
-            chunk = literals[start : start + 20]
-            tail = " 0" if start + 20 >= len(literals) else ""
-            print("v " + " ".join(map(str, chunk)) + tail)
+        # 20 literals a line; the last line ends with the 0, alone if no variables
+        rows = [literals[start : start + 20] for start in range(0, len(literals), 20)] or [[]]
+        rows[-1].append(0)
+        for row in rows:
+            print(" ".join(["v", *map(str, row)]))
         return EXIT_OK
     if result.status is cdcl.SolveStatus.UNSATISFIABLE:
         print("s UNSATISFIABLE")

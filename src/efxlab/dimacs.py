@@ -1,9 +1,17 @@
-"""CNF formula container, DIMACS text round-trip, and model-line parsing."""
+"""CNF formula container, DIMACS text round-trip, and model-line parsing.
+
+`parse_dimacs` reads a text or a stream of lines.  Its literals come from a
+per-parse table from token text to literal, so equal literals are one int
+object: the parsed formula holds one object per distinct literal rather than
+one per occurrence, and a line holding one clause of known tokens is read by
+one table lookup per token.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (
     DuplicateAssignment,
@@ -14,6 +22,9 @@ from .errors import (
 )
 
 Clause = tuple[int, ...]
+
+# Characters of a text that `parse_dimacs` splits into lines at once.
+TEXT_CHUNK = 1 << 16
 
 
 @dataclass
@@ -48,42 +59,86 @@ class Assignment:
         return all(any(self.value_of(lit) for lit in clause) for clause in formula.clauses)
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF; comments ignored, header validated against the body."""
+def _text_chunks(text: str) -> Iterator[str]:
+    """`text` cut into pieces of about `TEXT_CHUNK` characters at line ends.
+
+    Every piece but the last ends just after a line feed, which ends a line
+    (alone or after a carriage return), so the pieces' `splitlines` are the
+    text's, and only one piece's list of lines is held at once.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + TEXT_CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
+    """Parse DIMACS CNF; comments ignored, header validated against the body.
+
+    `source` is the whole text, split into lines as by `str.splitlines`, or
+    an iterable of lines such as an open text file, each item one line with
+    or without its terminator; a file is read one line at a time, never held
+    whole.  In an item, a character other than a line feed or carriage
+    return at which `splitlines` would break (a form feed, say) is
+    whitespace.  Errors name the 1-based line.
+
+    Each literal token is looked up in a table from token text to literal,
+    filled the first time a token passes the checks and cleared at every
+    header (a header may lower the variable count).  Equal tokens therefore
+    share one int object, and a line that holds exactly one clause, known
+    tokens and its final "0" is read by one lookup per token.  Any other
+    line is read token by token: `int()`, the range check, then the table.
+    The terminator "0" (and any zero token) is never in the table, so a zero
+    anywhere else always takes the token-by-token path.
+    """
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[Clause] = []
     pending: list[int] = []
+    table: dict[str, int] = {}  # token text -> checked non-zero literal
+    lookup = table.__getitem__
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+    if isinstance(source, str):
+        lines = chain.from_iterable(map(str.splitlines, _text_chunks(source)))
+    else:
+        lines = source
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if parts[:2] != ["p", "cnf"] or len(parts) != 4:
-                raise HeaderMismatch(f"line {lineno}: malformed header {raw!r}")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
+        head = tokens[0][0]
+        if head == "c" or head == "%":
+            continue
+        if head == "p":
+            num_vars, num_clauses = _header(tokens, lineno, raw)
+            table.clear()
             continue
         if num_vars is None:
             raise HeaderMismatch(f"line {lineno}: clause before header")
-        for token in line.split():
+        if not pending and tokens[-1] == "0":
             try:
-                lit = int(token)
-            except ValueError as exc:
-                raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending.clear()
-            else:
+                clauses.append(tuple(map(lookup, tokens[:-1])))
+                continue
+            except KeyError:
+                pass  # a token not seen since the header: check every token
+        for token in tokens:
+            lit = table.get(token)
+            if lit is None:
+                try:
+                    lit = int(token)
+                except ValueError as exc:
+                    raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
+                if lit == 0:
+                    clauses.append(tuple(pending))
+                    pending.clear()
+                    continue
                 if abs(lit) > num_vars:
                     raise LiteralOutOfRange(
                         f"line {lineno}: literal {lit} exceeds {num_vars} variables"
                     )
-                pending.append(lit)
+                table[token] = lit
+            pending.append(lit)
 
     if num_vars is None or num_clauses is None:
         raise HeaderMismatch("missing 'p cnf' header")
@@ -92,6 +147,20 @@ def parse_dimacs(text: str) -> CnfFormula:
     if len(clauses) != num_clauses:
         raise HeaderMismatch(f"header says {num_clauses} clauses, body has {len(clauses)}")
     return CnfFormula(num_vars, clauses)
+
+
+def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
+    """Variable and clause counts of a `p cnf <vars> <clauses>` line."""
+    if parts[:2] != ["p", "cnf"] or len(parts) != 4:
+        line = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
+        raise HeaderMismatch(f"line {lineno}: malformed header {line!r}")
+    try:
+        num_vars, num_clauses = int(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
+    if num_vars < 0 or num_clauses < 0:
+        raise HeaderMismatch(f"line {lineno}: negative header counts")
+    return num_vars, num_clauses
 
 
 def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:

@@ -137,9 +137,13 @@ def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
     watch: dict[int, list[Clause]] = {}  # each kept set under its first literal
     for key in sorted(dict.fromkeys(keys), key=len):
         # Every kept set is narrower than the key or distinct from it at the
-        # same width, so only a strict subset of the key can be found.
-        if len(key) <= SUBSET_PROBE_WIDTH:
-            subsumed = any(not kept.isdisjoint(combinations(key, w)) for w in kept_widths)
+        # same width, so only a strict subset of the key can be found: the
+        # probes skip the key's own width.
+        width = len(key)
+        if width <= SUBSET_PROBE_WIDTH:
+            subsumed = any(
+                not kept.isdisjoint(combinations(key, w)) for w in kept_widths if w < width
+            )
         else:
             lits = set(key)
             subsumed = any(lits.issuperset(other) for lit in key for other in watch.get(lit, ()))
@@ -147,8 +151,8 @@ def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
             continue
         kept.add(key)
         watch.setdefault(key[0], []).append(key)
-        if not kept_widths or kept_widths[-1] < len(key):
-            kept_widths.append(len(key))
+        if not kept_widths or kept_widths[-1] < width:
+            kept_widths.append(width)
 
     survivors = []
     for clause, key in zip(clauses, keys):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -55,6 +56,44 @@ def test_sat_reports_unsat(tmp_path, capsys):
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert main(["sat", "-i", str(cnf)]) == 0
     assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("num_vars", [0, 1, 19, 20, 40, 41])
+def test_sat_model_lines_parse_back(tmp_path, capsys, num_vars):
+    cnf = tmp_path / "free.cnf"
+    cnf.write_text(f"p cnf {num_vars} 1\n{num_vars} 0\n" if num_vars else "p cnf 0 0\n")
+    assert main(["sat", "-i", str(cnf)]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == "s SATISFIABLE"
+    assert [len(line.split()) - 1 for line in lines[1:-1]] == [20] * ((num_vars - 1) // 20)
+    assert lines[-1].startswith("v ") and lines[-1].endswith(" 0")
+    model = parse_model(out, num_vars)
+    assert sorted(model.values) == list(range(1, num_vars + 1))
+    if num_vars:
+        assert model.values[num_vars] is True
+
+
+def test_sat_and_preprocess_read_stdin(tmp_path, monkeypatch, capsys):
+    text = "c from stdin\r\np cnf 3 3\r\n1 0\r\n1 2\r\n0 -1 3 0\r\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["sat", "-i", "-"]) == 0
+    assert parse_model(capsys.readouterr().out).values == {1: True, 2: False, 3: True}
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["preprocess", "-i", "-", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["input_clauses"] == 3 and payload["output_clauses"] == 0
+
+
+@pytest.mark.parametrize("command", ["sat", "preprocess"])
+@pytest.mark.parametrize("header", ["p cnf -3 0", "p cnf 3 -1"])
+def test_negative_header_counts_exit_one_with_one_error_line(tmp_path, capsys, command, header):
+    cnf = tmp_path / "negative.cnf"
+    cnf.write_text(f"c counts\n{header}\n")
+    assert main([command, "-i", str(cnf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: negative header counts\n"
 
 
 def test_preprocess_roundtrip(tmp_path, capsys):
