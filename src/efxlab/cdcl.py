@@ -1,22 +1,34 @@
 """Minimal conflict-driven clause-learning SAT solver for desk-scale instances.
 
-Two-watched-literal propagation, first-UIP learning, VSIDS-style activities
-with phase saving, Luby restarts (unit 64), and LBD-aware learned-clause
-reduction; standard defaults, untuned.  SAT answers always carry a model that
-has been checked against every input clause before being returned; UNSAT
-answers carry no certificate and are trusted at desk scale only.
+Two-watched-literal propagation, first-UIP learning with recursive clause
+minimization, VSIDS-style activities with phase saving, Luby restarts (unit
+64), and LBD-aware learned-clause reduction; standard defaults, untuned.  SAT
+answers always carry a model that has been checked against every input clause
+before being returned; UNSAT answers carry no certificate and are trusted at
+desk scale only.
+
+Minimization (Sörensson & Biere, SAT 2009, as in MiniSat) drops each literal
+of the first-UIP clause whose reason clause follows, through further reasons,
+from the clause's other literals and level-0 facts.  Reason chains are
+followed only through the decision levels the clause occupies, kept as a
+bitmask.  The UIP stays first, and the backjump level and LBD are those of the
+minimized clause.
+
+Only variables that occur in some input clause are decided.  After
+preprocessing, most variables of an EFX encoding occur in none, and deciding
+one would only open an empty level.  Left unassigned, such a variable takes
+its saved phase in the model: false, the value a decision on it would give.
 
 The decision variable comes from a binary heap (``heapq``) of
-``(-activity, var)`` entries rather than a scan over all variables: the top
-valid entry is the unassigned variable of highest activity, lowest index on
-ties, which is exactly what the scan picked.  Entries are lazy: a bump (always
-of an assigned variable) leaves its entry stale, the backtrack that unassigns
-a variable pushes a fresh one, stale or assigned entries are skipped when
-popped, and the heap is rebuilt when the activity rescale fires or it grows
-past twice the variable count.  Truth values and watch lists are indexed by
-literal (negative literals at the negative end of the list).  The search is
-therefore the same as with the scan: the same decisions, learned clauses,
-restarts, counters and models.
+``(-activity, var)`` entries over the occurring variables rather than a scan:
+the top valid entry is the unassigned occurring variable of highest activity,
+lowest index on ties, which is exactly what a scan over them picks.  Entries
+are lazy: a bump (always of an assigned variable) leaves its entry stale, the
+backtrack that unassigns a variable pushes a fresh one, stale or assigned
+entries are skipped when popped, and the heap is rebuilt when the activity
+rescale fires or it grows past twice the number of occurring variables.  Truth
+values and watch lists are indexed by literal (negative literals at the
+negative end of the list).
 """
 
 from __future__ import annotations
@@ -70,8 +82,8 @@ class _Solver:
         # decision order: entries (-activity, var), so the top is the most active
         # variable with the lowest index on ties; queued[v] says v has an entry
         # carrying its current activity
-        self.heap: list[tuple[float, int]] = [(-0.0, var) for var in range(1, n + 1)]
-        self.queued: list[bool] = [True] * (n + 1)
+        self.heap: list[tuple[float, int]] = []
+        self.queued: list[bool] = [False] * (n + 1)
         self.seen: list[bool] = [False] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -85,14 +97,19 @@ class _Solver:
         self.restarts = 0
 
         for clause in formula.clauses:
-            self._add_clause(list(dict.fromkeys(clause)))
+            lits = list(dict.fromkeys(clause))
+            if not any(-lit in lits for lit in lits):  # a tautology constrains nothing
+                self._add_clause(lits)
         self.learned_from = len(self.clauses)
+        # only variables that occur in a clause are decided; the rest take their
+        # saved phase in the model
+        self.branch_vars = sorted({abs(lit) for clause in formula.clauses for lit in clause})
+        self._rebuild_heap()
 
     # -- clause plumbing -------------------------------------------------
 
     def _add_clause(self, lits: list[int], lbd: int = 0) -> int | None:
-        if any(-lit in lits for lit in lits):
-            return None  # tautology
+        """Index of the new clause, None for an empty or unit one; never a tautology."""
         if len(lits) == 0:
             self.ok = False
             return None
@@ -186,10 +203,11 @@ class _Solver:
             self._rebuild_heap()
 
     def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
-        """First-UIP learned clause, backjump level, and LBD."""
+        """First-UIP learned clause, minimized; backjump level, and LBD."""
         learned: list[int] = []
         seen = self.seen
         level = self.level
+        reason = self.reason
         trail = self.trail
         counter = 0
         propagated = 0  # trail literal whose reason is being expanded
@@ -218,10 +236,22 @@ class _Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_idx = self.reason[abs(propagated)]
+            reason_idx = reason[abs(propagated)]
+
+        # recursive minimization (Sörensson & Biere 2009): drop each literal
+        # whose reason is implied by the rest of the clause; `seen` still marks
+        # the clause's literals below the current level
+        levels = 0  # bit L set for each level of those literals
         for lit in learned:
+            levels |= 1 << level[abs(lit)]
+        marked = learned[:]
+        learned = [-propagated] + [
+            lit
+            for lit in learned
+            if reason[abs(lit)] == -1 or not self._redundant(lit, levels, marked)
+        ]
+        for lit in marked:
             seen[abs(lit)] = False
-        learned.insert(0, -propagated)
 
         if len(learned) == 1:
             backjump = 0
@@ -231,6 +261,38 @@ class _Solver:
             backjump = level[abs(learned[1])]
         lbd = len({level[abs(l)] for l in learned})
         return learned, backjump, lbd
+
+    def _redundant(self, lit: int, levels: int, marked: list[int]) -> bool:
+        """Whether the learned clause may drop `lit`: its reason clause, followed
+        back through reasons, rests only on marked variables and level 0.
+
+        The search gives up at a decision, and at a literal whose level has no
+        bit in `levels`: its reasons lead back to that level's decision, which
+        is not in the clause.  Variables found redundant stay marked and join
+        `marked`, so later calls reuse them; on failure this call's marks are
+        undone.
+        """
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        clauses = self.clauses
+        start = len(marked)
+        stack = [lit]
+        while stack:
+            # the reason's implied literal, clause[0], is on a marked variable
+            for other in clauses[reason[abs(stack.pop())]]:
+                var = abs(other)
+                if seen[var] or level[var] == 0:
+                    continue
+                if reason[var] == -1 or not levels >> level[var] & 1:
+                    for undo in marked[start:]:
+                        seen[abs(undo)] = False
+                    del marked[start:]
+                    return False
+                seen[var] = True
+                stack.append(other)
+                marked.append(other)
+        return True
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
@@ -252,16 +314,19 @@ class _Solver:
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.prop_head = min(self.prop_head, len(self.trail))
-        if len(heap) > 2 * self.num_vars:
+        if len(heap) > 2 * len(self.branch_vars):
             self._rebuild_heap()  # shed the entries that bumps left behind
 
     def _rebuild_heap(self) -> None:
         value = self.value
         activity = self.activity
-        unassigned = [var for var in range(1, self.num_vars + 1) if value[var] == 0]
+        queued = self.queued
+        queued[:] = [False] * (self.num_vars + 1)
+        unassigned = [var for var in self.branch_vars if value[var] == 0]
+        for var in unassigned:
+            queued[var] = True
         self.heap[:] = [(-activity[var], var) for var in unassigned]
         heapify(self.heap)
-        self.queued[:] = [value[var] == 0 for var in range(self.num_vars + 1)]
 
     def _reduce_db(self) -> None:
         """Drop the weaker half of the learned clauses (high LBD, long)."""
@@ -340,9 +405,7 @@ class _Solver:
                     if not self._enqueue(learned[0], -1):
                         return self._stats_result(SolveStatus.UNSATISFIABLE)
                 else:
-                    idx = self._add_clause(learned, lbd)
-                    if idx is not None:
-                        self._enqueue(learned[0], idx)
+                    self._enqueue(learned[0], self._add_clause(learned, lbd))
                 self.act_inc /= 0.95
                 if len(self.clauses) - self.learned_from > reduce_ceiling:
                     self._reduce_db()
@@ -366,7 +429,13 @@ class _Solver:
     def _stats_result(self, status: SolveStatus) -> SolveResult:
         assignment = None
         if status is SolveStatus.SATISFIABLE:
-            values = {var: self.value[var] > 0 for var in range(1, self.num_vars + 1)}
+            # a variable in no clause is unassigned: it takes its saved phase
+            value = self.value
+            phase = self.phase
+            values = {
+                var: value[var] > 0 if value[var] else phase[var] > 0
+                for var in range(1, self.num_vars + 1)
+            }
             assignment = Assignment(self.num_vars, values)
         return SolveResult(status, assignment, self.conflicts, self.decisions, self.restarts)
 

@@ -13,7 +13,7 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TextIO
 
 from . import acceptance, cdcl, smtlib, three_agent, verification
@@ -28,7 +28,7 @@ from .decoding import (
 )
 from .dimacs import CnfFormula, parse_dimacs, parse_model, write_dimacs
 from .encoding import EncodeOptions, clause_counts, write_dimacs_file
-from .errors import EfxLabError, IndexOutOfRange
+from .errors import EfxLabError, IndexOutOfRange, NotUtf8Text
 from .simplify import preprocess
 from .submodular import DyadicValuation, extend_counterexample, is_submodular, submodular_realize
 
@@ -37,11 +37,19 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _open(path: str) -> contextlib.AbstractContextManager[TextIO]:
-    """The file at `path` (stdin for "-") open for reading text."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
+@contextlib.contextmanager
+def _open(path: str) -> Iterator[TextIO]:
+    """The file at `path` (stdin for "-") open for reading UTF-8 text.
+
+    Bytes that do not decode raise NotUtf8Text wherever the reading stops.
+    """
+    opened = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8")
+    with opened as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise NotUtf8Text(f"{path}: not UTF-8 text: byte 0x{bad:02x} ({exc.reason})") from None
 
 
 def _read(path: str) -> str:

@@ -62,6 +62,12 @@ class NotACycle(EfxLabError):
     """The given agent sequence is not a directed cycle of the envy graph."""
 
 
+# -- input text ---------------------------------------------------------------
+
+class NotUtf8Text(EfxLabError):
+    """An input file holds bytes that are not UTF-8 text."""
+
+
 # -- DIMACS / models ----------------------------------------------------------
 
 class DimacsError(EfxLabError):

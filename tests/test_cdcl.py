@@ -1,10 +1,19 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from efxlab.cdcl import SolveStatus, _Solver, luby, solve
 from efxlab.dimacs import CnfFormula
-from efxlab.encoding import EncodeOptions, encode_formula
+from efxlab.encoding import (
+    EncodeOptions,
+    encode_formula,
+    item_order_clauses,
+    leveled_clauses,
+    monotonicity_clauses,
+    num_variables,
+    transitivity_clauses,
+)
 from efxlab.errors import BudgetOutOfRange, EfxLabError, LiteralOutOfRange
 from efxlab.simplify import preprocess, propagate_units
 
@@ -144,14 +153,15 @@ def test_learning_search_on_efx_encoding_is_pinned():
     assert not reduced.unsat
     result = solve(reduced.formula)
     assert result.status is SolveStatus.UNSATISFIABLE
-    assert (result.conflicts, result.decisions, result.restarts) == (955, 1885, 9)
+    assert (result.conflicts, result.decisions, result.restarts) == (912, 1415, 9)
 
 
 def scan_branch_var(solver: _Solver) -> int:
-    """Reference decision order: the O(n) scan the heap replaced."""
+    """Reference decision order: the O(n) scan over occurring variables that
+    the heap replaced."""
     best = 0
     best_act = -1.0
-    for var in range(1, solver.num_vars + 1):
+    for var in solver.branch_vars:
         if solver.value[var] == 0 and solver.activity[var] > best_act:
             best = var
             best_act = solver.activity[var]
@@ -163,9 +173,9 @@ class ScanCheckedSolver(_Solver):
 
     At every decision the heap must pick what the scan picks.  After every
     analysis (where bumps and rescales happen) and every backtrack, each
-    unassigned or queued variable must have an entry carrying its current
-    activity, and stale entries must not take the heap past twice the
-    variable count.
+    unassigned or queued decision variable must have an entry carrying its
+    current activity, and stale entries must not take the heap past twice the
+    number of decision variables.
     """
 
     def __init__(self, formula: CnfFormula) -> None:
@@ -173,9 +183,9 @@ class ScanCheckedSolver(_Solver):
         self.checked = 0
 
     def _check_heap(self) -> None:
-        assert len(self.heap) <= 2 * self.num_vars
+        assert len(self.heap) <= 2 * len(self.branch_vars)
         entries = set(self.heap)
-        for var in range(1, self.num_vars + 1):
+        for var in self.branch_vars:
             if self.value[var] == 0 or self.queued[var]:
                 assert (-self.activity[var], var) in entries, f"variable {var} has no current entry"
 
@@ -210,7 +220,7 @@ def test_heap_decisions_match_scan_with_learning_and_restarts():
     solver = ScanCheckedSolver(pigeonhole(7, 6))
     result = solver.solve(None)
     assert result.status is SolveStatus.UNSATISFIABLE
-    assert (result.conflicts, result.restarts) == (869, 8)
+    assert (result.conflicts, result.restarts) == (760, 6)
     assert solver.checked == result.decisions
 
 
@@ -252,3 +262,166 @@ def test_reduce_db_mid_search_keeps_watches_and_reasons():
     solver = ReducingSolver(pigeonhole(7, 6))
     assert solver.solve(None).status is SolveStatus.UNSATISFIABLE
     assert solver.reductions >= 2
+
+
+@pytest.fixture(scope="module")
+def nolevel_m5() -> CnfFormula:
+    """The preprocessed m=5 no-level encoding: UNSAT, 855 of 1,488 variables occur."""
+    reduced = preprocess(encode_formula(EncodeOptions(5, None, False)))
+    assert not reduced.unsat
+    return reduced.formula
+
+
+def unit_propagation_conflicts(clauses: list[list[int]], occurs: dict[int, list[int]],
+                               assumed: list[int]) -> bool:
+    """Whether naive unit propagation from the literals `assumed` true reaches a
+    conflict; `occurs[lit]` lists the clauses that contain `lit`."""
+    true: set[int] = set()
+    queue: list[int] = []
+    for lit in assumed:
+        if -lit in true:
+            return True
+        if lit not in true:
+            true.add(lit)
+            queue.append(lit)
+    while queue:
+        lit = queue.pop()
+        for idx in occurs[-lit]:
+            free = [other for other in clauses[idx] if -other not in true]
+            if any(other in true for other in free):
+                continue
+            if not free:
+                return True
+            if len(free) == 1:
+                true.add(free[0])
+                queue.append(free[0])
+    return False
+
+
+class MarkLog(list):
+    """The solver's `seen` marks, logging every variable that gets marked."""
+
+    def __init__(self, marks: list[bool]) -> None:
+        super().__init__(marks)
+        self.marked: list[int] = []
+
+    def __setitem__(self, var, mark) -> None:
+        if mark:
+            self.marked.append(var)
+        super().__setitem__(var, mark)
+
+
+class RupCheckedSolver(_Solver):
+    """Checks every learned clause, units included, as it leaves analysis.
+
+    The clause must be RUP: making its literals false and unit-propagating
+    naively over the live clauses and the level-0 trail must reach a conflict.
+    Its UIP comes first, alone at the conflict level; the backjump level and
+    LBD are those of the clause as returned.  Analysis may mark only variables
+    at levels of the returned clause (minimization follows reasons through
+    those levels alone), and it must leave no variable marked.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.seen = MarkLog(self.seen)
+        self.checked = 0
+        self.indexed: list[list[int]] = []  # the clause list `occurs` indexes
+        self.occurs: dict[int, list[int]] = defaultdict(list)
+
+    def _live_occurrences(self) -> dict[int, list[int]]:
+        if self.indexed is not self.clauses:  # new, or renumbered by _reduce_db
+            self.indexed = self.clauses
+            self.occurs = defaultdict(list)
+            self.indexed_count = 0
+        for idx in range(self.indexed_count, len(self.clauses)):
+            for lit in self.clauses[idx]:
+                self.occurs[lit].append(idx)
+        self.indexed_count = len(self.clauses)
+        return self.occurs
+
+    def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
+        self.seen.marked.clear()
+        conflict_level = len(self.trail_lim)
+        learned, backjump, lbd = super()._analyze(conflict_idx)
+        levels = [self.level[abs(lit)] for lit in learned]
+        assert levels[0] == conflict_level and all(lv < conflict_level for lv in levels[1:])
+        assert backjump == max(levels[1:], default=0)
+        assert lbd == len(set(levels))
+        stray = {self.level[var] for var in self.seen.marked} - set(levels)
+        assert not stray, f"analysis marked variables at levels {stray} outside the clause"
+        assert not any(self.seen), "analysis left variables marked"
+        fixed = [lit for lit in self.trail if self.level[abs(lit)] == 0]
+        assumed = fixed + [-lit for lit in learned]
+        assert unit_propagation_conflicts(self.clauses, self._live_occurrences(), assumed), (
+            f"learned clause {learned} is not RUP"
+        )
+        self.checked += 1
+        return learned, backjump, lbd
+
+
+def test_learned_clauses_are_rup_on_random_formulas():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(200):
+        formula = random_formula(rng)
+        solver = RupCheckedSolver(formula)
+        assert solver.solve(None).status is solve(formula).status
+        checked += solver.checked
+    assert checked > 0
+
+
+@pytest.mark.parametrize("instance", ["pigeonhole(7, 6)", "m=5 no level"])
+def test_learned_clauses_are_rup_with_learning_and_restarts(instance, request):
+    formula = pigeonhole(7, 6) if instance.startswith("pigeon") else request.getfixturevalue("nolevel_m5")
+    solver = RupCheckedSolver(formula)
+    result = solver.solve(None)
+    assert result.status is SolveStatus.UNSATISFIABLE
+    assert result.restarts > 0
+    # the last conflict comes at level 0, or from a learned unit; neither is analysed
+    assert solver.checked in (result.conflicts - 1, result.conflicts)
+
+
+class AllVariablesSolver(_Solver):
+    """Decides on every variable, also on those that occur in no clause."""
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.branch_vars = list(range(1, self.num_vars + 1))
+        self._rebuild_heap()
+
+
+def model_search_m5() -> CnfFormula:
+    """Every family but no-EFX at m=5 k=4 with item order, preprocessed:
+    satisfiable, and 873 of its 1,488 variables occur in no clause."""
+    m, k = 5, 4
+    clauses = [
+        *monotonicity_clauses(m),
+        *transitivity_clauses(m, k),
+        *item_order_clauses(m),
+        *leveled_clauses(m, k),
+    ]
+    reduced = preprocess(CnfFormula(num_variables(m), clauses))
+    assert not reduced.unsat
+    return reduced.formula
+
+
+def decisions_with_and_without_absent_variables(formula: CnfFormula) -> tuple[int, int]:
+    """Decision counts of the solver and of AllVariablesSolver, whose searches
+    must otherwise agree: status, conflicts, restarts, clause DB and model."""
+    solver, every = _Solver(formula), AllVariablesSolver(formula)
+    got, want = solver.solve(None), every.solve(None)
+    assert (got.status, got.conflicts, got.restarts) == (want.status, want.conflicts, want.restarts)
+    assert solver.clauses == every.clauses
+    assert (got.assignment and got.assignment.values) == (want.assignment and want.assignment.values)
+    return got.decisions, want.decisions
+
+
+def test_deciding_absent_variables_changes_only_the_decision_count(nolevel_m5):
+    rng = random.Random(3)
+    for _ in range(200):
+        got, want = decisions_with_and_without_absent_variables(random_formula(rng))
+        assert got <= want
+    for formula in (nolevel_m5, model_search_m5()):
+        got, want = decisions_with_and_without_absent_variables(formula)
+        assert got < want

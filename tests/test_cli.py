@@ -96,6 +96,23 @@ def test_negative_header_counts_exit_one_with_one_error_line(tmp_path, capsys, c
     assert captured.err == "error: line 2: negative header counts\n"
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["sat", "-i"], b"p cnf 1 1\n\xff 0\n"),
+        (["preprocess", "-i"], b"p cnf 1 1\n\xff 0\n"),
+        (["verify", "-m", "3", "--vals"], b"0 000\xff 1\n"),
+    ],
+)
+def test_non_utf8_input_exits_one_with_one_error_line(tmp_path, capsys, argv, data):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+
+
 def test_preprocess_roundtrip(tmp_path, capsys):
     cnf = tmp_path / "in.cnf"
     cnf.write_text("p cnf 3 3\n1 0\n1 2 0\n-1 3 0\n")
