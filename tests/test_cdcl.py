@@ -146,12 +146,18 @@ def test_counterexample_assignment_satisfies_reduced_encoding():
     assert all(result.assignment.values[var] == val for var, val in assignment.values.items())
 
 
-def test_learning_search_on_efx_encoding_is_pinned():
-    # the preprocessed m=5 no-level encoding needs learning and restarts; its
-    # counters pin the search (decision order, learned clauses, restart points)
+@pytest.fixture(scope="module")
+def nolevel_m5() -> CnfFormula:
+    """The preprocessed m=5 no-level encoding: UNSAT, 855 of 1,488 variables occur."""
     reduced = preprocess(encode_formula(EncodeOptions(5, None, False)))
     assert not reduced.unsat
-    result = solve(reduced.formula)
+    return reduced.formula
+
+
+def test_learning_search_on_efx_encoding_is_pinned(nolevel_m5):
+    # the preprocessed m=5 no-level encoding needs learning and restarts; its
+    # counters pin the search (decision order, learned clauses, restart points)
+    result = solve(nolevel_m5)
     assert result.status is SolveStatus.UNSATISFIABLE
     assert (result.conflicts, result.decisions, result.restarts) == (912, 1415, 9)
 
@@ -264,14 +270,6 @@ def test_reduce_db_mid_search_keeps_watches_and_reasons():
     assert solver.reductions >= 2
 
 
-@pytest.fixture(scope="module")
-def nolevel_m5() -> CnfFormula:
-    """The preprocessed m=5 no-level encoding: UNSAT, 855 of 1,488 variables occur."""
-    reduced = preprocess(encode_formula(EncodeOptions(5, None, False)))
-    assert not reduced.unsat
-    return reduced.formula
-
-
 def unit_propagation_conflicts(clauses: list[list[int]], occurs: dict[int, list[int]],
                                assumed: list[int]) -> bool:
     """Whether naive unit propagation from the literals `assumed` true reaches a
@@ -287,14 +285,19 @@ def unit_propagation_conflicts(clauses: list[list[int]], occurs: dict[int, list[
     while queue:
         lit = queue.pop()
         for idx in occurs[-lit]:
-            free = [other for other in clauses[idx] if -other not in true]
-            if any(other in true for other in free):
-                continue
-            if not free:
-                return True
-            if len(free) == 1:
-                true.add(free[0])
-                queue.append(free[0])
+            unit = 0
+            for other in clauses[idx]:
+                if other in true:
+                    break  # satisfied
+                if -other not in true:
+                    if unit:
+                        break  # two literals unassigned
+                    unit = other
+            else:
+                if not unit:
+                    return True
+                true.add(unit)
+                queue.append(unit)
     return False
 
 
@@ -326,11 +329,13 @@ class RupCheckedSolver(_Solver):
         super().__init__(formula)
         self.seen = MarkLog(self.seen)
         self.checked = 0
-        self.indexed: list[list[int]] = []  # the clause list `occurs` indexes
+        self.indexed: list[list[int]] | None = None  # the clause list `occurs` indexes
+        self.indexed_count = 0
         self.occurs: dict[int, list[int]] = defaultdict(list)
 
     def _live_occurrences(self) -> dict[int, list[int]]:
-        if self.indexed is not self.clauses:  # new, or renumbered by _reduce_db
+        """Occurrence lists of the live clauses, extended as clauses are learned."""
+        if self.indexed is not self.clauses:  # first call, or renumbered by _reduce_db
             self.indexed = self.clauses
             self.occurs = defaultdict(list)
             self.indexed_count = 0
@@ -344,18 +349,18 @@ class RupCheckedSolver(_Solver):
         self.seen.marked.clear()
         conflict_level = len(self.trail_lim)
         learned, backjump, lbd = super()._analyze(conflict_idx)
-        levels = [self.level[abs(lit)] for lit in learned]
-        assert levels[0] == conflict_level and all(lv < conflict_level for lv in levels[1:])
-        assert backjump == max(levels[1:], default=0)
-        assert lbd == len(set(levels))
-        stray = {self.level[var] for var in self.seen.marked} - set(levels)
-        assert not stray, f"analysis marked variables at levels {stray} outside the clause"
-        assert not any(self.seen), "analysis left variables marked"
         fixed = [lit for lit in self.trail if self.level[abs(lit)] == 0]
         assumed = fixed + [-lit for lit in learned]
         assert unit_propagation_conflicts(self.clauses, self._live_occurrences(), assumed), (
             f"learned clause {learned} is not RUP"
         )
+        levels = [self.level[abs(lit)] for lit in learned]
+        assert levels[0] == conflict_level and all(lv < conflict_level for lv in levels[1:])
+        assert backjump == max(levels[1:], default=0)
+        assert lbd == len(set(levels))
+        assert not any(self.seen), "analysis left variables marked"
+        stray = {self.level[var] for var in self.seen.marked} - set(levels)
+        assert not stray, f"analysis marked variables at levels {stray} outside the clause"
         self.checked += 1
         return learned, backjump, lbd
 
@@ -371,15 +376,15 @@ def test_learned_clauses_are_rup_on_random_formulas():
     assert checked > 0
 
 
-@pytest.mark.parametrize("instance", ["pigeonhole(7, 6)", "m=5 no level"])
-def test_learned_clauses_are_rup_with_learning_and_restarts(instance, request):
-    formula = pigeonhole(7, 6) if instance.startswith("pigeon") else request.getfixturevalue("nolevel_m5")
-    solver = RupCheckedSolver(formula)
-    result = solver.solve(None)
-    assert result.status is SolveStatus.UNSATISFIABLE
-    assert result.restarts > 0
-    # the last conflict comes at level 0, or from a learned unit; neither is analysed
-    assert solver.checked in (result.conflicts - 1, result.conflicts)
+def test_learned_clauses_are_rup_with_learning_and_restarts(nolevel_m5):
+    for formula in (pigeonhole(7, 6), nolevel_m5):
+        solver = RupCheckedSolver(formula)
+        result = solver.solve(None)
+        assert result.status is SolveStatus.UNSATISFIABLE
+        assert result.restarts > 0
+        # the last conflict comes at level 0, or from a learned unit that
+        # contradicts level 0; only the latter is analysed
+        assert solver.checked in (result.conflicts - 1, result.conflicts)
 
 
 class AllVariablesSolver(_Solver):
