@@ -1,9 +1,11 @@
 """Toolkit for the EFX existence question at desk scale.
 
-Subset orders as rank valuations, exhaustive fairness verification, the
-CNF/SMT encodings of "no EFX allocation exists", a small CDCL solver with
-CNF preprocessing, submodular realizations and counterexample extensions,
-and the constructive three-agent tEFX / EF1-and-EEFX algorithm.
+The pipeline encodes "no EFX allocation exists" for three agents as CNF or
+SMT over rank valuations, reduces the CNF (unit propagation, subsumption),
+solves it with a small CDCL solver, decodes a model into valuations,
+verifies an instance by scanning every allocation, and constructs a tEFX
+or EF1-and-EEFX allocation for any three agents.  Submodular realizations
+and extensions to more agents complete the counterexample.
 """
 
 from .allocations import Allocation, count_allocations, enumerate_allocations
@@ -15,14 +17,11 @@ from .decoding import (
 )
 from .encoding import EncodeOptions, clause_counts, encode_formula, num_variables, var_id
 from .fairness import (
-    EnvyGraph,
     eefx_certificate,
-    envy_graph,
     is_ef1_feasible,
     is_efx,
     is_efx_feasible,
     is_tefx_feasible,
-    rotate_cycle,
     strongly_envies,
     violated_condition_count,
 )
@@ -44,7 +43,6 @@ from .valuations import (
     RankValuation,
     RealValuation,
     leveled,
-    perturb_nondegenerate,
     random_monotone_rank_valuation,
     rank_valuation_from_order,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "Allocation",
     "DyadicValuation",
     "EncodeOptions",
-    "EnvyGraph",
     "RankValuation",
     "RealValuation",
     "TriSolveResult",
@@ -67,7 +64,6 @@ __all__ = [
     "eefx_certificate",
     "encode_formula",
     "enumerate_allocations",
-    "envy_graph",
     "equalize_for_valuation",
     "extend_counterexample",
     "find_mms_violations",
@@ -82,10 +78,8 @@ __all__ = [
     "marginal_values",
     "minimal_satisfying_subset",
     "num_variables",
-    "perturb_nondegenerate",
     "random_monotone_rank_valuation",
     "rank_valuation_from_order",
-    "rotate_cycle",
     "solve_three",
     "strongly_envies",
     "submodular_realize",

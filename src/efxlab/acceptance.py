@@ -2,8 +2,8 @@
 
 Each check returns a CheckResult with pass/fail and detail lines; the pytest
 module asserts them and the CLI `selfcheck` subcommand prints them.  The
-expected values are frozen here, together with the tolerances they are
-checked at.
+published figures and their tolerance come from `reference`; the other
+expected values are frozen here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 
 from . import cdcl, reference, smtlib, three_agent, verification
@@ -78,15 +78,16 @@ def check_allocation_counts() -> CheckResult:
 
 
 def check_variable_counts() -> CheckResult:
-    res = _result("2 variable counts (24384 / 97920, m=6 discrepancy flagged)")
-    for m, want in ((7, 24_384), (8, 97_920)):
+    published = reference.PUBLISHED_VARIABLE_COUNTS
+    res = _result(f"2 variable counts ({published[7]} / {published[8]}, m=6 discrepancy flagged)")
+    for m in (7, 8):
         got = num_variables(m)
-        res.details.append(f"m={m}: {got} variables (expected {want})")
-        if got != want:
+        res.details.append(f"m={m}: {got} variables (expected {published[m]})")
+        if got != published[m]:
             res.passed = False
     got6 = num_variables(6)
     notes = clause_counts(EncodeOptions(6, 4)).notes
-    flagged = any("6084" in note for note in notes)
+    flagged = any(str(published[6]) in note for note in notes)
     res.details.append(f"m=6: {got6} variables; discrepancy note present: {flagged}")
     if got6 != 6_048 or not flagged:
         res.passed = False
@@ -214,68 +215,29 @@ def _minimal_sets(clauses: list[tuple[int, ...]]) -> list[frozenset[int]]:
     return kept
 
 
-@dataclass(frozen=True)
-class ClauseTarget:
-    """One published row of clause figures.
-
-    `published` is the configuration the row was published under, and
-    `level_k` the level that reproduces it where that differs.  `generated`
-    is set where the published total is inconsistent with the clause
-    structure: the row then asks for that exact total and for the
-    inconsistency to be flagged in the stats notes.
-    """
-
-    published: EncodeOptions
-    total: int
-    reduced: int
-    level_k: int | None = None
-    generated: int | None = None
-
-    @property
-    def options(self) -> EncodeOptions:
-        if self.level_k is None:
-            return self.published
-        return replace(self.published, level_k=self.level_k)
-
-
-CLAUSE_TARGETS = (
-    ClauseTarget(EncodeOptions(6, 5, False), 461_835, 110_520),
-    ClauseTarget(EncodeOptions(6, 4, False), 189_723, 47_310),
-    ClauseTarget(EncodeOptions(6, 4, True), 189_735, 43_813),
-    ClauseTarget(EncodeOptions(7, 5, True), 2_596_677, 680_779),
-    # Published as k=8, but only k=m-2=6 (the m=7 row's rule) reaches the
-    # reduced total, exactly; k=7 and k=8 reduce to 11,118,719 and
-    # 11,768,738.  The published total is one digit off the k=6 count, and
-    # no level gives it (mod 3; see reference.py).
-    ClauseTarget(
-        EncodeOptions(8, 8, True), 29_202_318, 8_138_126, level_k=6, generated=29_002_318
-    ),
-)
-
-
-def clause_total_check(target: ClauseTarget) -> tuple[bool, str]:
-    opts = target.options
+def clause_total_check(row: reference.ClauseRow) -> tuple[bool, str]:
+    """Criterion 3 on one published row, counted at the level that reproduces it."""
+    opts = EncodeOptions(row.m, row.counted_level, row.item_order)
     stats = clause_counts(opts)
     total = stats.total_clauses
-    if target.generated is None:
-        delta = total - target.total
-        ok = abs(delta) <= reference.CLAUSE_TOTAL_TOLERANCE * target.total
-        verdict = f"target {target.total}, delta {delta:+d}"
+    if row.generated is None:
+        delta = total - row.total
+        ok = abs(delta) <= reference.CLAUSE_TOTAL_TOLERANCE * row.total
+        verdict = f"target {row.total}, delta {delta:+d}"
     else:
-        flagged = any(f"{target.total} is inconsistent" in note for note in stats.notes)
-        ok = total == target.generated and flagged
+        flagged = any(f"{row.total} is inconsistent" in note for note in stats.notes)
+        ok = total == row.generated and flagged
         verdict = (
-            f"expected {target.generated}; published {target.total} flagged as "
+            f"expected {row.generated}; published {row.total} flagged as "
             f"inconsistent: {flagged}"
         )
     reduced = reduced_clause_count(opts)
-    ok = ok and reduced == target.reduced
+    ok = ok and reduced == row.reduced
     families = ", ".join(f"{k}={v}" for k, v in stats.family_counts.items())
-    label = target.published
     return ok, (
-        f"published as m={label.m} k={label.level_k} item_order={label.item_order}, "
+        f"published as m={row.m} k={row.level_k} item_order={row.item_order}, "
         f"counted at k={opts.level_k}: {total} ({verdict}); reduced {reduced} "
-        f"(published {target.reduced}); families: {families}"
+        f"(published {row.reduced}); families: {families}"
     )
 
 
@@ -283,8 +245,8 @@ def check_clause_counts() -> CheckResult:
     res = _result(
         "3 clause totals (<= 0.02% of published), exact reduced totals, m=7 monotonicity 6177"
     )
-    for target in CLAUSE_TARGETS:
-        ok, detail = clause_total_check(target)
+    for row in reference.CLAUSE_ROWS:
+        ok, detail = clause_total_check(row)
         res.details.append(("ok  " if ok else "FAIL ") + detail)
         if not ok:
             res.passed = False

@@ -42,8 +42,14 @@ def _open(path: str) -> Iterator[TextIO]:
     """The file at `path` (stdin for "-") open for reading UTF-8 text.
 
     Bytes that do not decode raise NotUtf8Text wherever the reading stops.
+    Stdin is switched to strict decoding, since in UTF-8 mode Python reads
+    it with ``surrogateescape`` and would pass bad bytes on as text.
     """
-    opened = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8")
+    if path == "-":
+        sys.stdin.reconfigure(errors="strict")
+        opened = contextlib.nullcontext(sys.stdin)
+    else:
+        opened = open(path, "r", encoding="utf-8")
     with opened as handle:
         try:
             yield handle

@@ -44,6 +44,7 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
     a witness 3-cycle) if ranks collide, and MonotonicityViolated if the
     order contradicts the subset order.
     """
+    check_good_count(m)
     n_sets = 1 << m
     valuations = []
     for agent in range(NUM_AGENTS):

@@ -44,8 +44,6 @@ from . import reference
 
 NUM_AGENTS = 3
 
-FAMILY_ORDER = ("monotonicity", "transitivity", "item_order", "leveled", "not_efx")
-
 # Clauses formatted per `write` call by the DIMACS stream writer.
 WRITE_BATCH = 8192
 

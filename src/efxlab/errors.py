@@ -14,7 +14,10 @@ class GoodCountOutOfRange(EfxLabError, ValueError):
 
 
 class AgentCountOutOfRange(EfxLabError, ValueError):
-    """The number of agents n is below 1 or above the number of goods m."""
+    """The number of agents n lies outside the range an operation supports.
+
+    Every scan needs 1 <= n <= m; the counterexample extension needs n >= 4.
+    """
 
 
 class LevelOutOfRange(EfxLabError, ValueError):
@@ -40,6 +43,10 @@ class MonotonicityViolated(EfxLabError):
         self.superset = superset
 
 
+class InvalidValues(EfxLabError, ValueError):
+    """A value table has the wrong length, a non-zero empty set or a negative value."""
+
+
 # -- fairness -----------------------------------------------------------------
 
 class OverlappingBundles(EfxLabError):
@@ -56,10 +63,6 @@ class IndexOutOfRange(EfxLabError):
 
 class BadPartitionInput(EfxLabError):
     """Bundle/rest pair does not partition the full good set."""
-
-
-class NotACycle(EfxLabError):
-    """The given agent sequence is not a directed cycle of the envy graph."""
 
 
 # -- input text ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fairness predicates and envy-graph machinery.
+"""Fairness predicates: EFX, its per-bundle variants and the EEFX certificate.
 
 `efx_conditions` is the one definition of the EFX condition, v_i(X_j - g)
 <= v_i(X_i) for every agent i, other bundle X_j and good g in X_j.  The CNF
@@ -16,26 +16,17 @@ valuations are handled by the strictness of the inequalities themselves
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import Protocol
 
 from .allocations import Allocation
 from .bitset import full_set, singleton_bits, submasks
-from .errors import ArityMismatch, BadPartitionInput, IndexOutOfRange, NotACycle, OverlappingBundles
+from .errors import ArityMismatch, BadPartitionInput, IndexOutOfRange, OverlappingBundles
 
 
 class Valuation(Protocol):
     m: int
 
     def value(self, mask: int) -> object: ...
-
-
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed graph with an edge (i, j) whenever agent i envies agent j."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
 
 
 def strongly_envies(v: Valuation, own: int, other: int) -> bool:
@@ -173,73 +164,3 @@ def eefx_certificate(
 
     return split(rest, n - 1, [])
 
-
-def envy_graph(allocation: Allocation, valuations: Sequence[Valuation]) -> EnvyGraph:
-    _check_arity(allocation, valuations)
-    edges = set()
-    for i, v in enumerate(valuations):
-        own_value = v.value(allocation.bundles[i])
-        for j, other in enumerate(allocation.bundles):
-            if i != j and v.value(other) > own_value:
-                edges.add((i, j))
-    return EnvyGraph(allocation.n, frozenset(edges))
-
-
-def find_envy_cycle(graph: EnvyGraph) -> list[int] | None:
-    """Some directed cycle, or None; deterministic lowest-vertex-first DFS."""
-    succ: dict[int, list[int]] = {i: [] for i in range(graph.n)}
-    for i, j in sorted(graph.edges):
-        succ[i].append(j)
-    state = {i: 0 for i in range(graph.n)}  # 0 new, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-
-    for root in range(graph.n):
-        if state[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if state[nxt] == 0:
-                    parent[nxt] = node
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return None
-
-
-def rotate_cycle(
-    allocation: Allocation, valuations: Sequence[Valuation], cycle: Sequence[int]
-) -> Allocation:
-    """Give each agent on the cycle the bundle it envies (its successor's).
-
-    The bundle multiset is unchanged and every on-cycle agent strictly gains,
-    so repeated rotation terminates.
-    """
-    _check_arity(allocation, valuations)
-    if len(cycle) < 2 or len(set(cycle)) != len(cycle):
-        raise NotACycle("cycle must list at least two distinct agents")
-    edges = envy_graph(allocation, valuations).edges
-    for pos, agent in enumerate(cycle):
-        nxt = cycle[(pos + 1) % len(cycle)]
-        if (agent, nxt) not in edges:
-            raise NotACycle(f"({agent}, {nxt}) is not an envy edge")
-    bundles = list(allocation.bundles)
-    for pos, agent in enumerate(cycle):
-        nxt = cycle[(pos + 1) % len(cycle)]
-        bundles[agent] = allocation.bundles[nxt]
-    return Allocation(allocation.m, tuple(bundles))

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bitset import cardinality, full_set, singleton_bits, submasks
+from .errors import AgentCountOutOfRange
 from .valuations import RankValuation, RealValuation
 
 
@@ -74,7 +75,7 @@ def extend_counterexample(base: Sequence[RankValuation], n: int) -> list[RealVal
     if any(v.m != 8 for v in base):
         raise ValueError("base valuations must be over 8 goods")
     if n < 4:
-        raise ValueError("extension is defined for n >= 4 agents")
+        raise AgentCountOutOfRange(f"extension is defined for n >= 4 agents, got n={n}")
     base_m = 8
     m = n + 5
     base_mask = full_set(base_m)

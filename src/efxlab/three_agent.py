@@ -118,34 +118,33 @@ def transfer_split(v: RankValuation, first: int, third: int) -> tuple[int, int]:
         third |= move
 
 
-class _Verifier:
-    """Independent re-derivation of the result tag via the fairness module."""
+def _confirm_tefx(valuations: Sequence[RankValuation], bundles: tuple[int, int, int]) -> None:
+    """Re-derive a tEFX tag with the fairness predicates, independently of the loop."""
+    allocation = Allocation(valuations[0].m, bundles)
+    allocation.validate()
+    for agent, v in enumerate(valuations):
+        if not fairness.is_tefx_feasible(v, agent, allocation):
+            raise InvariantBroken(f"claimed tEFX fails for agent {agent}")
 
-    def __init__(self, valuations: Sequence[RankValuation]) -> None:
-        self.valuations = list(valuations)
-        self.m = valuations[0].m
 
-    def confirm_tefx(self, bundles: tuple[int, int, int]) -> None:
-        allocation = Allocation(self.m, bundles)
-        allocation.validate()
-        for agent, v in enumerate(self.valuations):
-            if not fairness.is_tefx_feasible(v, agent, allocation):
-                raise InvariantBroken(f"claimed tEFX fails for agent {agent}")
-
-    def confirm_ef1_eefx(self, bundles: tuple[int, int, int]) -> dict[int, tuple[int, ...]]:
-        allocation = Allocation(self.m, bundles)
-        allocation.validate()
-        certificates: dict[int, tuple[int, ...]] = {}
-        for agent, v in enumerate(self.valuations):
-            if not fairness.is_ef1_feasible(v, agent, allocation):
-                raise InvariantBroken(f"claimed EF1 fails for agent {agent}")
-            own = bundles[agent]
-            rest = ((1 << self.m) - 1) ^ own
-            certificate = fairness.eefx_certificate(v, own, rest, 3)
-            if certificate is None:
-                raise InvariantBroken(f"claimed EEFX fails for agent {agent}")
-            certificates[agent] = certificate
-        return certificates
+def _confirm_ef1_eefx(
+    valuations: Sequence[RankValuation], bundles: tuple[int, int, int]
+) -> dict[int, tuple[int, ...]]:
+    """Re-derive an EF1&EEFX tag; returns each agent's EEFX certificate."""
+    m = valuations[0].m
+    allocation = Allocation(m, bundles)
+    allocation.validate()
+    certificates: dict[int, tuple[int, ...]] = {}
+    for agent, v in enumerate(valuations):
+        if not fairness.is_ef1_feasible(v, agent, allocation):
+            raise InvariantBroken(f"claimed EF1 fails for agent {agent}")
+        own = bundles[agent]
+        rest = ((1 << m) - 1) ^ own
+        certificate = fairness.eefx_certificate(v, own, rest, 3)
+        if certificate is None:
+            raise InvariantBroken(f"claimed EEFX fails for agent {agent}")
+        certificates[agent] = certificate
+    return certificates
 
 
 def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
@@ -160,8 +159,7 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     m = valuations[0].m
     if any(v.m != m for v in valuations) or m < 3:
         raise ValueError("valuations must share a good count m >= 3")
-    v0, v1, v2 = valuations
-    verifier = _Verifier(valuations)
+    v0 = valuations[0]
 
     round_robin = [0, 0, 0]
     for good in range(m):
@@ -171,12 +169,13 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     bound = count_allocations(3, m) + 1
     potential: int | None = None
     for iteration in range(1, bound + 1):
-        exit_bundles = _try_direct_tefx(partition, valuations)
+        feasible = _feasible_sets(partition, valuations)
+        exit_bundles = _try_direct_tefx(partition, feasible)
         if exit_bundles is not None:
-            verifier.confirm_tefx(exit_bundles)
+            _confirm_tefx(valuations, exit_bundles)
             return TriSolveResult(m, exit_bundles, TAG_TEFX, iteration)
 
-        partition = _relabel(partition, valuations)
+        partition = _relabel(partition, feasible, v0)
         new_potential = v0.rank[partition[0]]
         if potential is not None and new_potential <= potential:
             raise InvariantBroken("potential failed to increase")
@@ -184,10 +183,10 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
 
         outcome, payload = _dispatch(partition, valuations)
         if outcome == "tefx":
-            verifier.confirm_tefx(payload)
+            _confirm_tefx(valuations, payload)
             return TriSolveResult(m, payload, TAG_TEFX, iteration)
         if outcome == "ef1_eefx":
-            certificates = verifier.confirm_ef1_eefx(payload)
+            certificates = _confirm_ef1_eefx(valuations, payload)
             return TriSolveResult(m, payload, TAG_EF1_EEFX, iteration, certificates)
         partition = payload
     raise NonTermination(f"no result within {bound} iterations")
@@ -199,6 +198,7 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
 def _feasible_sets(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
 ) -> tuple[list[int], ...]:
+    """Per agent, the indices of the bundles that agent finds tEFX-feasible."""
     allocation = Allocation(valuations[0].m, tuple(partition))
     return tuple(
         [j for j in range(3) if fairness.is_tefx_feasible(v, j, allocation)] for v in valuations
@@ -206,7 +206,7 @@ def _feasible_sets(
 
 
 def _try_direct_tefx(
-    partition: tuple[int, int, int], valuations: Sequence[RankValuation]
+    partition: tuple[int, int, int], feasible: tuple[list[int], ...]
 ) -> tuple[int, int, int] | None:
     """Assign distinct acceptable bundles to agents 1 and 2 when possible.
 
@@ -214,7 +214,7 @@ def _try_direct_tefx(
     while the leftover is tEFX-feasible for agent 0; failure certifies that
     both agents accept exactly one common bundle.
     """
-    tefx0, tefx1, tefx2 = _feasible_sets(partition, valuations)
+    tefx0, tefx1, tefx2 = feasible
     for b1 in tefx1:
         for b2 in tefx2:
             if b1 == b2:
@@ -226,16 +226,15 @@ def _try_direct_tefx(
 
 
 def _relabel(
-    partition: tuple[int, int, int], valuations: Sequence[RankValuation]
+    partition: tuple[int, int, int], feasible: tuple[list[int], ...], v0: RankValuation
 ) -> tuple[int, int, int]:
     """Put the unique common tEFX bundle last, sort the rest by agent 0's rank."""
-    _, tefx1, tefx2 = _feasible_sets(partition, valuations)
+    _, tefx1, tefx2 = feasible
     if tefx1 != tefx2 or len(tefx1) != 1:
         raise InvariantBroken("direct exit failed without a unique common bundle")
     common = tefx1[0]
-    rest = sorted((j for j in range(3) if j != common), key=lambda j: valuations[0].rank[partition[j]])
+    rest = sorted((j for j in range(3) if j != common), key=lambda j: v0.rank[partition[j]])
     relabeled = (partition[rest[0]], partition[rest[1]], partition[common])
-    v0 = valuations[0]
     allocation = Allocation(v0.m, relabeled)
     if not (
         fairness.is_efx_feasible(v0, 0, allocation)

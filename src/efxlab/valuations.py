@@ -3,7 +3,10 @@
 The canonical non-degenerate valuation is a *rank valuation*: a monotone
 bijection from all ``2^m`` subsets onto the ranks ``0 .. 2^m - 1``.  Making
 non-degeneracy structural keeps every fairness predicate a pure rank
-comparison; no numeric values are needed anywhere downstream.
+comparison; no numeric values are needed anywhere downstream.  Real-valued
+tables may be degenerate; the extension instances use them.
+`monotonicity_violation` is the one monotonicity check: both `validate`
+methods raise on it, and `verification.verify` reports from it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import cardinality, check_good_count, singleton_bits
-from .errors import LevelOutOfRange, MonotonicityViolated, NotAPermutation
+from .errors import InvalidValues, LevelOutOfRange, MonotonicityViolated, NotAPermutation
+
+
+def monotonicity_violation(values: Sequence, m: int) -> tuple[int, int] | None:
+    """The first (sub, sup), sup = sub plus one good, with values[sub] > values[sup].
+
+    Pairs come by ascending sub, then ascending added good; None when the
+    table is monotone.  On a rank table, a bijection, ``>`` is ``>=``.
+    """
+    n_sets = 1 << m
+    for sub in range(n_sets):
+        for bit in singleton_bits(~sub & (n_sets - 1)):
+            if values[sub] > values[sub | bit]:
+                return sub, sub | bit
+    return None
 
 
 @dataclass(frozen=True)
@@ -38,11 +55,9 @@ class RankValuation:
         n_sets = 1 << self.m
         if len(self.rank) != n_sets or sorted(self.rank) != list(range(n_sets)):
             raise NotAPermutation(f"rank table is not a bijection on 0..{n_sets - 1}")
-        for sub in range(n_sets):
-            for bit in singleton_bits(~sub & (n_sets - 1)):
-                sup = sub | bit
-                if self.rank[sub] >= self.rank[sup]:
-                    raise MonotonicityViolated(sub, sup)
+        violation = monotonicity_violation(self.rank, self.m)
+        if violation is not None:
+            raise MonotonicityViolated(*violation)
 
 
 @dataclass(frozen=True)
@@ -58,15 +73,14 @@ class RealValuation:
     def validate(self) -> None:
         n_sets = 1 << self.m
         if len(self.values) != n_sets:
-            raise ValueError(f"expected {n_sets} values, got {len(self.values)}")
+            raise InvalidValues(f"expected {n_sets} values, got {len(self.values)}")
         if self.values[0] != 0:
-            raise ValueError("empty set must have value 0")
+            raise InvalidValues("empty set must have value 0")
         if any(v < 0 for v in self.values):
-            raise ValueError("values must be non-negative")
-        for sub in range(n_sets):
-            for bit in singleton_bits(~sub & (n_sets - 1)):
-                if self.values[sub] > self.values[sub | bit]:
-                    raise MonotonicityViolated(sub, sub | bit)
+            raise InvalidValues("values must be non-negative")
+        violation = monotonicity_violation(self.values, self.m)
+        if violation is not None:
+            raise MonotonicityViolated(*violation)
 
 
 def rank_valuation_from_order(m: int, order: Sequence[int]) -> RankValuation:
@@ -117,28 +131,6 @@ def random_monotone_rank_valuation(m: int, seed: int) -> RankValuation:
     return RankValuation(m, tuple(rank))
 
 
-def perturb_nondegenerate(v: RealValuation) -> RealValuation:
-    """Non-degenerate, order-refining rescaling of a monotone valuation.
-
-    Returns v' with v'(S) = C*v(S) + sum(2^i for good i in S), where C is the
-    smallest power of two making any two distinct values of v at least 2^m
-    apart after scaling.  Ties of v are broken by the additive term, strict
-    comparisons of v are preserved, and the result is monotone.
-    """
-    n_sets = 1 << v.m
-    distinct = sorted(set(v.values))
-    min_gap = min(
-        (b - a for a, b in zip(distinct, distinct[1:])),
-        default=None,
-    )
-    scale = 1
-    if min_gap is not None:
-        while scale * min_gap < n_sets:
-            scale *= 2
-    values = tuple(scale * Fraction(v.values[mask]) + mask for mask in range(n_sets))
-    return RealValuation(v.m, values)
-
-
 def leveled(v: RankValuation, k: int) -> RankValuation:
     """Rank valuation where size >= k sets dominate all strictly smaller sets.
 
@@ -154,12 +146,6 @@ def leveled(v: RankValuation, k: int) -> RankValuation:
         key=lambda mask: (cardinality(mask), mask),
     )
     return rank_valuation_from_order(v.m, low + high)
-
-
-def numeric_order_valuation(m: int) -> RankValuation:
-    """rank[S] = S: the order in which set numbers increase."""
-    check_good_count(m)
-    return RankValuation(m, tuple(range(1 << m)))
 
 
 def as_real(v: RankValuation) -> RealValuation:

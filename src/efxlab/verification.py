@@ -28,7 +28,7 @@ from multiprocessing import Pool
 from .allocations import class_pairs, coded_bundles, count_allocations, count_ordered_codes_below
 from .bitset import cardinality, singleton_bits, submasks
 from .fairness import Valuation
-from .valuations import RankValuation
+from .valuations import RankValuation, monotonicity_violation
 
 
 @dataclass
@@ -92,15 +92,6 @@ class VerifyReport:
 def value_tables(valuations: Sequence[Valuation]) -> list[list[int]]:
     n_sets = 1 << valuations[0].m
     return [[v.value(mask) for mask in range(n_sets)] for v in valuations]
-
-
-def _is_monotone_table(table: list[int], m: int) -> bool:
-    n_sets = 1 << m
-    for mask in range(n_sets):
-        for bit in singleton_bits(~mask & (n_sets - 1)):
-            if table[mask] > table[mask | bit]:
-                return False
-    return True
 
 
 def identical_classes(tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -207,7 +198,7 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     n, m = len(valuations), valuations[0].m
     expected = count_allocations(n, m)
     tables = value_tables(valuations)
-    monotone = tuple(_is_monotone_table(table, m) for table in tables)
+    monotone = tuple(monotonicity_violation(table, m) is None for table in tables)
     report = VerifyReport(n, m, monotone)
     classes = identical_classes(tables)
     scan = _scan_plan(tables, m, classes)
@@ -286,16 +277,9 @@ def iter_mms_violations(v: RankValuation) -> Iterator[tuple[int, int, int, int]]
                     yield (c, d, a, b)
 
 
-def find_mms_violations(
-    v: RankValuation, limit: int | None = None
-) -> list[tuple[int, int, int, int]]:
-    """First `limit` canonical MMS violations (all of them when limit is None)."""
-    found = []
-    for quad in iter_mms_violations(v):
-        found.append(quad)
-        if limit is not None and len(found) >= limit:
-            break
-    return found
+def find_mms_violations(v: RankValuation) -> list[tuple[int, int, int, int]]:
+    """All canonical MMS violations, in `iter_mms_violations` order."""
+    return list(iter_mms_violations(v))
 
 
 def count_mms_violation_tuples(v: RankValuation) -> int:

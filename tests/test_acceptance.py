@@ -1,18 +1,16 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
-The clause-total criterion is split per published row so its outcome is
-visible per configuration; each row also asserts its published reduced total
-exactly, through `acceptance.reduced_clause_count`, which is checked against
-`preprocess` here.  The row published as m=8, k=8 is reproduced at k=6: that
-level alone reaches its reduced total of 8138126 exactly, and its generated
-total 29002318 is one digit off the published 29202318, a figure that the
-mod-3 structure of the clause families rules out at every level.  The row
-keeps its published label, and the inconsistency must be flagged in the notes.
+The clause-total criterion is split per published row of
+`reference.CLAUSE_ROWS` so its outcome is visible per configuration; each
+row also asserts its published reduced total exactly, through
+`acceptance.reduced_clause_count`, which is checked against `preprocess`
+here.  Rows keep their published labels; `reference` explains the m=8 row,
+published as k=8 and counted at k=6.
 """
 
 import pytest
 
-from efxlab import acceptance
+from efxlab import acceptance, reference
 from efxlab.encoding import EncodeOptions, encode_formula
 from efxlab.simplify import preprocess
 
@@ -33,12 +31,12 @@ def test_criterion_2_variable_counts():
 
 
 @pytest.mark.parametrize(
-    "target",
-    [pytest.param(t, id=f"m{t.published.m}_k{t.published.level_k}_{t.published.item_order}")
-     for t in acceptance.CLAUSE_TARGETS],
+    "row",
+    [pytest.param(row, id=f"m{row.m}_k{row.level_k}_{row.item_order}")
+     for row in reference.CLAUSE_ROWS],
 )
-def test_criterion_3_clause_totals(target):
-    ok, detail = acceptance.clause_total_check(target)
+def test_criterion_3_clause_totals(row):
+    ok, detail = acceptance.clause_total_check(row)
     assert ok, detail
 
 

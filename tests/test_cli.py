@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -13,7 +14,12 @@ from efxlab.decoding import (
     load_value_blocks,
 )
 from efxlab.dimacs import parse_dimacs, parse_model
-from efxlab.valuations import as_real, random_monotone_rank_valuation
+from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
+
+
+def stdin_from(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin: UTF-8 with surrogateescape, no newline translation."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
 @pytest.fixture()
@@ -39,6 +45,26 @@ def test_stats_json_reports_reference_match(capsys):
     assert payload["total_clauses"] == 461_835
     assert any("matches" in note for note in payload["notes"])
     assert any("6084" in note for note in payload["notes"])
+
+
+# sha256 of the concatenated `stats --json` output of these configurations,
+# frozen so that the published figures and their notes stay byte-identical.
+STATS_CONFIGS = (
+    ["-m", "6", "-k", "5"],
+    ["-m", "6", "-k", "4"],
+    ["-m", "6", "-k", "4", "--item-order"],
+    ["-m", "7", "-k", "5", "--item-order"],
+    ["-m", "8", "-k", "6", "--item-order"],
+    ["-m", "8", "-k", "8", "--item-order"],
+    ["-m", "5", "-k", "3"],
+)
+STATS_DIGEST = "382b336d24c3f7af7b3c3621e24325c87ac7d9187a37780992f8404eccb35250"
+
+
+def test_stats_json_output_is_pinned(capsys):
+    for flags in STATS_CONFIGS:
+        assert main(["stats", *flags, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STATS_DIGEST
 
 
 def test_sat_and_decode_pipeline(tmp_path, capsys):
@@ -76,10 +102,10 @@ def test_sat_model_lines_parse_back(tmp_path, capsys, num_vars):
 
 def test_sat_and_preprocess_read_stdin(tmp_path, monkeypatch, capsys):
     text = "c from stdin\r\np cnf 3 3\r\n1 0\r\n1 2\r\n0 -1 3 0\r\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_from(text.encode()))
     assert main(["sat", "-i", "-"]) == 0
     assert parse_model(capsys.readouterr().out).values == {1: True, 2: False, 3: True}
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_from(text.encode()))
     assert main(["preprocess", "-i", "-", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["input_clauses"] == 3 and payload["output_clauses"] == 0
@@ -102,12 +128,18 @@ def test_negative_header_counts_exit_one_with_one_error_line(tmp_path, capsys, c
         (["sat", "-i"], b"p cnf 1 1\n\xff 0\n"),
         (["preprocess", "-i"], b"p cnf 1 1\n\xff 0\n"),
         (["verify", "-m", "3", "--vals"], b"0 000\xff 1\n"),
+        (["sat", "-i", "-"], b"p cnf 1 1\n\xff 0\n"),
     ],
 )
-def test_non_utf8_input_exits_one_with_one_error_line(tmp_path, capsys, argv, data):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(data)
-    assert main([*argv, str(path)]) == 1
+def test_non_utf8_input_exits_one_with_one_error_line(tmp_path, monkeypatch, capsys, argv, data):
+    if argv[-1] == "-":
+        path = "-"
+        monkeypatch.setattr("sys.stdin", stdin_from(data))
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        argv = [*argv, str(path)]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n"
@@ -237,6 +269,31 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        pytest.param(
+            ["verify", "--extended", "--vals"], dump_value_blocks([RealValuation(3, (1,) * 8)]),
+            "empty set must have value 0", id="empty-set-valued",
+        ),
+        pytest.param(
+            ["verify", "--extended", "--vals"], dump_value_blocks([RealValuation(3, (0, -1) + (0,) * 6)]),
+            "values must be non-negative", id="negative-value",
+        ),
+        pytest.param(["decode", "-m", "-1", "-i"], "v 1 0\n", "good count m=-1", id="decode-m-1"),
+        pytest.param(["decode", "-m", "0", "-i"], "v 1 0\n", "good count m=0", id="decode-m0"),
+    ],
+)
+def test_invalid_values_and_counts_exit_one_with_one_error_line(tmp_path, capsys, argv, text, named):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_more_agents_than_goods_exits_one_with_one_error_line(tmp_path, capsys):
     v = as_real(random_monotone_rank_valuation(3, 9))
     path = tmp_path / "four_agents_three_goods.txt"
@@ -258,6 +315,7 @@ def test_more_agents_than_goods_exits_one_with_one_error_line(tmp_path, capsys):
         ("submodular", ["-n", "0"], "at least one agent"),
         ("submodular", ["--agent", "3"], "agent 3 outside 0..2"),
         ("submodular", ["--agent", "-1"], "agent -1 outside 0..2"),
+        ("extend", ["-n", "3"], "n >= 4 agents, got n=3"),
     ],
 )
 def test_out_of_range_counts_on_valuation_files_exit_one(counterexample_file, capsys, command, flags, named):

@@ -3,20 +3,19 @@ import pytest
 from efxlab.allocations import Allocation, enumerate_allocations
 from efxlab.bitset import full_set
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import ArityMismatch, NotACycle, OverlappingBundles
+from efxlab.errors import ArityMismatch, OverlappingBundles
 from efxlab.fairness import (
     eefx_certificate,
-    envy_graph,
-    find_envy_cycle,
     is_ef1_feasible,
     is_efx,
     is_efx_feasible,
     is_tefx_feasible,
-    rotate_cycle,
     strongly_envies,
     violated_condition_count,
 )
-from efxlab.valuations import numeric_order_valuation, random_monotone_rank_valuation
+from efxlab.valuations import random_monotone_rank_valuation
+
+from conftest import numeric_order_valuation
 
 
 def test_strong_envy_needs_a_removable_good():
@@ -136,58 +135,6 @@ def test_eefx_certificate_input_validation():
     v = random_monotone_rank_valuation(4, 13)
     with pytest.raises(BadPartitionInput):
         eefx_certificate(v, 0b0011, 0b0110, 3)
-
-
-def test_envy_free_allocation_has_empty_graph():
-    from efxlab.valuations import rank_valuation_from_order
-
-    # each agent's own singleton ranks above the other singletons
-    tops = {
-        0: rank_valuation_from_order(3, [0, 2, 4, 1, 6, 3, 5, 7]),
-        1: rank_valuation_from_order(3, [0, 1, 4, 2, 5, 3, 6, 7]),
-        2: rank_valuation_from_order(3, [0, 1, 2, 4, 3, 5, 6, 7]),
-    }
-    allocation = Allocation(3, (1, 2, 4))
-    assert not envy_graph(allocation, [tops[0], tops[1], tops[2]]).edges
-
-
-def test_two_cycle_rotation_swaps_bundles():
-    # agent 0 holds {g1} but prefers {g0}; agent 1 holds {g0} but prefers {g1}
-    from efxlab.valuations import rank_valuation_from_order
-
-    a = rank_valuation_from_order(3, [0, 2, 1, 4, 3, 5, 6, 7])
-    b = numeric_order_valuation(3)
-    allocation = Allocation(3, (2, 1, 4))
-    graph = envy_graph(allocation, [a, b, b])
-    assert (0, 1) in graph.edges and (1, 0) in graph.edges
-    rotated = rotate_cycle(allocation, [a, b, b], [0, 1])
-    assert rotated.bundles == (1, 2, 4)
-
-
-def test_rotate_rejects_non_cycles():
-    v = random_monotone_rank_valuation(3, 3)
-    allocation = Allocation(3, (1, 2, 4))
-    with pytest.raises(NotACycle):
-        rotate_cycle(allocation, [v, v, v], [0, 1])
-    with pytest.raises(NotACycle):
-        rotate_cycle(allocation, [v, v, v], [0])
-
-
-def test_repeated_rotation_terminates_with_strict_gains():
-    vals = [random_monotone_rank_valuation(5, 300 + j) for j in range(3)]
-    for start in list(enumerate_allocations(3, 5))[::11]:
-        allocation = start
-        for _ in range(200):
-            graph = envy_graph(allocation, vals)
-            cycle = find_envy_cycle(graph)
-            if cycle is None:
-                break
-            before = sum(v.value(allocation.bundles[i]) for i, v in enumerate(vals))
-            allocation = rotate_cycle(allocation, vals, cycle)
-            after = sum(v.value(allocation.bundles[i]) for i, v in enumerate(vals))
-            assert after > before
-        else:
-            pytest.fail("envy-cycle rotation did not terminate")
 
 
 def test_nondegenerate_efx_allocations_have_no_empty_bundles():

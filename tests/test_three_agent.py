@@ -8,6 +8,7 @@ states for the final case, one exiting at the direct certificate check and
 one traversing the witnessed-transfer branch to the certificate exit.
 """
 
+import hashlib
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -20,19 +21,17 @@ from efxlab.errors import PredicateFailsOnPool, SetupViolated
 from efxlab.three_agent import (
     TAG_EF1_EEFX,
     TAG_TEFX,
+    _confirm_ef1_eefx,
     _dispatch,
     _repair_middle,
-    _Verifier,
     equalize_for_valuation,
     minimal_satisfying_subset,
     solve_three,
     transfer_split,
 )
-from efxlab.valuations import (
-    numeric_order_valuation,
-    random_monotone_rank_valuation,
-    rank_valuation_from_order,
-)
+from efxlab.valuations import random_monotone_rank_valuation, rank_valuation_from_order
+
+from conftest import numeric_order_valuation
 
 
 def lattice_order_with(m, extra_edges, weights):
@@ -203,6 +202,26 @@ def test_random_campaign_terminates_within_bound():
             assert result.iterations <= bound
 
 
+# sha256 of (tag, bundles, iterations, certificates) over criterion 10's 600
+# seeded runs and the counterexample, frozen so that a refactor of the loop
+# leaves every result unchanged.
+RESULTS_DIGEST = "ac3d73b6329923457b428a1359420a65ffed25b32ea0d1577957447f2666c7f9"
+
+
+def test_results_are_pinned():
+    instances = [
+        [random_monotone_rank_valuation(m, seed * 3 + j) for j in range(3)]
+        for m in (4, 5, 6)
+        for seed in range(200)
+    ]
+    instances.append(load_bundled_counterexample())
+    digest = hashlib.sha256()
+    for vals in instances:
+        r = solve_three(vals)
+        digest.update(repr((r.tag, r.bundles, r.iterations, r.certificates)).encode())
+    assert digest.hexdigest() == RESULTS_DIGEST
+
+
 @pytest.mark.parametrize(
     "m,seed",
     [
@@ -295,7 +314,7 @@ def test_final_case_direct_certificate_exit():
     outcome, payload = _dispatch(partition, vals)
     assert outcome == "ef1_eefx"
     assert payload == partition  # agent 1 keeps the middle bundle
-    certificates = _Verifier(vals).confirm_ef1_eefx(payload)
+    certificates = _confirm_ef1_eefx(vals, payload)
     assert set(certificates) == {0, 1, 2}
 
 
@@ -309,7 +328,7 @@ def test_final_case_witnessed_transfer_exit():
     assert outcome == "ef1_eefx"
     # agent 1 takes the common bundle, agent 2 the middle one
     assert payload == (partition[0], partition[2], partition[1])
-    _Verifier(vals).confirm_ef1_eefx(payload)
+    _confirm_ef1_eefx(vals, payload)
 
 
 def test_final_case_states_solve_end_to_end():

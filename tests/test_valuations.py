@@ -1,32 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
 from efxlab.bitset import cardinality
 from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
-    RealValuation,
-    as_real,
     leveled,
-    numeric_order_valuation,
-    perturb_nondegenerate,
     random_monotone_rank_valuation,
     rank_valuation_from_order,
 )
 
-
-def check_pairwise_order_preserved(a: RealValuation, b: RealValuation) -> bool:
-    """True iff every strict comparison of a holds in b as well."""
-    n_sets = 1 << a.m
-    for s in range(n_sets):
-        for t in range(n_sets):
-            if a.values[s] < a.values[t] and not b.values[s] < b.values[t]:
-                return False
-    return True
-
-
-def is_nondegenerate(v: RealValuation) -> bool:
-    return len(set(v.values)) == len(v.values)
+from conftest import numeric_order_valuation
 
 
 def test_from_order_binary_numbering_is_identity():
@@ -68,34 +50,6 @@ def test_random_valuation_rejects_out_of_range_m():
         random_monotone_rank_valuation(17, 0)
     with pytest.raises(ValueError):
         random_monotone_rank_valuation(2, 0)
-
-
-def test_perturb_separates_cardinality_ties():
-    # v(S) = |S| on two goods is degenerate on the singletons; the smallest
-    # power of two putting distinct values 2^m apart is 4.
-    v = RealValuation(2, (0, 1, 1, 2))
-    out = perturb_nondegenerate(v)
-    assert out.values == (0, Fraction(5), Fraction(6), Fraction(11))
-    assert out.values[0b01] < out.values[0b10]
-    assert is_nondegenerate(out)
-    out.validate()
-
-
-def test_perturb_preserves_strict_order_and_is_idempotent_up_to_order():
-    base = as_real(random_monotone_rank_valuation(4, 3))
-    once = perturb_nondegenerate(base)
-    twice = perturb_nondegenerate(once)
-    assert check_pairwise_order_preserved(base, once)
-    assert check_pairwise_order_preserved(once, twice)
-    assert check_pairwise_order_preserved(twice, once)
-
-
-def test_perturb_orders_singletons_by_index_on_flat_input():
-    flat = RealValuation(3, tuple(0 if mask != 7 else 1 for mask in range(8)))
-    out = perturb_nondegenerate(flat)
-    assert is_nondegenerate(out)
-    assert out.values[0b001] < out.values[0b010] < out.values[0b100]
-    out.validate()
 
 
 def test_leveled_threshold_above_m_is_identity():

@@ -19,10 +19,9 @@ from efxlab.decoding import load_bundled_counterexample
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
-from efxlab.valuations import as_real, numeric_order_valuation, random_monotone_rank_valuation
+from efxlab.valuations import as_real, monotonicity_violation, random_monotone_rank_valuation
 from efxlab.verification import (
     VerifyReport,
-    _is_monotone_table,
     _scan_plan,
     _scan_range,
     count_mms_violation_tuples,
@@ -33,6 +32,8 @@ from efxlab.verification import (
     value_tables,
     verify,
 )
+
+from conftest import numeric_order_valuation
 
 FEATURED_QUAD = (0b00000110, 0b10010001, 0b00010100, 0b10000011)
 
@@ -131,7 +132,7 @@ def _full_scan(vals):
             efx_count += 1
             if witness_code is None:
                 witness, witness_code = bundles, code
-    monotone = tuple(_is_monotone_table(table, m) for table in tables)
+    monotone = tuple(monotonicity_violation(table, m) is None for table in tables)
     return VerifyReport(n, m, monotone, total, efx_count, hist, witness, witness_code)
 
 
@@ -347,7 +348,7 @@ def test_mms_violation_totals():
 
 def test_mms_violations_respect_limit_and_shape():
     v0 = load_bundled_counterexample()[0]
-    quads = find_mms_violations(v0, limit=25)
+    quads = list(itertools.islice(iter_mms_violations(v0), 25))
     assert len(quads) == 25
     for a, b, c, d in quads:
         assert a | b == c | d and a & b == 0 and c & d == 0
