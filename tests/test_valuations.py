@@ -3,10 +3,14 @@ import pytest
 from efxlab.bitset import cardinality
 from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
+    RealValuation,
+    as_real,
     leveled,
+    monotonicity_violation,
     random_monotone_rank_valuation,
     rank_valuation_from_order,
 )
+from efxlab.verification import verify
 
 from conftest import numeric_order_valuation
 
@@ -30,6 +34,16 @@ def test_from_order_reports_monotonicity_witness():
     with pytest.raises(MonotonicityViolated) as err:
         rank_valuation_from_order(3, order)
     assert (err.value.subset, err.value.superset) == (0, 1)
+
+
+def test_real_tables_and_the_scan_share_the_monotonicity_check():
+    values = (0, 2, 1, 3, 1, 1, 3, 4)  # only v({g0}) > v({g0, g2}) breaks monotonicity
+    assert monotonicity_violation(values, 3) == (1, 5)
+    with pytest.raises(MonotonicityViolated) as err:
+        RealValuation(3, values).validate()
+    assert (err.value.subset, err.value.superset) == (1, 5)
+    fine = as_real(random_monotone_rank_valuation(3, 4))
+    assert verify([fine, RealValuation(3, values), fine]).monotone == (True, False, True)
 
 
 def test_order_roundtrip_is_identity():
