@@ -1,9 +1,11 @@
 """The acceptance suite: one callable check per criterion.
 
-Each check returns a CheckResult with pass/fail and detail lines; the pytest
-module asserts them and the CLI `selfcheck` subcommand prints them.  The
-published figures and their tolerance come from `reference`; the other
-expected values are frozen here.
+Each check returns a CheckResult whose detail lines carry their expectations
+(`CheckResult.record`); the pytest module asserts them and the CLI
+`selfcheck` subcommand prints them.  `ALL_CHECKS` says per criterion whether
+`selfcheck --quick` skips it and whether it takes `jobs`.  The published
+figures and their tolerance come from `reference`; the other expected
+values are frozen here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import cdcl, reference, smtlib, three_agent, verification
 from .allocations import count_allocations, enumerate_bundle_tuples, singleton_histogram
@@ -48,49 +51,45 @@ from .valuations import as_real, random_monotone_rank_valuation
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
+    passed: bool = True
     details: list[str] = field(default_factory=list)
     seconds: float = 0.0
+
+    def record(self, detail: str, ok: bool = True) -> None:
+        """Add a detail line; the check fails if its expectation `ok` is false."""
+        self.details.append(detail)
+        self.passed = self.passed and ok
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name} ({self.seconds:.1f}s)"
 
 
-def _result(name: str) -> CheckResult:
-    return CheckResult(name, True)
-
-
 def check_allocation_counts() -> CheckResult:
-    res = _result("1 allocation counts (540 / 1806 / 5796, singleton split 126/1050/630)")
+    res = CheckResult("1 allocation counts (540 / 1806 / 5796, singleton split 126/1050/630)")
     expected = {(3, 6): 540, (3, 7): 1806, (3, 8): 5796}
     for (n, m), want in expected.items():
         closed = count_allocations(n, m)
         streamed = sum(1 for _ in enumerate_bundle_tuples(n, m))
-        res.details.append(f"(n={n}, m={m}): closed form {closed}, stream {streamed}, expected {want}")
-        if closed != want or streamed != want:
-            res.passed = False
+        res.record(
+            f"(n={n}, m={m}): closed form {closed}, stream {streamed}, expected {want}",
+            closed == want == streamed,
+        )
     hist = singleton_histogram(3, 7)
-    res.details.append(f"m=7 singleton histogram: {hist}")
-    if hist != {2: 126, 1: 1050, 0: 630}:
-        res.passed = False
+    res.record(f"m=7 singleton histogram: {hist}", hist == {2: 126, 1: 1050, 0: 630})
     return res
 
 
 def check_variable_counts() -> CheckResult:
     published = reference.PUBLISHED_VARIABLE_COUNTS
-    res = _result(f"2 variable counts ({published[7]} / {published[8]}, m=6 discrepancy flagged)")
+    res = CheckResult(f"2 variable counts ({published[7]} / {published[8]}, m=6 discrepancy flagged)")
     for m in (7, 8):
         got = num_variables(m)
-        res.details.append(f"m={m}: {got} variables (expected {published[m]})")
-        if got != published[m]:
-            res.passed = False
+        res.record(f"m={m}: {got} variables (expected {published[m]})", got == published[m])
     got6 = num_variables(6)
     notes = clause_counts(EncodeOptions(6, 4)).notes
     flagged = any(str(published[6]) in note for note in notes)
-    res.details.append(f"m=6: {got6} variables; discrepancy note present: {flagged}")
-    if got6 != 6_048 or not flagged:
-        res.passed = False
+    res.record(f"m=6: {got6} variables; discrepancy note present: {flagged}", got6 == 6_048 and flagged)
     return res
 
 
@@ -242,96 +241,88 @@ def clause_total_check(row: reference.ClauseRow) -> tuple[bool, str]:
 
 
 def check_clause_counts() -> CheckResult:
-    res = _result(
+    res = CheckResult(
         "3 clause totals (<= 0.02% of published), exact reduced totals, m=7 monotonicity 6177"
     )
     for row in reference.CLAUSE_ROWS:
         ok, detail = clause_total_check(row)
-        res.details.append(("ok  " if ok else "FAIL ") + detail)
-        if not ok:
-            res.passed = False
+        res.record(("ok  " if ok else "FAIL ") + detail, ok)
     mono7 = clause_counts(EncodeOptions(7, 5, True)).family_counts["monotonicity"]
-    res.details.append(f"m=7 monotonicity family: {mono7} (expected 6177)")
-    if mono7 != 6_177:
-        res.passed = False
+    res.record(f"m=7 monotonicity family: {mono7} (expected 6177)", mono7 == 6_177)
     return res
 
 
 def check_counterexample_verification(jobs: int = 1) -> CheckResult:
-    res = _result("4 counterexample verification (EFX count 0, 272 single-violation)")
+    res = CheckResult("4 counterexample verification (EFX count 0, 272 single-violation)")
     vals = load_bundled_counterexample()
     spots = (vals[0].rank[5], vals[1].rank[16], vals[2].rank[64])
-    res.details.append(f"spot ranks (v0[5], v1[16], v2[64]) = {spots} (expected (54, 1, 1))")
-    if spots != (54, 1, 1):
-        res.passed = False
+    res.record(f"spot ranks (v0[5], v1[16], v2[64]) = {spots} (expected (54, 1, 1))", spots == (54, 1, 1))
     report = verification.verify(vals, jobs=jobs)
-    res.details.append(
+    single = report.violation_histogram.get(1, 0)
+    res.record(
         f"monotone {report.monotone}, scanned {report.total_allocations}, "
-        f"EFX {report.efx_count}, single-violation {report.violation_histogram.get(1, 0)}"
+        f"EFX {report.efx_count}, single-violation {single}",
+        all(report.monotone) and report.total_allocations == 5_796
+        and report.efx_count == 0 and single == 272,
     )
-    if not all(report.monotone) or report.total_allocations != 5_796:
-        res.passed = False
-    if report.efx_count != 0 or report.violation_histogram.get(1, 0) != 272:
-        res.passed = False
     return res
 
 
 def check_analytics() -> CheckResult:
-    res = _result("5 analytics (marginals 11..131, featured quadruple, > 1500 violations)")
+    res = CheckResult("5 analytics (marginals 11..131, featured quadruple, > 1500 violations)")
     v0 = load_bundled_counterexample()[0]
     size4 = verification.marginal_values(v0, 0, 4)
     size3 = verification.marginal_values(v0, 0, 3)
-    res.details.append(f"g0 marginals at result size 4: min {size4[0]}, max {size4[-1]} (expected 11, 131)")
-    res.details.append(f"g0 marginals at result size 3 contain 10: {10 in size3}")
-    if size4[0] != 11 or size4[-1] != 131 or 10 not in size3:
-        res.passed = False
+    res.record(
+        f"g0 marginals at result size 4: min {size4[0]}, max {size4[-1]} (expected 11, 131)",
+        (size4[0], size4[-1]) == (11, 131),
+    )
+    res.record(f"g0 marginals at result size 3 contain 10: {10 in size3}", 10 in size3)
     featured = (0b110, 0b10010001, 0b10100, 0b10000011)
     quads = verification.find_mms_violations(v0)
     values = tuple(v0.rank[s] for s in featured)
-    res.details.append(f"featured quadruple present: {featured in quads}; values {values}")
-    if featured not in quads or values != (77, 59, 40, 53):
-        res.passed = False
+    res.record(
+        f"featured quadruple present: {featured in quads}; values {values}",
+        featured in quads and values == (77, 59, 40, 53),
+    )
     ordered = verification.count_mms_violation_tuples(v0)
-    res.details.append(f"ordered violation tuples: {ordered} (canonical {len(quads)})")
-    if ordered <= 1_500:
-        res.passed = False
+    res.record(f"ordered violation tuples: {ordered} (canonical {len(quads)})", ordered > 1_500)
     return res
 
 
 def check_submodular_realization() -> CheckResult:
-    res = _result("6 submodular realization (all three valuations, supermodular witness)")
+    res = CheckResult("6 submodular realization (all three valuations, supermodular witness)")
     for agent, v in enumerate(load_bundled_counterexample()):
         dyadic = submodular_realize(v)
         ok, witness = is_submodular(dyadic)
-        res.details.append(f"agent {agent}: submodular = {ok}")
+        res.record(f"agent {agent}: submodular = {ok}", ok)
         if not ok:
-            res.passed = False
-            res.details.append(f"  witness: {witness}")
+            res.record(f"  witness: {witness}")
     bad = DyadicValuation(3, tuple(1000 if mask == 7 else (1 if mask else 0) for mask in range(8)))
     ok, witness = is_submodular(bad)
-    res.details.append(f"constructed supermodular input rejected: {not ok}, witness {witness}")
-    if ok or witness is None:
-        res.passed = False
+    res.record(
+        f"constructed supermodular input rejected: {not ok}, witness {witness}",
+        not ok and witness is not None,
+    )
     return res
 
 
 def check_extension(jobs: int = 1) -> CheckResult:
-    res = _result("7 extension (n=4, m=9 and n=5, m=10 exhaustive; one dummy good)")
+    res = CheckResult("7 extension (n=4, m=9 and n=5, m=10 exhaustive; one dummy good)")
     base = load_bundled_counterexample()
     for n, want in ((4, 186_480), (5, 5_103_000)):
         _scan_extension(res, base, n, want, jobs)
     padded = add_dummy_goods([as_real(v) for v in base], 1)
     dummy_report = verification.verify(padded, jobs=jobs)
-    res.details.append(
-        f"3 agents, m=9 with dummy: scanned {dummy_report.total_allocations}, EFX {dummy_report.efx_count}"
+    res.record(
+        f"3 agents, m=9 with dummy: scanned {dummy_report.total_allocations}, EFX {dummy_report.efx_count}",
+        dummy_report.efx_count == 0,
     )
-    if dummy_report.efx_count != 0:
-        res.passed = False
     return res
 
 
 def check_extension_n6(jobs: int = 1) -> CheckResult:
-    res = _result("13 extension (n=6, m=11 exhaustive, 129230640 allocations)")
+    res = CheckResult("13 extension (n=6, m=11 exhaustive, 129230640 allocations)")
     _scan_extension(res, load_bundled_counterexample(), 6, 129_230_640, jobs)
     return res
 
@@ -339,27 +330,25 @@ def check_extension_n6(jobs: int = 1) -> CheckResult:
 def _scan_extension(res: CheckResult, base, n: int, want: int, jobs: int) -> None:
     """Scan the n-agent, (n+5)-good extension: `want` allocations, none EFX."""
     report = verification.verify(extend_counterexample(base, n), jobs=jobs)
-    res.details.append(
+    res.record(
         f"n={n}, m={n + 5}: scanned {report.total_allocations} (expected {want}), "
-        f"EFX {report.efx_count}"
+        f"EFX {report.efx_count}",
+        report.total_allocations == want and report.efx_count == 0,
     )
-    if report.total_allocations != want or report.efx_count != 0:
-        res.passed = False
 
 
 def check_desk_solving() -> CheckResult:
-    res = _result("8 desk-scale solving (m=4 and m=5 UNSAT, preprocess agreement)")
+    res = CheckResult("8 desk-scale solving (m=4 and m=5 UNSAT, preprocess agreement)")
     for m, budget_seconds in ((4, 60.0), (5, 900.0)):
         start = time.monotonic()
         formula = encode_formula(EncodeOptions(m, 2, True))
         outcome = cdcl.solve(formula)
         elapsed = time.monotonic() - start
-        res.details.append(
+        res.record(
             f"m={m}, k=2, item order: {outcome.status.value} in {elapsed:.1f}s "
-            f"({outcome.conflicts} conflicts)"
+            f"({outcome.conflicts} conflicts)",
+            outcome.status is cdcl.SolveStatus.UNSATISFIABLE and elapsed <= budget_seconds,
         )
-        if outcome.status is not cdcl.SolveStatus.UNSATISFIABLE or elapsed > budget_seconds:
-            res.passed = False
     rng = random.Random(20_240_817)
     disagreements = 0
     for _ in range(100):
@@ -372,9 +361,10 @@ def check_desk_solving() -> CheckResult:
             simplified = cdcl.solve(pre.formula).status
         if direct is not simplified:
             disagreements += 1
-    res.details.append(f"preprocess/solve agreement on 100 random formulas: {100 - disagreements}/100")
-    if disagreements:
-        res.passed = False
+    res.record(
+        f"preprocess/solve agreement on 100 random formulas: {100 - disagreements}/100",
+        not disagreements,
+    )
     return res
 
 
@@ -389,7 +379,7 @@ def _random_formula(rng: random.Random) -> CnfFormula:
 
 
 def check_decoder_roundtrip() -> CheckResult:
-    res = _result("9 decoder round-trip (random m<=4 triples, counterexample tables)")
+    res = CheckResult("9 decoder round-trip (random m<=4 triples, counterexample tables)")
     for m in (3, 4):
         triple = [random_monotone_rank_valuation(m, 100 + m * 10 + j) for j in range(3)]
         assignment = assignment_from_ranks(
@@ -397,25 +387,22 @@ def check_decoder_roundtrip() -> CheckResult:
         )
         decoded = decode_valuations(assignment, m)
         same = all(d.rank == v.rank for d, v in zip(decoded, triple))
-        res.details.append(f"m={m} random triple round-trip: {same}")
-        if not same:
-            res.passed = False
+        res.record(f"m={m} random triple round-trip: {same}", same)
     tables = load_bundled_counterexample()
     assignment = assignment_from_ranks(
         [v.rank for v in tables], lambda i, a, b: var_id(i, a, b, 8)
     )
     decoded = decode_valuations(assignment, 8)
     same = all(d.rank == v.rank for d, v in zip(decoded, tables))
-    res.details.append(f"counterexample tables reproduce through decoding: {same}")
-    if not same:
-        res.passed = False
+    res.record(f"counterexample tables reproduce through decoding: {same}", same)
     return res
 
 
 def check_three_agent() -> CheckResult:
-    res = _result("10 three-agent algorithm (600 seeded runs, counterexample instance)")
+    res = CheckResult("10 three-agent algorithm (600 seeded runs, counterexample instance)")
     tags: dict[str, int] = {}
     worst_iterations = 0
+    bounded = True
     for m in (4, 5, 6):
         bound = count_allocations(3, m) + 1
         for seed in range(200):
@@ -423,76 +410,73 @@ def check_three_agent() -> CheckResult:
             outcome = three_agent.solve_three(vals)
             tags[outcome.tag] = tags.get(outcome.tag, 0) + 1
             worst_iterations = max(worst_iterations, outcome.iterations)
-            if outcome.iterations > bound:
-                res.passed = False
-    res.details.append(f"600 runs verified; tags {tags}; max iterations {worst_iterations}")
+            bounded = bounded and outcome.iterations <= bound
+    res.record(f"600 runs verified; tags {tags}; max iterations {worst_iterations}", bounded)
     outcome = three_agent.solve_three(load_bundled_counterexample())
-    res.details.append(f"counterexample instance: {outcome.tag} {outcome.bundles}")
+    res.record(f"counterexample instance: {outcome.tag} {outcome.bundles}")
     return res
 
 
 def check_smt_emission() -> CheckResult:
-    res = _result("11 SMT emission (m=7: 1806 x 14 = 25284; m=4: 36 x 8 = 288)")
+    res = CheckResult("11 SMT emission (m=7: 1806 x 14 = 25284; m=4: 36 x 8 = 288)")
     for m, want_disjuncts, want_inequalities in ((7, 1_806, 25_284), (4, 36, 288)):
         text, stats = smtlib.emit_smtlib(m)
         smtlib.tokenize_balanced(text)
-        res.details.append(
+        res.record(
             f"m={m}: {stats.disjuncts} disjuncts, {stats.inequalities} inequalities, "
-            f"{stats.constants} constants; balanced"
+            f"{stats.constants} constants; balanced",
+            (stats.disjuncts, stats.inequalities) == (want_disjuncts, want_inequalities),
         )
-        if stats.disjuncts != want_disjuncts or stats.inequalities != want_inequalities:
-            res.passed = False
     return res
 
 
 def check_format_roundtrips() -> CheckResult:
-    res = _result("12 format round-trips (DIMACS, valuation blocks, model lines)")
+    res = CheckResult("12 format round-trips (DIMACS, valuation blocks, model lines)")
     formula = encode_formula(EncodeOptions(4, 3, True))
     text = write_dimacs(formula)
     reparsed = parse_dimacs(text)
     dimacs_ok = reparsed.clauses == formula.clauses and write_dimacs(reparsed) == text
-    res.details.append(f"DIMACS write/parse identity: {dimacs_ok}")
-    if not dimacs_ok:
-        res.passed = False
+    res.record(f"DIMACS write/parse identity: {dimacs_ok}", dimacs_ok)
     vals = load_bundled_counterexample()
     blocks_ok = load_rank_blocks(dump_rank_blocks(vals), 3, 8) == vals
-    res.details.append(f"valuation block dump/load identity: {blocks_ok}")
-    if not blocks_ok:
-        res.passed = False
+    res.record(f"valuation block dump/load identity: {blocks_ok}", blocks_ok)
     single = parse_model("s SATISFIABLE\nv 1 -2 3 -4 0\n")
     multi = parse_model("v 1 -2\nv 3\nv -4 0\n")
     model_ok = single.values == multi.values == {1: True, 2: False, 3: True, 4: False}
-    res.details.append(f"single-line and multi-line model blocks agree: {model_ok}")
-    if not model_ok:
-        res.passed = False
+    res.record(f"single-line and multi-line model blocks agree: {model_ok}", model_ok)
     return res
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
-    ("allocations", check_allocation_counts),
-    ("variables", check_variable_counts),
-    ("clauses", check_clause_counts),
-    ("counterexample", check_counterexample_verification),
-    ("analytics", check_analytics),
-    ("submodular", check_submodular_realization),
-    ("extension", check_extension),
-    ("solving", check_desk_solving),
-    ("decoder", check_decoder_roundtrip),
-    ("three-agent", check_three_agent),
-    ("smt", check_smt_emission),
-    ("formats", check_format_roundtrips),
-    ("extension-n6", check_extension_n6),
+class Criterion(NamedTuple):
+    key: str
+    check: Callable[..., CheckResult]
+    slow: bool = False  # `selfcheck --quick` skips it
+    takes_jobs: bool = False  # the check scans allocations with `jobs` workers
+
+
+ALL_CHECKS: tuple[Criterion, ...] = (
+    Criterion("allocations", check_allocation_counts),
+    Criterion("variables", check_variable_counts),
+    Criterion("clauses", check_clause_counts),
+    Criterion("counterexample", check_counterexample_verification, takes_jobs=True),
+    Criterion("analytics", check_analytics),
+    Criterion("submodular", check_submodular_realization),
+    Criterion("extension", check_extension, slow=True, takes_jobs=True),
+    Criterion("solving", check_desk_solving, slow=True),
+    Criterion("decoder", check_decoder_roundtrip),
+    Criterion("three-agent", check_three_agent, slow=True),
+    Criterion("smt", check_smt_emission),
+    Criterion("formats", check_format_roundtrips),
+    Criterion("extension-n6", check_extension_n6, slow=True, takes_jobs=True),
 )
+SLOW_CHECKS = frozenset(c.key for c in ALL_CHECKS if c.slow)
 
 
 def run_all(jobs: int = 1, skip: frozenset[str] = frozenset()) -> Iterator[CheckResult]:
-    for key, check in ALL_CHECKS:
-        if key in skip:
+    for criterion in ALL_CHECKS:
+        if criterion.key in skip:
             continue
         start = time.monotonic()
-        if key in ("counterexample", "extension", "extension-n6"):
-            result = check(jobs=jobs)
-        else:
-            result = check()
+        result = criterion.check(jobs=jobs) if criterion.takes_jobs else criterion.check()
         result.seconds = time.monotonic() - start
         yield result

@@ -189,11 +189,9 @@ def coded_bundles(
         owners[good] = owner + 1
 
 
-def enumerate_bundle_tuples(
-    n: int, m: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_bundle_tuples(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """Raw bundle tuples, ascending by owner code; all bundles non-empty."""
-    for _, bundles in coded_bundles(n, m, start, stop):
+    for _, bundles in coded_bundles(n, m):
         yield bundles
 
 

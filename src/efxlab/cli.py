@@ -273,9 +273,7 @@ def cmd_smt(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    skip = frozenset(
-        {"solving", "extension", "three-agent", "extension-n6"} if args.quick else ()
-    )
+    skip = acceptance.SLOW_CHECKS if args.quick else frozenset()
     results = []
     for result in acceptance.run_all(jobs=args.jobs, skip=skip):
         results.append(result)

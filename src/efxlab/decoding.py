@@ -14,7 +14,7 @@ Text formats:
 * generalized blocks: an ``n m`` header line followed by n blocks of 2^m
   lines ``<set-number> <bitstring> <value>`` sorted by set number; values are
   arbitrary non-negative integers (used for degenerate extension instances).
-* dyadic dump: 2^m lines ``<set-number> <decimal integer>``.
+* dyadic dump: 2^m lines ``<set-number> <non-negative decimal integer>``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     AgentCountOutOfRange,
     BitstringMismatch,
     IncompleteAssignment,
+    InvalidValues,
     LineCountMismatch,
     MalformedValuationLine,
     NotATotalOrder,
@@ -190,10 +191,13 @@ def load_dyadic(text: str) -> tuple[int, tuple[int, ...]]:
     m = (len(rows) - 1).bit_length()
     if len(rows) != 1 << m:
         raise LineCountMismatch(f"line count {len(rows)} is not a power of two")
+    check_good_count(m)
     values = [0] * len(rows)
     for offset, row in enumerate(rows):
         mask, value = _parse_line(row)
         if mask != offset:
             raise LineCountMismatch(f"expected set {offset}, got {mask}")
+        if value < 0:
+            raise InvalidValues(f"line {row[0]}: values must be non-negative")
         values[mask] = value
     return m, tuple(values)

@@ -168,7 +168,7 @@ def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
     lines = [f"c {comment}" for comment in comments]
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines.append(" ".join([*map(str, clause), "0"]))
     return "\n".join(lines) + "\n"
 
 

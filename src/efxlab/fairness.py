@@ -1,11 +1,14 @@
 """Fairness predicates: EFX, its per-bundle variants and the EEFX certificate.
 
-`efx_conditions` is the one definition of the EFX condition, v_i(X_j - g)
-<= v_i(X_i) for every agent i, other bundle X_j and good g in X_j.  The CNF
+Each condition is written once.  `efx_conditions` defines EFX, v_i(X_j - g)
+<= v_i(X_i) for every agent i, other bundle X_j and good g in X_j; the CNF
 and SMT encodings negate it and `violated_condition_count` counts its
 failures.  The allocation scan in `verification` counts the same failures
 from sorted per-agent tables of v_i(Y - g), one bisect per agent pair (see
 its `_scan_range`); tests hold its histogram to `violated_condition_count`.
+`strong_envy_witness` (a removal that still beats a value) and
+`transfer_witness` (the tEFX transfer test) back every other predicate here
+and the reallocation, transfer split and witness good of `three_agent`.
 
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate
@@ -29,15 +32,31 @@ class Valuation(Protocol):
     def value(self, mask: int) -> object: ...
 
 
+def strong_envy_witness(v: Valuation, value: object, other: int) -> int:
+    """The lowest good g of `other` with v(other - g) > value, else 0."""
+    for bit in singleton_bits(other):
+        if v.value(other ^ bit) > value:
+            return bit
+    return 0
+
+
+def transfer_witness(v: Valuation, own: int, other: int) -> int:
+    """The lowest good g of `other` with v(own + g) < v(other - g), else 0.
+
+    Zero means that moving any single good of `other` to `own` leaves `own`
+    at least as valuable as what remains of `other`.
+    """
+    for bit in singleton_bits(other):
+        if v.value(own | bit) < v.value(other ^ bit):
+            return bit
+    return 0
+
+
 def strongly_envies(v: Valuation, own: int, other: int) -> bool:
     """True iff some single-good removal from `other` still beats `own`."""
     if own & other:
         raise OverlappingBundles(f"bundles {own} and {other} share goods")
-    own_value = v.value(own)
-    for bit in singleton_bits(other):
-        if v.value(other ^ bit) > own_value:
-            return True
-    return False
+    return bool(strong_envy_witness(v, v.value(own), other))
 
 
 def _check_arity(allocation: Allocation, valuations: Sequence[Valuation]) -> None:
@@ -89,11 +108,7 @@ def is_efx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> 
     if not 0 <= bundle_index < allocation.n:
         raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
     own_value = v.value(allocation.bundles[bundle_index])
-    for bundle in allocation.bundles:
-        for bit in singleton_bits(bundle):
-            if own_value < v.value(bundle ^ bit):
-                return False
-    return True
+    return not any(strong_envy_witness(v, own_value, bundle) for bundle in allocation.bundles)
 
 
 def is_tefx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:
@@ -107,13 +122,11 @@ def is_tefx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) ->
         raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
     own = allocation.bundles[bundle_index]
     own_value = v.value(own)
-    for j, other in enumerate(allocation.bundles):
-        if j == bundle_index or own_value > v.value(other):
-            continue
-        for bit in singleton_bits(other):
-            if v.value(own | bit) < v.value(other ^ bit):
-                return False
-    return True
+    return not any(
+        transfer_witness(v, own, other)
+        for j, other in enumerate(allocation.bundles)
+        if j != bundle_index and own_value <= v.value(other)
+    )
 
 
 def is_ef1_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:
@@ -143,20 +156,16 @@ def eefx_certificate(
     if bundle & rest or bundle | rest != full_set(v.m):
         raise BadPartitionInput("bundle and rest must partition the full good set")
     own_value = v.value(bundle)
-    for bit in singleton_bits(bundle):
-        if own_value < v.value(bundle ^ bit):
-            return None
-
-    def beats_all_removals(part: int) -> bool:
-        return all(own_value >= v.value(part ^ bit) for bit in singleton_bits(part))
+    if strong_envy_witness(v, own_value, bundle):
+        return None
 
     def split(remaining: int, parts_left: int, acc: list[int]) -> tuple[int, ...] | None:
         if parts_left == 1:
-            if beats_all_removals(remaining):
+            if not strong_envy_witness(v, own_value, remaining):
                 return (bundle, *acc, remaining)
             return None
         for part in submasks(remaining):
-            if beats_all_removals(part):
+            if not strong_envy_witness(v, own_value, part):
                 found = split(remaining ^ part, parts_left - 1, acc + [part])
                 if found is not None:
                     return found

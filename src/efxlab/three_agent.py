@@ -58,21 +58,13 @@ def equalize_for_valuation(partition: Sequence[int], v: RankValuation) -> tuple[
     for _ in range(guard):
         poorest = min(range(n), key=lambda j: (v.rank[bundles[j]], j))
         threshold = v.rank[bundles[poorest]]
-        move: tuple[int, int] | None = None
         for j in range(n):
-            if j == poorest:
-                continue
-            for bit in singleton_bits(bundles[j]):
-                if v.rank[bundles[j] ^ bit] > threshold:
-                    move = (j, bit)
-                    break
-            if move:
+            if j != poorest and (bit := fairness.strong_envy_witness(v, threshold, bundles[j])):
+                bundles[j] ^= bit
+                bundles[poorest] |= bit
                 break
-        if move is None:
+        else:
             return tuple(bundles)
-        j, bit = move
-        bundles[j] ^= bit
-        bundles[poorest] |= bit
     raise InvariantBroken("single-valuation reallocation failed to terminate")
 
 
@@ -106,16 +98,10 @@ def transfer_split(v: RankValuation, first: int, third: int) -> tuple[int, int]:
         raise SetupViolated("bundles overlap")
     if v.rank[first] <= v.rank[third]:
         raise SetupViolated("donor bundle does not beat the receiver")
-    while True:
-        move = None
-        for bit in singleton_bits(first):
-            if v.rank[first ^ bit] > v.rank[third | bit]:
-                move = bit
-                break
-        if move is None:
-            return first, third
-        first ^= move
-        third |= move
+    while bit := fairness.transfer_witness(v, third, first):
+        first ^= bit
+        third |= bit
+    return first, third
 
 
 def _confirm_tefx(valuations: Sequence[RankValuation], bundles: tuple[int, int, int]) -> None:
@@ -365,10 +351,8 @@ def _remaining_case(
 
     # X1 is neither tEFX- nor EEFX-feasible for the keeper, so a good in X2
     # witnesses the transfer failure.
-    witness = next(
-        (bit for bit in singleton_bits(x2) if v_keep.rank[x2 ^ bit] > v_keep.rank[x1 | bit]), None
-    )
-    if witness is None:
+    witness = fairness.transfer_witness(v_keep, x1, x2)
+    if not witness:
         raise InvariantBroken("transfer-infeasible bundle has no witnessing good")
     if not v_keep.rank[x0 | witness] > v_keep.rank[x2 ^ witness]:
         raise InvariantBroken("witnessing good does not favor the grown bundle")

@@ -8,6 +8,8 @@ here.  Rows keep their published labels; `reference` explains the m=8 row,
 published as k=8 and counted at k=6.
 """
 
+import inspect
+
 import pytest
 
 from efxlab import acceptance, reference
@@ -91,3 +93,31 @@ def test_criterion_11_smt_emission():
 
 def test_criterion_12_format_roundtrips():
     run(acceptance.check_format_roundtrips)
+
+
+def test_a_false_expectation_fails_the_check_for_good():
+    result = acceptance.CheckResult("x")
+    result.record("fine")
+    result.record("broken", False)
+    result.record("fine again", True)
+    assert not result.passed and result.details == ["fine", "broken", "fine again"]
+
+
+def test_run_all_passes_jobs_to_exactly_the_checks_that_take_them(monkeypatch):
+    for criterion in acceptance.ALL_CHECKS:
+        takes = "jobs" in inspect.signature(criterion.check).parameters
+        assert takes == criterion.takes_jobs, criterion.key
+    calls = []
+
+    def check(**kwargs):
+        calls.append(kwargs)
+        return acceptance.CheckResult("x")
+
+    fakes = (
+        acceptance.Criterion("plain", check),
+        acceptance.Criterion("scan", check, takes_jobs=True),
+        acceptance.Criterion("slow", check, slow=True),
+    )
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", fakes)
+    assert len(list(acceptance.run_all(jobs=3, skip=frozenset({"slow"})))) == 2
+    assert calls == [{}, {"jobs": 3}]

@@ -149,11 +149,8 @@ def test_ordered_code_count_matches_the_enumeration(n, m, classes):
 
 def test_stream_is_resumable_from_code_offsets():
     full = list(enumerate_bundle_tuples(3, 5))
-    space = 3**5
-    split = space // 3
-    parts = list(enumerate_bundle_tuples(3, 5, 0, split)) + list(
-        enumerate_bundle_tuples(3, 5, split, None)
-    )
+    split = 3**5 // 3
+    parts = [b for _, b in coded_bundles(3, 5, 0, split)] + [b for _, b in coded_bundles(3, 5, split)]
     assert parts == full
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -282,6 +283,11 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
         ),
         pytest.param(["decode", "-m", "-1", "-i"], "v 1 0\n", "good count m=-1", id="decode-m-1"),
         pytest.param(["decode", "-m", "0", "-i"], "v 1 0\n", "good count m=0", id="decode-m0"),
+        pytest.param(["check-submodular", "-i"], "0 0\n1 -5\n", "good count m=1", id="dyadic-m1"),
+        pytest.param(
+            ["check-submodular", "-i"], "".join(f"{s} {-5 if s == 6 else 0}\n" for s in range(8)),
+            "line 7: values must be non-negative", id="dyadic-negative",
+        ),
     ],
 )
 def test_invalid_values_and_counts_exit_one_with_one_error_line(tmp_path, capsys, argv, text, named):
@@ -352,4 +358,11 @@ def test_quick_selfcheck_skips_the_n6_extension(monkeypatch, capsys, flags, skip
     monkeypatch.setattr(acceptance, "run_all", record)
     assert main(["selfcheck", *flags]) == 0
     assert ("extension-n6" in seen[0]) is skipped
-    assert "extension-n6" in dict(acceptance.ALL_CHECKS)
+    assert "extension-n6" in {c.key for c in acceptance.ALL_CHECKS}
+
+
+def test_quick_selfcheck_output_is_pinned(capsys):
+    assert main(["selfcheck", "--quick", "-v", "--jobs", "1"]) == 0
+    masked = re.sub(r"\(\d+\.\ds\)$", "(N.Ns)", capsys.readouterr().out, flags=re.M)
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    assert digest == "01c0947d60c8205f2c14293ff1612802cb1138f7665928e9a722fa4cd2509cc4"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from efxlab import dimacs
+from efxlab import dimacs, encoding
 from efxlab.dimacs import (
     Assignment,
     CnfFormula,
@@ -11,7 +11,7 @@ from efxlab.dimacs import (
     parse_model,
     write_dimacs,
 )
-from efxlab.encoding import EncodeOptions, encode_formula
+from efxlab.encoding import EncodeOptions, EncodeStats, encode_formula
 from efxlab.errors import (
     DuplicateAssignment,
     HeaderMismatch,
@@ -65,6 +65,18 @@ def test_write_parse_roundtrip_on_normalized_text():
     assert again.num_vars == formula.num_vars
     assert again.clauses == formula.clauses
     assert write_dimacs(again, comments=["round trip"]) == text
+
+
+def test_both_writers_give_identical_bytes(monkeypatch):
+    clauses = [(), (-3,), (1, -2, 3, -4, 5, -6, 7, -8)]
+    opts = EncodeOptions(4, None, False)
+    stats = EncodeStats(4, None, False, 8, {"test": len(clauses)})
+    monkeypatch.setattr(encoding, "clause_counts", lambda _: stats)
+    monkeypatch.setattr(encoding, "encode", lambda _: iter(clauses))
+    out = io.StringIO()
+    encoding.write_dimacs_stream(opts, out, ["c1"])
+    assert out.getvalue() == write_dimacs(CnfFormula(8, clauses), ["c1"])
+    assert out.getvalue().endswith("p cnf 8 3\n0\n-3 0\n1 -2 3 -4 5 -6 7 -8 0\n")
 
 
 def test_parse_model_single_line():

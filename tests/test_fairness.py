@@ -10,7 +10,9 @@ from efxlab.fairness import (
     is_efx,
     is_efx_feasible,
     is_tefx_feasible,
+    strong_envy_witness,
     strongly_envies,
+    transfer_witness,
     violated_condition_count,
 )
 from efxlab.valuations import random_monotone_rank_valuation
@@ -23,6 +25,18 @@ def test_strong_envy_needs_a_removable_good():
     assert not strongly_envies(v, own=0b0011, other=0)
     # singleton bundles leave the empty set after removal
     assert not strongly_envies(v, own=0b0011, other=0b0100)
+
+
+def test_witnesses_are_the_lowest_qualifying_good():
+    v = numeric_order_valuation(4)  # v(S) = S
+    # Removing 0b0010, 0b0100 or 0b1000 from 0b1110 leaves 12, 10 or 6.
+    assert strong_envy_witness(v, 0, 0b1110) == 0b0010
+    assert strong_envy_witness(v, 11, 0b1110) == 0b0010
+    assert strong_envy_witness(v, 12, 0b1110) == 0
+    # Moving a good to 0b0001 gives 3, 5 or 9 against those remainders.
+    assert transfer_witness(v, 0b0001, 0b1110) == 0b0010
+    assert transfer_witness(v, 0b0001, 0b1100) == 0b0100
+    assert transfer_witness(v, 0b0111, 0b1000) == 0
 
 
 def test_strong_envy_rejects_overlap():
