@@ -26,7 +26,6 @@ from .fairness import (
     violated_condition_count,
 )
 from .submodular import (
-    DyadicValuation,
     add_dummy_goods,
     extend_counterexample,
     is_submodular,
@@ -50,7 +49,6 @@ from .verification import VerifyReport, find_mms_violations, marginal_values, ve
 
 __all__ = [
     "Allocation",
-    "DyadicValuation",
     "EncodeOptions",
     "RankValuation",
     "RealValuation",

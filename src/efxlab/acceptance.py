@@ -38,14 +38,8 @@ from .encoding import (
 )
 from .fairness import efx_conditions
 from .simplify import preprocess
-from .submodular import (
-    DyadicValuation,
-    add_dummy_goods,
-    extend_counterexample,
-    is_submodular,
-    submodular_realize,
-)
-from .valuations import as_real, random_monotone_rank_valuation
+from .submodular import add_dummy_goods, extend_counterexample, is_submodular, submodular_realize
+from .valuations import RealValuation, as_real, random_monotone_rank_valuation
 
 
 @dataclass
@@ -298,7 +292,7 @@ def check_submodular_realization() -> CheckResult:
         res.record(f"agent {agent}: submodular = {ok}", ok)
         if not ok:
             res.record(f"  witness: {witness}")
-    bad = DyadicValuation(3, tuple(1000 if mask == 7 else (1 if mask else 0) for mask in range(8)))
+    bad = RealValuation(3, tuple(1000 if mask == 7 else (1 if mask else 0) for mask in range(8)))
     ok, witness = is_submodular(bad)
     res.record(
         f"constructed supermodular input rejected: {not ok}, witness {witness}",
@@ -438,7 +432,7 @@ def check_format_roundtrips() -> CheckResult:
     dimacs_ok = reparsed.clauses == formula.clauses and write_dimacs(reparsed) == text
     res.record(f"DIMACS write/parse identity: {dimacs_ok}", dimacs_ok)
     vals = load_bundled_counterexample()
-    blocks_ok = load_rank_blocks(dump_rank_blocks(vals), 3, 8) == vals
+    blocks_ok = load_rank_blocks(dump_rank_blocks(vals)) == vals
     res.record(f"valuation block dump/load identity: {blocks_ok}", blocks_ok)
     single = parse_model("s SATISFIABLE\nv 1 -2 3 -4 0\n")
     multi = parse_model("v 1 -2\nv 3\nv -4 0\n")

@@ -24,13 +24,13 @@ from .decoding import (
     dump_value_blocks,
     load_dyadic,
     load_rank_blocks,
-    load_value_blocks,
+    load_valuations,
 )
 from .dimacs import CnfFormula, parse_dimacs, parse_model, write_dimacs
-from .encoding import EncodeOptions, clause_counts, write_dimacs_file
+from .encoding import EncodeOptions, clause_counts, good_count, write_dimacs_file
 from .errors import EfxLabError, IndexOutOfRange, NotUtf8Text
 from .simplify import preprocess
-from .submodular import DyadicValuation, extend_counterexample, is_submodular, submodular_realize
+from .submodular import extend_counterexample, is_submodular, submodular_realize
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -85,13 +85,6 @@ def _conflict_budget(text: str) -> int:
     if budget < 0:
         raise argparse.ArgumentTypeError(f"conflict budget must be >= 0, got {budget}")
     return budget
-
-
-def _load_valuations(path: str, n: int, m: int, extended: bool):
-    text = _read(path)
-    if extended:
-        return load_value_blocks(text)
-    return load_rank_blocks(text, n, m)
 
 
 def _stats_payload(stats) -> dict:
@@ -185,13 +178,13 @@ def cmd_sat(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     assignment = parse_model(_read(args.input))
-    valuations = decode_valuations(assignment, args.m)
+    valuations = decode_valuations(assignment, good_count(assignment.num_vars))
     _write(args.output, dump_rank_blocks(valuations))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    valuations = _load_valuations(args.vals, args.agents, args.m, args.extended)
+    valuations = load_valuations(_read(args.vals))
     report = verification.verify(valuations, jobs=args.jobs)
     print(report.to_json() if args.json else report.to_text(), end="")
     if args.expect_none and report.efx_count != 0:
@@ -202,17 +195,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_submodular(args: argparse.Namespace) -> int:
-    valuations = load_rank_blocks(_read(args.vals), args.agents, args.m)
+    valuations = load_rank_blocks(_read(args.vals))
     if not 0 <= args.agent < len(valuations):
         raise IndexOutOfRange(f"agent {args.agent} outside 0..{len(valuations) - 1}")
-    dyadic = submodular_realize(valuations[args.agent])
-    _write(args.output, dump_dyadic(dyadic.m, dyadic.values))
+    _write(args.output, dump_dyadic(submodular_realize(valuations[args.agent])))
     return EXIT_OK
 
 
 def cmd_check_submodular(args: argparse.Namespace) -> int:
-    m, values = load_dyadic(_read(args.input))
-    ok, witness = is_submodular(DyadicValuation(m, values))
+    ok, witness = is_submodular(load_dyadic(_read(args.input)))
     if ok:
         print("submodular")
         return EXIT_OK
@@ -222,14 +213,14 @@ def cmd_check_submodular(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    base = load_rank_blocks(_read(args.vals), 3, 8)
+    base = load_rank_blocks(_read(args.vals))
     extended = extend_counterexample(base, args.agents)
     _write(args.output, dump_value_blocks(extended))
     return EXIT_OK
 
 
 def cmd_solve3(args: argparse.Namespace) -> int:
-    valuations = load_rank_blocks(_read(args.vals), 3, args.m)
+    valuations = load_rank_blocks(_read(args.vals))
     result = three_agent.solve_three(valuations)
     if args.json:
         payload = {
@@ -246,7 +237,7 @@ def cmd_solve3(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"tag: {result.tag}")
     for agent, bundle in enumerate(result.bundles):
-        goods = [i for i in range(args.m) if bundle >> i & 1]
+        goods = [i for i in range(result.m) if bundle >> i & 1]
         print(f"agent {agent}: bundle {bundle} (goods {goods})")
     print(f"iterations: {result.iterations}")
     if result.certificates:
@@ -321,15 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode = sub.add_parser("decode", help="turn a model (v lines) into valuation blocks")
     decode.add_argument("-i", "--input", required=True)
-    decode.add_argument("-m", type=int, required=True)
     decode.add_argument("-o", "--output", default="-")
     decode.set_defaults(func=cmd_decode)
 
     verify = sub.add_parser("verify", help="exhaustively scan all allocations of an instance")
     verify.add_argument("--vals", required=True)
-    verify.add_argument("-n", "--agents", type=int, default=3)
-    verify.add_argument("-m", type=int, default=8)
-    verify.add_argument("--extended", action="store_true", help="input has an 'n m' header with raw values")
     verify.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
     verify.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
     verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -338,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_sm = sub.add_parser("submodular", help="dyadic submodular realization of one valuation")
     sub_sm.add_argument("--vals", required=True)
-    sub_sm.add_argument("-n", "--agents", type=int, default=3)
-    sub_sm.add_argument("-m", type=int, default=8)
     sub_sm.add_argument("--agent", type=int, default=0)
     sub_sm.add_argument("-o", "--output", default="-")
     sub_sm.set_defaults(func=cmd_submodular)
@@ -356,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve3 = sub.add_parser("solve3", help="run the constructive three-agent algorithm")
     solve3.add_argument("--vals", required=True)
-    solve3.add_argument("-m", type=int, default=8)
     solve3.add_argument("--json", action="store_true")
     solve3.set_defaults(func=cmd_solve3)
 

@@ -5,16 +5,18 @@ under the assignment's comparison variables.  A rank collision certifies that
 the comparison relation is not a total order, and a witnessing 3-cycle is
 extracted for the error.
 
-Text formats:
+Text formats, each of which states its own shape:
 
 * plain blocks ("ThreeVals"): n consecutive blocks of 2^m lines, each line
   ``<set-number> <m-bit bitstring> <rank>``; within a block the ranks are
   0 .. 2^m - 1 in increasing order. The leftmost bitstring character is bit
-  m-1.
+  m-1. m is the width of the first bitstring, n the line count over 2^m.
 * generalized blocks: an ``n m`` header line followed by n blocks of 2^m
   lines ``<set-number> <bitstring> <value>`` sorted by set number; values are
   arbitrary non-negative integers (used for degenerate extension instances).
-* dyadic dump: 2^m lines ``<set-number> <non-negative decimal integer>``.
+  `load_valuations` tells the two block forms apart by that header.
+* dyadic dump: 2^m lines ``<set-number> <non-negative decimal integer>``,
+  read back as a validated `RealValuation`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .bitset import bitstring, check_good_count, parse_bitstring
 from .dimacs import Assignment
 from .encoding import NUM_AGENTS, var_id
 from .errors import (
-    AgentCountOutOfRange,
     BitstringMismatch,
     IncompleteAssignment,
-    InvalidValues,
     LineCountMismatch,
     MalformedValuationLine,
     NotATotalOrder,
@@ -87,12 +87,17 @@ def _rows(text: str) -> list[tuple[int, list[str]]]:
     return [(number, line.split()) for number, line in lines if line.strip()]
 
 
-def _parse_line(row: tuple[int, list[str]], m: int | None = None) -> tuple[int, int]:
-    """The integers of a ``<a> <b>`` line, or of a ``<set> <bitstring> <b>`` line given m."""
+def _fields(row: tuple[int, list[str]], width: int) -> list[str]:
     number, fields = row
-    width = 2 if m is None else 3
     if len(fields) != width:
         raise MalformedValuationLine(f"line {number}: need {width} fields, got {len(fields)}")
+    return fields
+
+
+def _parse_line(row: tuple[int, list[str]], m: int | None = None) -> tuple[int, int]:
+    """The integers of a ``<a> <b>`` line, or of a ``<set> <bitstring> <b>`` line given m."""
+    number = row[0]
+    fields = _fields(row, 2 if m is None else 3)
     try:
         first, last = int(fields[0]), int(fields[-1])
     except ValueError:
@@ -109,19 +114,27 @@ def _parse_line(row: tuple[int, list[str]], m: int | None = None) -> tuple[int, 
 def load_bundled_counterexample() -> list[RankValuation]:
     """The three 8-good valuations shipped with the package."""
     text = resources.files("efxlab.data").joinpath("counterexample8.txt").read_text()
-    return load_rank_blocks(text, 3, 8)
+    return load_rank_blocks(text)
 
 
-def load_rank_blocks(text: str, n: int, m: int) -> list[RankValuation]:
-    check_good_count(m)
-    if n < 1:
-        raise AgentCountOutOfRange(f"need at least one agent, got n={n}")
-    n_sets = 1 << m
+def load_valuations(text: str) -> list[RankValuation] | list[RealValuation]:
+    """Value blocks if the first non-blank line is an ``n m`` header, else rank blocks."""
+    first = next((line.split() for line in text.splitlines() if line.strip()), [])
+    return load_value_blocks(text) if len(first) == 2 else load_rank_blocks(text)
+
+
+def load_rank_blocks(text: str) -> list[RankValuation]:
+    """Rank blocks over the m goods of the first bitstring, n = line count / 2^m."""
     rows = _rows(text)
-    if len(rows) != n * n_sets:
-        raise LineCountMismatch(f"expected {n * n_sets} lines, got {len(rows)}")
+    if not rows:
+        raise LineCountMismatch("no valuation lines")
+    m = len(_fields(rows[0], 3)[1])
+    check_good_count(m)
+    n_sets = 1 << m
+    if len(rows) % n_sets:
+        raise LineCountMismatch(f"{len(rows)} lines are not whole blocks of {n_sets}")
     valuations = []
-    for block in range(n):
+    for block in range(len(rows) // n_sets):
         rank = [0] * n_sets
         for offset in range(n_sets):
             mask, r = _parse_line(rows[block * n_sets + offset], m)
@@ -182,11 +195,11 @@ def dump_value_blocks(valuations: list[RealValuation]) -> str:
 
 # -- dyadic dumps ----------------------------------------------------------------
 
-def dump_dyadic(m: int, values: tuple[int, ...]) -> str:
-    return "\n".join(f"{mask} {values[mask]}" for mask in range(1 << m)) + "\n"
+def dump_dyadic(v: RealValuation) -> str:
+    return "\n".join(f"{mask} {value}" for mask, value in enumerate(v.values)) + "\n"
 
 
-def load_dyadic(text: str) -> tuple[int, tuple[int, ...]]:
+def load_dyadic(text: str) -> RealValuation:
     rows = _rows(text)
     m = (len(rows) - 1).bit_length()
     if len(rows) != 1 << m:
@@ -197,7 +210,7 @@ def load_dyadic(text: str) -> tuple[int, tuple[int, ...]]:
         mask, value = _parse_line(row)
         if mask != offset:
             raise LineCountMismatch(f"expected set {offset}, got {mask}")
-        if value < 0:
-            raise InvalidValues(f"line {row[0]}: values must be non-negative")
         values[mask] = value
-    return m, tuple(values)
+    val = RealValuation(m, tuple(values))
+    val.validate()
+    return val

@@ -174,7 +174,6 @@ def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
 
 def iter_model_literals(text: str) -> Iterator[int]:
     """Signed literals from SAT-competition style `v` lines, until the 0."""
-    done = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line.startswith("v"):
@@ -185,11 +184,9 @@ def iter_model_literals(text: str) -> Iterator[int]:
             except ValueError as exc:
                 raise MalformedLiteral(f"bad model literal {token!r}") from exc
             if lit == 0:
-                done = True
                 return
             yield lit
-    if not done:
-        raise MissingTerminator("model lines lack the 0 terminator")
+    raise MissingTerminator("model lines lack the 0 terminator")
 
 
 def parse_model(text: str, num_vars: int | None = None) -> Assignment:

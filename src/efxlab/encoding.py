@@ -38,7 +38,7 @@ from typing import IO
 from .allocations import count_allocations, enumerate_bundle_tuples
 from .bitset import cardinality, check_good_count, is_proper_subset
 from .dimacs import Clause, CnfFormula
-from .errors import LevelOutOfRange
+from .errors import GoodCountOutOfRange, LevelOutOfRange
 from .fairness import efx_conditions
 from . import reference
 
@@ -77,6 +77,16 @@ class EncodeStats:
 def num_variables(m: int) -> int:
     p = 1 << m
     return NUM_AGENTS * p * (p - 1) // 2
+
+
+def good_count(num_vars: int) -> int:
+    """The m with num_variables(m) == num_vars; GoodCountOutOfRange if none."""
+    m = 0
+    while num_variables(m) < num_vars:
+        m += 1
+    if num_variables(m) != num_vars:
+        raise GoodCountOutOfRange(f"no good count m has {num_vars} comparison variables")
+    return m
 
 
 def pair_index(a: int, b: int, n_sets: int) -> int:

@@ -2,37 +2,22 @@
 
 A rank valuation's total order is realized exactly by the dyadic function
 f(S_i) = sum of 2^-l for l = 1..i, where S_i is the set of rank i.  Scaling
-by 2^N with N = 2^m - 1 keeps every value an integer, so submodularity can
-be checked with exact big-integer arithmetic; floating point could not
-represent the 2^-255 gaps that appear at m = 8.
+by 2^N with N = 2^m - 1 keeps every value an integer, so the realization is
+an integer `RealValuation` and submodularity can be checked with exact
+big-integer arithmetic; floating point could not represent the 2^-255 gaps
+that appear at m = 8.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .bitset import cardinality, full_set, singleton_bits, submasks
-from .errors import AgentCountOutOfRange
+from .bitset import cardinality, check_good_count, full_set, singleton_bits, submasks
+from .errors import AgentCountOutOfRange, GoodCountOutOfRange
 from .valuations import RankValuation, RealValuation
 
 
-@dataclass(frozen=True)
-class DyadicValuation:
-    """Integer table storing f(S) * 2^N with N = 2^m - 1."""
-
-    m: int
-    values: tuple[int, ...]
-
-    @property
-    def scale_bits(self) -> int:
-        return (1 << self.m) - 1
-
-    def value(self, mask: int) -> int:
-        return self.values[mask]
-
-
-def submodular_realize(v: RankValuation) -> DyadicValuation:
+def submodular_realize(v: RankValuation) -> RealValuation:
     """Order-isomorphic submodular realization of a rank valuation.
 
     The set of rank i receives sum(2^(N-l) for l=1..i) = 2^N - 2^(N-i);
@@ -43,10 +28,10 @@ def submodular_realize(v: RankValuation) -> DyadicValuation:
     values = [0] * (1 << v.m)
     for mask, rank in enumerate(v.rank):
         values[mask] = top - (top >> rank)
-    return DyadicValuation(v.m, tuple(values))
+    return RealValuation(v.m, tuple(values))
 
 
-def is_submodular(f: DyadicValuation) -> tuple[bool, tuple[int, int, int] | None]:
+def is_submodular(f: RealValuation) -> tuple[bool, tuple[int, int, int] | None]:
     """Diminishing-returns check over all (S, T, g) with S subset T, g not in T.
 
     Returns (True, None) or (False, witness) where the witness triple
@@ -71,13 +56,14 @@ def extend_counterexample(base: Sequence[RankValuation], n: int) -> list[RealVal
     per new good owned.  The outputs are deliberately degenerate.
     """
     if len(base) != 3:
-        raise ValueError("extension starts from exactly three base valuations")
+        raise AgentCountOutOfRange("extension starts from exactly three base valuations")
     if any(v.m != 8 for v in base):
-        raise ValueError("base valuations must be over 8 goods")
+        raise GoodCountOutOfRange("base valuations must be over 8 goods")
     if n < 4:
         raise AgentCountOutOfRange(f"extension is defined for n >= 4 agents, got n={n}")
     base_m = 8
     m = n + 5
+    check_good_count(m)
     base_mask = full_set(base_m)
     block = 1 << base_m  # exceeds every base rank
     extended: list[RealValuation] = []

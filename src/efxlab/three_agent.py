@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from .allocations import Allocation, count_allocations
 from .bitset import singleton_bits
 from . import fairness
-from .errors import InvariantBroken, NonTermination, PredicateFailsOnPool, SetupViolated
+from .errors import (
+    AgentCountOutOfRange,
+    GoodCountOutOfRange,
+    InvariantBroken,
+    NonTermination,
+    PredicateFailsOnPool,
+    SetupViolated,
+)
 from .valuations import RankValuation
 
 TAG_TEFX = "tEFX"
@@ -141,10 +148,10 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     come from that confirmation (exhaustive search, one per agent).
     """
     if len(valuations) != 3:
-        raise ValueError("exactly three valuations required")
+        raise AgentCountOutOfRange("exactly three valuations required")
     m = valuations[0].m
     if any(v.m != m for v in valuations) or m < 3:
-        raise ValueError("valuations must share a good count m >= 3")
+        raise GoodCountOutOfRange("valuations must share a good count m >= 3")
     v0 = valuations[0]
 
     round_robin = [0, 0, 0]

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from efxlab import acceptance
-from efxlab.cli import main
+from efxlab.cli import build_parser, main
 from efxlab.decoding import (
     dump_dyadic,
     dump_rank_blocks,
@@ -16,6 +18,8 @@ from efxlab.decoding import (
 )
 from efxlab.dimacs import parse_dimacs, parse_model
 from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
+
+THREE_GOODS = random_monotone_rank_valuation(3, 8)
 
 
 def stdin_from(data: bytes) -> io.TextIOWrapper:
@@ -128,7 +132,7 @@ def test_negative_header_counts_exit_one_with_one_error_line(tmp_path, capsys, c
     [
         (["sat", "-i"], b"p cnf 1 1\n\xff 0\n"),
         (["preprocess", "-i"], b"p cnf 1 1\n\xff 0\n"),
-        (["verify", "-m", "3", "--vals"], b"0 000\xff 1\n"),
+        (["verify", "--vals"], b"0 000\xff 1\n"),
         (["sat", "-i", "-"], b"p cnf 1 1\n\xff 0\n"),
     ],
 )
@@ -170,10 +174,11 @@ def test_decode_model_into_blocks(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text("s SATISFIABLE\nv " + " ".join(map(str, literals)) + " 0\n")
     out = tmp_path / "vals.txt"
-    assert main(["decode", "-i", str(model), "-m", "3", "-o", str(out)]) == 0
-    from efxlab.decoding import load_rank_blocks
-
-    assert load_rank_blocks(out.read_text(), 3, 3) == triple
+    assert main(["decode", "-i", str(model), "-o", str(out)]) == 0
+    assert out.read_text() == dump_rank_blocks(triple)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "56e8345137020c1d1ed575f20965e4888ce8d016fd2be3c74fb2ab9949ea13d2"
+    )
 
 
 def test_verify_expect_none_passes_on_counterexample(counterexample_file, capsys):
@@ -189,6 +194,32 @@ def test_verify_expect_some_fails_on_counterexample(counterexample_file, capsys)
         ["verify", "--vals", str(counterexample_file), "--expect-some", "--jobs", "1"]
     )
     assert code == 1
+
+
+def test_verify_reads_rank_and_value_blocks_alike(tmp_path, counterexample_file, capsys):
+    values_file = tmp_path / "counterexample8_values.txt"
+    values_file.write_text(dump_value_blocks([as_real(v) for v in load_bundled_counterexample()]))
+    outputs = []
+    for path in (counterexample_file, values_file):
+        for flags in ([], ["--json"]):
+            assert main(["verify", "--vals", str(path), "--jobs", "1", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+
+
+# sha256 of `submodular --agent 0/1/2` on the bundled counterexample
+SUBMODULAR_DIGESTS = (
+    "9a0f538b4197ebb586b83ff643cb36fbc81bb8746d9c525a761cd26683f0c264",
+    "1e367eda5c2a8f74be9d9d51728033b5c960ac3a1a2d306d122befe40c2eeac3",
+    "768930c7d67f9b2ecf6288e4383166b464f05137d72d22b47f8e78f319e989d8",
+)
+
+
+def test_submodular_dumps_are_pinned(tmp_path, counterexample_file):
+    for agent, digest in enumerate(SUBMODULAR_DIGESTS):
+        dump = tmp_path / f"dyadic{agent}.txt"
+        assert main(["submodular", "--vals", str(counterexample_file), "--agent", str(agent), "-o", str(dump)]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 def test_submodular_pipeline(tmp_path, counterexample_file, capsys):
@@ -231,22 +262,21 @@ def test_smt_subcommand(tmp_path, capsys):
 def test_domain_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 00000000 1\n")
-    assert main(["verify", "--vals", str(bad), "-m", "3"]) == 1
+    assert main(["verify", "--vals", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("loader", ["rank", "value", "dyadic"])
 def test_malformed_valuation_line_exits_one_naming_the_line(tmp_path, capsys, loader):
-    v = random_monotone_rank_valuation(3, 8)
+    v = THREE_GOODS
     path = tmp_path / "vals.txt"
+    argv = ["verify", "--vals", str(path)]
     if loader == "rank":
         text, line, broken = dump_rank_blocks([v] * 3), 2, "1 001 x"
-        argv = ["verify", "-n", "3", "-m", "3", "--vals", str(path)]
     elif loader == "value":
         text, line, broken = dump_value_blocks([as_real(v)] * 3), 3, "1 001"
-        argv = ["verify", "--extended", "--vals", str(path)]
     else:
-        text, line, broken = dump_dyadic(3, tuple(range(8))), 2, "1 x"
+        text, line, broken = dump_dyadic(RealValuation(3, tuple(range(8)))), 2, "1 x"
         argv = ["check-submodular", "-i", str(path)]
     lines = text.splitlines()
     lines[line - 1] = broken
@@ -274,19 +304,49 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
     "argv, text, named",
     [
         pytest.param(
-            ["verify", "--extended", "--vals"], dump_value_blocks([RealValuation(3, (1,) * 8)]),
+            ["verify", "--vals"], dump_value_blocks([RealValuation(3, (1,) * 8)]),
             "empty set must have value 0", id="empty-set-valued",
         ),
         pytest.param(
-            ["verify", "--extended", "--vals"], dump_value_blocks([RealValuation(3, (0, -1) + (0,) * 6)]),
+            ["verify", "--vals"], dump_value_blocks([RealValuation(3, (0, -1) + (0,) * 6)]),
             "values must be non-negative", id="negative-value",
         ),
-        pytest.param(["decode", "-m", "-1", "-i"], "v 1 0\n", "good count m=-1", id="decode-m-1"),
-        pytest.param(["decode", "-m", "0", "-i"], "v 1 0\n", "good count m=0", id="decode-m0"),
+        pytest.param(
+            ["verify", "--vals"], "".join(f"{s} {s:02b} {s}\n" for s in range(4)),
+            "good count m=2", id="bitstring-width-2",
+        ),
+        pytest.param(["verify", "--vals"], f"0 {0:017b} 0\n", "good count m=17", id="bitstring-width-17"),
+        pytest.param(
+            ["verify", "--vals"], "".join(dump_rank_blocks([THREE_GOODS] * 3).splitlines(True)[:23]),
+            "23 lines are not whole blocks of 8", id="partial-block",
+        ),
+        pytest.param(["verify", "--vals"], "", "no valuation lines", id="empty-file"),
+        pytest.param(["decode", "-i"], "v 0\n", "good count m=0", id="decode-m0"),
+        pytest.param(["decode", "-i"], "v 1 0\n", "no good count m has 1 comparison variables", id="decode-v1"),
+        pytest.param(
+            ["solve3", "--vals"], dump_rank_blocks([THREE_GOODS] * 2),
+            "exactly three valuations required", id="solve3-two-blocks",
+        ),
+        pytest.param(
+            ["extend", "-n", "4", "--vals"], dump_rank_blocks([THREE_GOODS] * 3),
+            "base valuations must be over 8 goods", id="extend-m3",
+        ),
         pytest.param(["check-submodular", "-i"], "0 0\n1 -5\n", "good count m=1", id="dyadic-m1"),
         pytest.param(
             ["check-submodular", "-i"], "".join(f"{s} {-5 if s == 6 else 0}\n" for s in range(8)),
-            "line 7: values must be non-negative", id="dyadic-negative",
+            "values must be non-negative", id="dyadic-negative",
+        ),
+        pytest.param(
+            ["check-submodular", "-i"], "".join(f"{s} {10 if s else 5}\n" for s in range(8)),
+            "empty set must have value 0", id="dyadic-empty-set-valued",
+        ),
+        pytest.param(
+            ["check-submodular", "-i"], "".join(f"{s} {100 - 10 * s.bit_count()}\n" for s in range(8)),
+            "empty set must have value 0", id="dyadic-falling",
+        ),
+        pytest.param(
+            ["check-submodular", "-i"], "".join(f"{s} {5 if s == 7 else 10 if s else 0}\n" for s in range(8)),
+            "subset 3 ranked at or above superset 7", id="dyadic-not-monotone",
         ),
     ],
 )
@@ -304,7 +364,7 @@ def test_more_agents_than_goods_exits_one_with_one_error_line(tmp_path, capsys):
     v = as_real(random_monotone_rank_valuation(3, 9))
     path = tmp_path / "four_agents_three_goods.txt"
     path.write_text(dump_value_blocks([v] * 4))
-    assert main(["verify", "--extended", "--vals", str(path), "--jobs", "1"]) == 1
+    assert main(["verify", "--vals", str(path), "--jobs", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need 1 <= agents <= goods, got n=4, m=3") and err.count("\n") == 1
 
@@ -312,16 +372,10 @@ def test_more_agents_than_goods_exits_one_with_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,flags,named",
     [
-        ("verify", ["-m", "-1"], "good count m=-1"),
-        ("verify", ["-m", "40"], "good count m=40"),
-        ("verify", ["-n", "0"], "at least one agent"),
-        ("verify", ["-n", "-2"], "at least one agent"),
-        ("submodular", ["-m", "-1"], "good count m=-1"),
-        ("submodular", ["-m", "2"], "good count m=2"),
-        ("submodular", ["-n", "0"], "at least one agent"),
         ("submodular", ["--agent", "3"], "agent 3 outside 0..2"),
         ("submodular", ["--agent", "-1"], "agent -1 outside 0..2"),
         ("extend", ["-n", "3"], "n >= 4 agents, got n=3"),
+        ("extend", ["-n", "12"], "good count m=17"),
     ],
 )
 def test_out_of_range_counts_on_valuation_files_exit_one(counterexample_file, capsys, command, flags, named):
@@ -366,3 +420,12 @@ def test_quick_selfcheck_output_is_pinned(capsys):
     masked = re.sub(r"\(\d+\.\ds\)$", "(N.Ns)", capsys.readouterr().out, flags=re.M)
     digest = hashlib.sha256(masked.encode()).hexdigest()
     assert digest == "01c0947d60c8205f2c14293ff1612802cb1138f7665928e9a722fa4cd2509cc4"
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("$ efxlab ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line.split("#")[0])[2:])

@@ -8,6 +8,7 @@ from efxlab.decoding import (
     load_bundled_counterexample,
     load_dyadic,
     load_rank_blocks,
+    load_valuations,
     load_value_blocks,
 )
 from efxlab.dimacs import Assignment, assignment_from_ranks
@@ -76,22 +77,29 @@ def test_bundled_counterexample_spot_ranks():
 
 def test_rank_block_roundtrip():
     vals = load_bundled_counterexample()
-    assert load_rank_blocks(dump_rank_blocks(vals), 3, 8) == vals
+    assert load_rank_blocks(dump_rank_blocks(vals)) == vals
 
 
 def test_rank_block_error_reporting():
     vals = [random_monotone_rank_valuation(3, 5)]
     text = dump_rank_blocks(vals)
     with pytest.raises(LineCountMismatch):
-        load_rank_blocks(text, 2, 3)
+        load_rank_blocks(text + text.split("\n", 1)[0])  # one line past the block
     lines = text.splitlines()
     lines[1] = "1 010 1"  # set number disagrees with bitstring
     with pytest.raises(BitstringMismatch):
-        load_rank_blocks("\n".join(lines), 1, 3)
+        load_rank_blocks("\n".join(lines))
     lines = text.splitlines()
     lines[1], lines[2] = lines[2], lines[1]  # ranks out of order
     with pytest.raises(RankNotIncreasing):
-        load_rank_blocks("\n".join(lines), 1, 3)
+        load_rank_blocks("\n".join(lines))
+
+
+def test_load_valuations_tells_the_block_forms_apart():
+    ranks = [random_monotone_rank_valuation(3, seed) for seed in (1, 2)]
+    assert load_valuations(dump_rank_blocks(ranks)) == ranks
+    values = [as_real(v) for v in ranks]
+    assert load_valuations("\n" + dump_value_blocks(values)) == values
 
 
 def test_value_block_roundtrip():
@@ -115,9 +123,7 @@ def test_value_block_header_and_bitstrings_are_checked():
 
 def test_dyadic_roundtrip():
     dyadic = submodular_realize(random_monotone_rank_valuation(4, 9))
-    text = dump_dyadic(dyadic.m, dyadic.values)
-    m, values = load_dyadic(text)
-    assert (m, values) == (dyadic.m, dyadic.values)
+    assert load_dyadic(dump_dyadic(dyadic)) == dyadic
 
 
 def test_assignment_covers_all_variables():

@@ -10,6 +10,7 @@ from efxlab.encoding import (
     clause_counts,
     encode,
     encode_formula,
+    good_count,
     item_order_clauses,
     leveled_clauses,
     monotonicity_clauses,
@@ -20,6 +21,7 @@ from efxlab.encoding import (
     var_id,
 )
 from efxlab.bitset import cardinality, is_proper_subset
+from efxlab.errors import GoodCountOutOfRange
 
 
 def decode_var(var: int, m: int) -> tuple[int, int, int]:
@@ -65,6 +67,14 @@ def test_var_id_is_a_bijection():
                 assert decode_var(var, m) == (agent, a, b)
                 seen.add(var)
     assert seen == set(range(1, num_variables(m) + 1))
+
+
+def test_good_count_inverts_num_variables():
+    for m in range(17):
+        assert good_count(num_variables(m)) == m
+    for num_vars in (1, 4, num_variables(8) - 1, num_variables(8) + 1):
+        with pytest.raises(GoodCountOutOfRange):
+            good_count(num_vars)
 
 
 @pytest.mark.parametrize("m,expected", [(3, 57), (7, 6177)])

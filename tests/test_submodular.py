@@ -1,18 +1,13 @@
 import pytest
 
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.submodular import (
-    DyadicValuation,
-    add_dummy_goods,
-    extend_counterexample,
-    is_submodular,
-    submodular_realize,
-)
-from efxlab.valuations import as_real, random_monotone_rank_valuation
+from efxlab.errors import GoodCountOutOfRange
+from efxlab.submodular import add_dummy_goods, extend_counterexample, is_submodular, submodular_realize
+from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
 from efxlab.verification import verify
 
 
-def is_submodular_four_point(f: DyadicValuation) -> bool:
+def is_submodular_four_point(f: RealValuation) -> bool:
     """Naive f(S) + f(T) >= f(S|T) + f(S&T) check over all pairs (small m)."""
     values = f.values
     n_sets = 1 << f.m
@@ -26,7 +21,7 @@ def is_submodular_four_point(f: DyadicValuation) -> bool:
 def test_dyadic_values_at_the_anchor_ranks():
     v = random_monotone_rank_valuation(3, 2)
     dyadic = submodular_realize(v)
-    top = 1 << dyadic.scale_bits
+    top = 1 << (1 << v.m) - 1
     order = v.order()
     assert dyadic.values[order[0]] == 0
     assert dyadic.values[order[1]] == top >> 1
@@ -52,14 +47,14 @@ def test_realizations_are_submodular(seed):
 
 def test_diminishing_returns_agrees_with_four_point_definition():
     # a non-realization table exercising both checkers in the failing case
-    bad = DyadicValuation(2, (0, 1, 1, 10))
+    bad = RealValuation(2, (0, 1, 1, 10))
     ok, witness = is_submodular(bad)
     assert not ok and witness is not None
     assert not is_submodular_four_point(bad)
 
 
 def test_supermodular_input_reports_a_witness():
-    bad = DyadicValuation(3, tuple(1000 if mask == 7 else (1 if mask else 0) for mask in range(8)))
+    bad = RealValuation(3, tuple(1000 if mask == 7 else (1 if mask else 0) for mask in range(8)))
     ok, witness = is_submodular(bad)
     assert not ok
     small, large, good = witness
@@ -97,6 +92,8 @@ def test_extension_input_validation():
         extend_counterexample(base[:2], 4)
     with pytest.raises(ValueError):
         extend_counterexample([random_monotone_rank_valuation(4, 0)] * 3, 4)
+    with pytest.raises(GoodCountOutOfRange, match="m=17"):
+        extend_counterexample(base, 12)  # n + 5 goods, beyond the supported 16
 
 
 def test_dummy_goods_are_worthless_everywhere():
