@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import cdcl, reference, smtlib, three_agent, verification
 from .allocations import count_allocations, enumerate_bundle_tuples, singleton_histogram
-from .bitset import cardinality, goods, is_proper_subset
+from .bitset import MAX_GOODS, cardinality, goods, is_proper_subset
 from .decoding import (
     decode_valuations,
     dump_rank_blocks,
@@ -302,16 +302,20 @@ def check_submodular_realization() -> CheckResult:
 
 
 def check_extension(jobs: int = 1) -> CheckResult:
-    res = CheckResult("7 extension (n=4, m=9 and n=5, m=10 exhaustive; one dummy good)")
+    res = CheckResult(
+        f"7 extension (n=4, m=9 and n=5, m=10 exhaustive; n=3 with 1..{MAX_GOODS - 8} dummy goods)"
+    )
     base = load_bundled_counterexample()
     for n, want in ((4, 186_480), (5, 5_103_000)):
         _scan_extension(res, base, n, want, jobs)
-    padded = add_dummy_goods([as_real(v) for v in base], 1)
-    dummy_report = verification.verify(padded, jobs=jobs)
-    res.record(
-        f"3 agents, m=9 with dummy: scanned {dummy_report.total_allocations}, EFX {dummy_report.efx_count}",
-        dummy_report.efx_count == 0,
-    )
+    for m in range(9, MAX_GOODS + 1):
+        padded = add_dummy_goods([as_real(v) for v in base], m - 8)
+        report = verification.verify(padded, jobs=jobs)
+        res.record(
+            f"n=3, m={m} with {m - 8} dummy goods: scanned {report.total_allocations}, "
+            f"EFX {report.efx_count}",
+            report.total_allocations == count_allocations(3, m) and report.efx_count == 0,
+        )
     return res
 
 

@@ -11,13 +11,15 @@ first agent of each pair holds the larger bundle (as an integer), and skips
 whole blocks of codes that break a pair.  Pairs taken along classes of
 interchangeable agents (`class_pairs`) leave one code per orbit of bundle
 swaps within the classes, the lowest one; `count_ordered_codes_below` counts
-those codes in closed form.
+those codes in closed form.  Both can also let up to a given number of
+bundles stay empty; two empty bundles tie, and a pair holds on a tie.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial, prod
 
 from .bitset import full_set
@@ -74,23 +76,20 @@ def class_pairs(classes: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]
 
 
 def count_ordered_codes_below(
-    n: int, m: int, classes: Sequence[Sequence[int]], code: int
+    n: int, m: int, classes: Sequence[Sequence[int]], code: int, empty: int = 0
 ) -> int:
-    """How many codes below `code` ``coded_bundles(n, m, pairs=class_pairs(classes))`` yields.
+    """How many codes below `code` ``coded_bundles(n, m, pairs=class_pairs(classes), empty=empty)`` yields.
 
     Disjoint bundles satisfy X_a > X_b exactly when the top good of X_a | X_b
-    is in X_a.  Read from good m-1 down, a code is therefore yielded when
-    every agent occurs and the members of each class first occur in
-    ascending order.  The codes below `code` are grouped by the first digit,
-    from the top, at which they fall below it.  A group that fixes the
-    digits above position p is completed by the p lower digits in
-    surj(u, n, p) / prod_c r_c! ways: u agents have yet to occur, r_c of
-    them in class c, and permuting the waiting members of a class maps the
-    completions with one order of first occurrence onto those with another.
+    is in X_a.  Read from good m-1 down, a code is therefore yielded when at
+    most `empty` agents never occur and the members of each class that occur
+    are the first ones of the class, first occurring in ascending order.  The
+    codes below `code` are grouped by the first digit, from the top, at which
+    they fall below it, and each group is counted by `_completions`.
     """
-    _check_agent_count(n, m)
+    _check_agent_count(n, m + empty)
     if code >= n**m:
-        return count_allocations(n, m) // prod(factorial(len(members)) for members in classes)
+        return _completions(n, m, 0, [len(members) for members in classes], empty)
     class_of = {agent: c for c, members in enumerate(classes) for agent in members}
     occurred = [0] * len(classes)  # members of each class seen so far
     seen: set[int] = set()
@@ -110,14 +109,37 @@ def count_ordered_codes_below(
                     occurred[c] += 1
             if d == digit:
                 break
-            below += _surjections(n - len(seen), n, pos) // prod(
-                factorial(len(members) - k) for members, k in zip(classes, occurred)
-            )
+            waiting = [len(members) - k for members, k in zip(classes, occurred)]
+            below += _completions(n, pos, len(seen), waiting, empty)
             if new:
                 seen.discard(d)
                 if c is not None:
                     occurred[c] -= 1
     return below
+
+
+def _completions(n: int, length: int, seen: int, waiting: Sequence[int], empty: int) -> int:
+    """Ways to append `length` lower digits to a prefix in which `seen` agents occur.
+
+    `waiting[c]` members of class c have yet to occur.  The agents that occur
+    in the lower digits are chosen: any t_0 of the unseen agents outside the
+    classes, and the next t_c waiting members of each class c, leaving at
+    most `empty` agents that never occur.  With t agents chosen, surj(t,
+    seen + t, length) strings use exactly those letters besides the seen
+    ones, and dividing by prod_c t_c! keeps the ones whose chosen members of
+    each class first occur in ascending order, because permuting those
+    members maps the strings with one order onto those with another.
+    """
+    unseen = n - seen
+    free = unseen - sum(waiting)
+    total = 0
+    for chosen in product(range(free + 1), *(range(r + 1) for r in waiting)):
+        t = sum(chosen)
+        if unseen - t <= empty:
+            total += comb(free, chosen[0]) * _surjections(t, seen + t, length) // prod(
+                factorial(k) for k in chosen[1:]
+            )
+    return total
 
 
 def coded_bundles(
@@ -126,9 +148,13 @@ def coded_bundles(
     start: int = 0,
     stop: int | None = None,
     pairs: Sequence[tuple[int, int]] = (),
+    empty: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(code, bundles)`` for the owner codes in [start, stop) that leave no bundle empty
-    and have ``bundles[a] > bundles[b]`` for every pair (a, b) in `pairs`.
+    """``(code, bundles)`` for the owner codes in [start, stop) that leave at most `empty`
+    bundles empty and have ``bundles[a] >= bundles[b]`` for every pair (a, b) in `pairs`.
+
+    Disjoint bundles are equal only when both are empty, so without empty
+    bundles every pair holds strictly.
 
     Codes ascend like an odometer over the owners of the goods: ``start`` is
     decoded once, and each later step moves only the goods whose digit
@@ -139,7 +165,7 @@ def coded_bundles(
     odometer moves on to the next multiple of n**p, handing the goods below
     p to agent 0 and carrying from p.  Without pairs no code jumps.
     """
-    _check_agent_count(n, m)
+    _check_agent_count(n, m + empty)
     stop = n**m if stop is None else min(stop, n**m)
     if start >= stop:
         return
@@ -169,7 +195,7 @@ def coded_bundles(
                 bit = 1 << good
                 break
         else:
-            if 0 not in bundles:
+            if 0 not in bundles or bundles.count(0) <= empty:
                 yield code, tuple(bundles)
             code += 1
             if code == stop:

@@ -118,9 +118,18 @@ def load_bundled_counterexample() -> list[RankValuation]:
 
 
 def load_valuations(text: str) -> list[RankValuation] | list[RealValuation]:
-    """Value blocks if the first non-blank line is an ``n m`` header, else rank blocks."""
-    first = next((line.split() for line in text.splitlines() if line.strip()), [])
-    return load_value_blocks(text) if len(first) == 2 else load_rank_blocks(text)
+    """Value blocks if the first non-blank line is an ``n m`` header, else rank blocks.
+
+    A two-field first line whose second field is a 0/1 string as wide as the
+    next line's bitstring is a rank line short of its rank, not a header: no
+    supported m is written that way.
+    """
+    lines = (line.split() for line in text.splitlines() if line.strip())
+    first, second = next(lines, []), next(lines, [])
+    header = len(first) == 2 and not (
+        len(second) > 1 and not first[1].strip("01") and len(first[1]) == len(second[1])
+    )
+    return load_value_blocks(text) if header else load_rank_blocks(text)
 
 
 def load_rank_blocks(text: str) -> list[RankValuation]:

@@ -147,6 +147,41 @@ def test_ordered_code_count_matches_the_enumeration(n, m, classes):
         assert count_ordered_codes_below(n, m, classes, code) == below, code
 
 
+# (n, m, classes, empty bundles allowed): n may exceed m when enough may stay empty
+WITH_EMPTY = [
+    (2, 3, [(0, 1)], 1),
+    (3, 4, [(0, 2)], 2),
+    (3, 3, [(0, 1, 2)], 2),
+    (4, 5, [(2, 3)], 1),
+    (4, 3, [(0, 1), (2, 3)], 1),
+    (5, 4, [(0, 2, 4), (1, 3)], 2),
+    (3, 1, [], 2),
+    (2, 0, [(0, 1)], 2),
+]
+
+
+@pytest.mark.parametrize("n,m,classes,empty", WITH_EMPTY)
+def test_codes_with_empty_bundles_match_filtering_every_code(n, m, classes, empty):
+    """Up to `empty` bundles may stay empty, and two empty members of a class tie."""
+    pairs = class_pairs(classes)
+    every = []
+    for code in range(n**m):
+        owners = [code // n**g % n for g in range(m)]
+        bundles = tuple(sum(1 << g for g in range(m) if owners[g] == a) for a in range(n))
+        if bundles.count(0) <= empty and all(bundles[a] >= bundles[b] for a, b in pairs):
+            every.append((code, bundles))
+    assert list(coded_bundles(n, m, pairs=pairs, empty=empty)) == every
+    rng = random.Random(n * 10 + m)
+    for _ in range(12):
+        start = rng.randrange(n**m + 1)
+        stop = rng.randrange(start, n**m + 1)
+        got = list(coded_bundles(n, m, start, stop, pairs, empty))
+        assert got == [(c, b) for c, b in every if start <= c < stop], (start, stop)
+    for code in range(n**m + 2):
+        below = sum(1 for c, _ in every if c < code)
+        assert count_ordered_codes_below(n, m, classes, code, empty) == below, code
+
+
 def test_stream_is_resumable_from_code_offsets():
     full = list(enumerate_bundle_tuples(3, 5))
     split = 3**5 // 3

@@ -286,6 +286,15 @@ def test_malformed_valuation_line_exits_one_naming_the_line(tmp_path, capsys, lo
     assert err.startswith(f"error: line {line}:") and err.count("\n") == 1
 
 
+def test_rank_file_with_a_short_first_line_exits_one_naming_it(tmp_path, capsys):
+    lines = dump_rank_blocks([THREE_GOODS] * 3).splitlines()
+    lines[0] = "0 000"
+    path = tmp_path / "vals.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--vals", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 1: need 3 fields, got 2\n"
+
+
 def test_io_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--vals", str(tmp_path / "missing.txt")]) == 2
 

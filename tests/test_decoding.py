@@ -100,6 +100,18 @@ def test_load_valuations_tells_the_block_forms_apart():
     assert load_valuations(dump_rank_blocks(ranks)) == ranks
     values = [as_real(v) for v in ranks]
     assert load_valuations("\n" + dump_value_blocks(values)) == values
+    one_block = dump_value_blocks(values[:1])
+    assert one_block.startswith("1 3\n0 000 0\n")
+    assert load_valuations(one_block) == values[:1]
+
+
+def test_rank_file_with_a_short_first_line_names_that_line():
+    """``0 000`` is a rank line without its rank, not an ``n m`` header."""
+    text = dump_rank_blocks([random_monotone_rank_valuation(3, 1)])
+    lines = text.splitlines()
+    lines[0] = "0 000"
+    with pytest.raises(MalformedValuationLine, match="^line 1: need 3 fields, got 2$"):
+        load_valuations("\n".join(lines))
 
 
 def test_value_block_roundtrip():

@@ -19,7 +19,12 @@ from efxlab.decoding import load_bundled_counterexample
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
-from efxlab.valuations import as_real, monotonicity_violation, random_monotone_rank_valuation
+from efxlab.valuations import (
+    RealValuation,
+    as_real,
+    monotonicity_violation,
+    random_monotone_rank_valuation,
+)
 from efxlab.verification import (
     VerifyReport,
     _scan_plan,
@@ -29,6 +34,7 @@ from efxlab.verification import (
     identical_classes,
     iter_mms_violations,
     marginal_values,
+    null_goods,
     value_tables,
     verify,
 )
@@ -271,26 +277,96 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, pools):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_parallel_chunks_hold_equally_many_orbits(monkeypatch, jobs):
-    """Orbits cluster in low top digits, so equal code ranges would not balance the workers."""
+    """Orbits cluster in low top digits, so equal code ranges would not balance the workers.
+
+    The second instance has a null good, so its chunks cut the codes of the
+    other five goods, and their representatives may leave one bundle empty.
+    """
     u, v, w = (random_monotone_rank_valuation(6, 730 + j) for j in range(3))
-    vals = [u, v, w, v, w]
-    n, m = len(vals), vals[0].m
-    pairs = class_pairs(identical_classes(value_tables(vals)))
-    monkeypatch.setattr(verification, "Pool", _RecordingPool)
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: jobs)
-    monkeypatch.setattr(_RecordingPool, "calls", [])
-    monkeypatch.setattr(_RecordingPool, "ranges", [])
-    assert verify(vals, jobs=jobs) == _full_scan(vals)
-    assert _RecordingPool.calls == [(jobs, jobs)]
-    bounds = [start for start, _ in _RecordingPool.ranges] + [_RecordingPool.ranges[-1][1]]
-    assert bounds[0] == 0 and bounds[-1] == n**m
-    assert all(stop == start for (_, stop), (start, _) in itertools.pairwise(_RecordingPool.ranges))
-    orbits = [
-        sum(1 for _ in coded_bundles(n, m, a, b, pairs)) for a, b in itertools.pairwise(bounds)
-    ]
-    assert max(orbits) - min(orbits) <= 1, orbits
-    codes = [(b - a) for a, b in itertools.pairwise(bounds)]
-    assert max(codes) > 2 * min(codes)  # the cuts follow the orbits, not the codes
+    small = [as_real(random_monotone_rank_valuation(5, 740 + j)) for j in range(3)]
+    padded = add_dummy_goods([small[0], small[1], small[2], small[1], small[2]], 1)
+    for vals in ([u, v, w, v, w], padded):
+        n, m = len(vals), vals[0].m
+        tables = value_tables(vals)
+        pairs = class_pairs(identical_classes(tables))
+        empty = len(null_goods(tables, m))
+        monkeypatch.setattr(verification, "Pool", _RecordingPool)
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: jobs)
+        monkeypatch.setattr(_RecordingPool, "calls", [])
+        monkeypatch.setattr(_RecordingPool, "ranges", [])
+        assert verify(vals, jobs=jobs) == _full_scan(vals)
+        assert _RecordingPool.calls == [(jobs, jobs)]
+        bounds = [start for start, _ in _RecordingPool.ranges] + [_RecordingPool.ranges[-1][1]]
+        assert bounds[0] == 0 and bounds[-1] == n ** (m - empty)
+        assert all(stop == start for (_, stop), (start, _) in itertools.pairwise(_RecordingPool.ranges))
+        orbits = [
+            sum(1 for _ in coded_bundles(n, m - empty, a, b, pairs, empty))
+            for a, b in itertools.pairwise(bounds)
+        ]
+        assert max(orbits) - min(orbits) <= 1, orbits
+        codes = [(b - a) for a, b in itertools.pairwise(bounds)]
+        assert max(codes) > 2 * min(codes)  # the cuts follow the orbits, not the codes
+
+
+def _moved(vals, order):
+    """The instance with its goods relabelled: new good p is old good ``order[p]``."""
+    m = vals[0].m
+    old = [sum(1 << order[p] for p in range(m) if mask >> p & 1) for mask in range(1 << m)]
+    return [RealValuation(m, tuple(v.value(mask) for mask in old)) for v in vals]
+
+
+def _instances_with_null_goods():
+    """z = 1 and z = 2 null goods, on top, at position 0 and in the middle, with and
+    without identical agents; every instance has EFX allocations."""
+    a, b, c = (as_real(random_monotone_rank_valuation(4, 750 + j)) for j in range(3))
+    yield add_dummy_goods([a, b, c], 1)  # null good 4
+    yield _moved(add_dummy_goods([a, b, c], 1), [4, 0, 1, 2, 3])  # null good 0
+    yield _moved(add_dummy_goods([a, b, c], 2), [0, 1, 4, 2, 5, 3])  # null goods 2 and 4
+    yield _moved(add_dummy_goods([a, b, b], 1), [0, 1, 4, 2, 3])  # null good 2, a class of 2
+    yield _moved(add_dummy_goods([b, a, b], 2), [5, 0, 1, 4, 2, 3])  # null goods 0 and 3
+    yield add_dummy_goods([a, a, a], 2)  # a class of 3; two members can tie on empty bundles
+    d, e = (as_real(random_monotone_rank_valuation(3, 760 + j)) for j in range(2))
+    yield _moved(add_dummy_goods([d, e, d, e], 2), [3, 0, 4, 1, 2])  # two classes of 2, n > m - z
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_factored_scan_matches_the_full_scan(monkeypatch, jobs):
+    """Histogram, EFX count and witness with null goods factored out, against every code."""
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    seen = set()
+    for vals in _instances_with_null_goods():
+        tables = value_tables(vals)
+        null = null_goods(tables, vals[0].m)
+        seen.add((len(null), bool(identical_classes(tables))))
+        report = verify(vals, jobs=jobs)
+        reference = _full_scan(vals)
+        assert reference.efx_count > 0
+        assert report.to_json() == reference.to_json()
+        assert report.first_witness_code == reference.first_witness_code
+        assert report == reference
+    assert seen == {(1, False), (2, False), (1, True), (2, True)}
+
+
+def test_null_goods_are_found_wherever_they_sit():
+    a, b, c = (as_real(random_monotone_rank_valuation(4, 750 + j)) for j in range(3))
+    assert null_goods(value_tables([a, b, c]), 4) == ()
+    padded = add_dummy_goods([a, b, c], 2)
+    assert null_goods(value_tables(padded), 6) == (4, 5)
+    moved = _moved(padded, [5, 0, 1, 4, 2, 3])
+    assert null_goods(value_tables(moved), 6) == (0, 3)
+    # a good worthless to some agents but not all is not null
+    extension = extend_counterexample(load_bundled_counterexample(), 4)
+    assert null_goods(value_tables(extension), 9) == ()
+    assert null_goods(value_tables(add_dummy_goods(extension, 1)), 10) == (9,)
+
+
+def test_every_good_null():
+    """No core good at all: each allocation is a hand-out of the null goods, and all are EFX."""
+    zero = RealValuation(3, (0,) * 8)
+    for vals in ([zero, zero], [zero, zero, zero]):
+        report = verify(vals)
+        assert report == _full_scan(vals)
+        assert report.efx_count == count_allocations(len(vals), 3)
 
 
 def test_identical_two_agent_instance_has_efx():
