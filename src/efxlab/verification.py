@@ -181,9 +181,9 @@ class _Scan:
     agents: tuple[tuple[int, list[int], list[list[int]], tuple[int, ...]], ...]
     pairs: tuple[tuple[int, int], ...]
     weight: int
-    classes: tuple[tuple[int, ...], ...] = ()
-    core: tuple[int, ...] = ()
-    null: tuple[int, ...] = ()
+    classes: tuple[tuple[int, ...], ...]
+    core: tuple[int, ...]
+    null: tuple[int, ...]
 
 
 def _scan_plan(tables: list[list[int]], m: int, classes: list[tuple[int, ...]]) -> _Scan:
