@@ -471,6 +471,7 @@ SLOW_CHECKS = frozenset(c.key for c in ALL_CHECKS if c.slow)
 
 
 def run_all(jobs: int = 1, skip: frozenset[str] = frozenset()) -> Iterator[CheckResult]:
+    verification.check_job_count(jobs)
     for criterion in ALL_CHECKS:
         if criterion.key in skip:
             continue

@@ -20,6 +20,10 @@ class AgentCountOutOfRange(EfxLabError, ValueError):
     """
 
 
+class JobCountOutOfRange(EfxLabError, ValueError):
+    """A scan was asked to run on fewer than one job."""
+
+
 class LevelOutOfRange(EfxLabError, ValueError):
     """A level threshold k lies outside 0..m+1."""
 

@@ -6,35 +6,42 @@ conditions each allocation violates.  Agents with equal value tables are
 interchangeable: swapping their bundles changes neither EFX status nor the
 violation count.  The scan therefore visits one allocation per orbit of such
 swaps, the one with the lowest owner code, and weights it by the orbit size.
-It walks those allocations with the skip-ahead odometer
-`allocations.coded_bundles` and counts violations from value tables and
-sorted removal tables, built once per distinct valuation.  The code space can
-be cut into ranges of equally many orbits for parallel workers, and partial
-reports merge as a commutative monoid, so serial and parallel runs produce
-identical reports, equal to a scan of every allocation.
+It walks those allocations agent by agent (`_walk`): each level fixes one
+bundle as a submask of the goods left and adds the terms of the agent pairs
+it completes, once for every allocation below it, and the innermost loop
+splits what is left between the last two agents.  The class order of
+identical agents is a restriction on the submasks, not a filter.  Violations
+are counted from value tables and sorted removal tables, built once per
+distinct valuation.  The first agent's bundles can be dealt into shares of
+about equal work for parallel workers, and partial reports merge as a
+commutative monoid, so serial and parallel runs produce identical reports,
+equal to a scan of every allocation.
 
 A null good changes no agent's value of any set, like the dummy goods of
-`submodular.add_dummy_goods`.  With z null goods the scan walks the owner
-codes of the other, core goods only, letting up to z core bundles stay
+`submodular.add_dummy_goods`.  With z null goods the scan walks the
+allocations of the other, core goods only, letting up to z core bundles stay
 empty.  Handing z_j null goods to agent j adds z_j violated conditions for
-each agent that envies j's core bundle, so each core code yields its share
-of the histogram in closed form, and the scan does n^z times less work.
+each agent that envies j's core bundle, so each core allocation yields its
+share of the histogram in closed form, and the scan does n^z times less
+work.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import comb, factorial, prod
 from multiprocessing import Pool
 
-from .allocations import class_pairs, coded_bundles, count_allocations, count_ordered_codes_below
+from .allocations import count_allocations
 from .bitset import cardinality, goods, singleton_bits, submasks
+from .errors import JobCountOutOfRange
 from .fairness import Valuation
 from .valuations import RankValuation, monotonicity_violation
 
@@ -163,13 +170,14 @@ def _envy_table(table: list[int], m: int, n: int, floor: int) -> list[list[int]]
 
 @dataclass(frozen=True)
 class _Scan:
-    """Everything a range scan reads, built once per `verify` and sent to every worker.
+    """Everything a scan reads, built once per `verify` and sent to every worker.
 
-    `agents` holds (i, v_i table, v_i removal table, the other agents); the
-    members of a class of identical agents share one table and one removal
-    table.  `pairs` keeps the bundles of each class decreasing, which selects
-    the lowest code of each orbit, and `weight` is the orbit size, the
-    product of k! over the classes.
+    `tables` and `rows` hold each agent's value table and removal table; the
+    members of a class of identical agents share one of each.  `order` is
+    the order in which `_walk` fixes the bundles: the members of each class,
+    ascending, then the other agents, so that the last two bundles, which
+    the walk's innermost loop splits, are as free of class order as they can
+    be.  `weight` is the orbit size, the product of k! over the classes.
 
     With null goods, the scan runs over the `core` goods only: `m` counts
     them, the tables are indexed by masks over them, and the removal tables
@@ -178,8 +186,9 @@ class _Scan:
 
     n: int
     m: int
-    agents: tuple[tuple[int, list[int], list[list[int]], tuple[int, ...]], ...]
-    pairs: tuple[tuple[int, int], ...]
+    tables: tuple[list[int], ...]
+    rows: tuple[list[list[int]], ...]
+    order: tuple[int, ...]
     weight: int
     classes: tuple[tuple[int, ...], ...]
     core: tuple[int, ...]
@@ -201,18 +210,229 @@ def _scan_plan(tables: list[list[int]], m: int, classes: list[tuple[int, ...]]) 
         removal = {i: _envy_table(tables[i], len(core), n, floor) for i in set(shared)}
     else:
         removal = {i: _removal_table(tables[i], m) for i in set(shared)}
-    agents = tuple(
-        (i, tables[shared[i]], removal[shared[i]], tuple(j for j in range(n) if j != i))
-        for i in range(n)
-    )
+    in_class = [agent for members in classes for agent in members]
+    order = (*in_class, *(agent for agent in range(n) if agent not in in_class))
     weight = prod(factorial(len(members)) for members in classes)
-    return _Scan(n, len(core), agents, class_pairs(classes), weight, tuple(classes), core, null)
+    return _Scan(
+        n,
+        len(core),
+        tuple(tables[shared[i]] for i in range(n)),
+        tuple(removal[shared[i]] for i in range(n)),
+        order,
+        weight,
+        tuple(classes),
+        core,
+        null,
+    )
 
 
-def _scan_range(
-    scan: _Scan, start: int, stop: int
+def _below(bundle: int) -> int:
+    """The goods below the top good of `bundle`, all a later class member may hold; none if empty.
+
+    Disjoint bundles X_b < X_a exactly when the top good of X_a | X_b is in
+    X_a, so X_b has no good above the top good of X_a.
+    """
+    return (1 << bundle.bit_length() >> 1) - 1 if bundle else 0
+
+
+def _descending(mask: int) -> Iterator[int]:
+    """The submasks of `mask`, descending."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _walk(
+    scan: _Scan,
+    firsts: Sequence[int],
+    wanted: Set[int] = frozenset(),
+    rank: Callable[[tuple[int, ...]], tuple] | None = None,
+) -> tuple[Counter[int], tuple | None]:
+    """How many walked allocations have each packing of column sums, and the least
+    `rank(bundles)` over those whose packing is in `wanted`.
+
+    The walk fixes the bundles in `scan.order`, each a submask of the goods
+    left, the first one taken from `firsts` (descending).  It visits one
+    allocation per orbit of bundle swaps within the classes, the one with
+    the lowest owner code: a class member's bundle ranges over the submasks
+    of the goods below the top good of the member before it (`_below`), and
+    a level followed only by members of its class takes the top good left.
+    Up to one bundle per null good may stay empty; two empty members of a
+    class tie.
+
+    Column j sums ``bisect_right(rows_i[X_j], v_i(X_i))`` over the agents i
+    != j, the conditions (i, j, g) with g in X_j that hold (`_scan_part`),
+    and the columns are packed as the digits of base `_radix(scan)`; without
+    null goods the base is 1, so the packing is the total.  A level adds the
+    terms of each pair of bundles it completes.  The innermost loop splits
+    the goods left between the last two bundles X_a and X_b, X_b = rest ^
+    X_a, and reads the terms of every earlier bundle but the last with X_a
+    and X_b from the tables `A` and `B` that the levels above built for the
+    submasks X_a and X_b may take.  So a split pays six bisects whatever n
+    is.
+    """
+    n, z = scan.n, len(scan.null)
+    full = (1 << scan.m) - 1
+    tally: Counter[int] = Counter()
+    best = None
+    if n == 1:
+        if full in firsts:
+            tally[0] = 1
+            if 0 in wanted:
+                best = rank((full,))
+        return tally, best
+
+    order = scan.order
+    tables = [scan.tables[agent] for agent in order]
+    rows = [scan.rows[agent] for agent in order]
+    radix = _radix(scan) if z else 1
+    digits = [radix**agent for agent in order]
+    at = {agent: p for p, agent in enumerate(order)}
+    prev = [-1] * n  # the position of the class member before each position
+    for members in scan.classes:
+        for before, agent in zip(members, members[1:]):
+            prev[at[agent]] = at[before]
+
+    def guard(p: int, d: int) -> int:
+        """The last position up to d of p's class, or -1."""
+        g = prev[p]
+        while g > d:
+            g = prev[g]
+        return g
+
+    # the levels whose later positions are all members of their class: those
+    # take goods below the top good of X_d only, so X_d must take the top good left
+    closing = [all(guard(p, d) == d for p in range(d + 1, n)) for d in range(n)]
+
+    a, b, last = n - 2, n - 1, n - 3
+    pa, pb = prev[a], prev[b]
+    guard_a, guard_b = [guard(a, d) for d in range(n)], [guard(b, d) for d in range(n)]
+    tab_a, tab_b, rows_a, rows_b = tables[a], tables[b], rows[a], rows[b]
+    da, db = digits[a], digits[b]
+    zero = [0] * (full + 1)  # the tables A and B before any level adds to them
+    no_rows = [()] * (full + 1)  # the rows of the missing last level when n == 2
+    batch: list[int] = []
+
+    def inner(rest, X, O, base, A, B, left, only=None):
+        """Tally every split of `rest` between X_a and X_b below the prefix X, O."""
+        nonlocal best
+        must_b = rest & ~_below(X[pa]) if pa >= 0 else 0
+        if pb == a:
+            must_a = 1 << rest.bit_length() >> 1
+        else:
+            must_a = rest & ~_below(X[pb]) if pb >= 0 else 0
+        if must_a & must_b:
+            return
+        subs = [0]
+        free = rest ^ must_a ^ must_b
+        while free:
+            low = free & -free
+            subs += [sub | low for sub in subs]
+            free ^= low
+        xa = [must_a | sub for sub in subs] if must_a else subs
+        xb = [must_b | sub for sub in reversed(subs)]
+        if left < 2:  # each empty bundle takes one of the `left` spares
+            if not rest:
+                return
+            if not left:
+                stop = len(subs) - (not must_b)
+                xa, xb = xa[not must_a : stop], xb[not must_a : stop]
+        if only is not None:
+            xb = [y for x, y in zip(xa, xb) if x in only]
+            xa = [x for x in xa if x in only]
+        if last >= 0:
+            rl, ol, dl = rows[last], O[last], digits[last]
+            ral, rbl = rows_a[X[last]], rows_b[X[last]]
+        else:
+            rl, ol, dl, ral, rbl = no_rows, 0, 0, (), ()
+        sums = [
+            base + A[x] + B[y]
+            + (bisect_right(rl[x], ol) + bisect_right(rows_b[x], tb)) * da
+            + (bisect_right(rl[y], ol) + bisect_right(rows_a[y], ta)) * db
+            + (bisect_right(ral, ta) + bisect_right(rbl, tb)) * dl
+            for x, y, ta, tb in zip(xa, xb, map(tab_a.__getitem__, xa), map(tab_b.__getitem__, xb))
+        ]
+        batch.extend(sums)
+        if len(batch) > 4096:
+            tally.update(batch)
+            batch.clear()
+        if wanted and not wanted.isdisjoint(sums):
+            bundles = [0] * n
+            for p in range(a):
+                bundles[order[p]] = X[p]
+            for x, y, packed in zip(xa, xb, sums):
+                if packed in wanted:
+                    bundles[order[a]], bundles[order[b]] = x, y
+                    found = rank(tuple(bundles))
+                    if best is None or found < best:
+                        best = found
+
+    def level(d, rest, X, O, base, A, B, left, choices):
+        """Fix X_d to each of `choices` in turn and walk the levels below."""
+        table, own_rows, digit = tables[d], rows[d], digits[d]
+        floor = 1 << rest.bit_length() >> 1 if closing[d] else 0
+        nxt = d + 1
+        for sub in choices:
+            if sub < floor:
+                break
+            if not (sub or left):
+                continue
+            after = rest ^ sub
+            spare = left - (not sub)
+            if after.bit_count() + spare < n - nxt:
+                continue
+            own = table[sub]
+            packed = base
+            held = 0
+            for i in range(d):
+                held += bisect_right(rows[i][sub], O[i])
+                packed += bisect_right(own_rows[X[i]], own) * digits[i]
+            packed += held * digit
+            X[d], O[d] = sub, own
+            if d == last:
+                inner(after, X, O, packed, A, B, spare)
+                continue
+            p = prev[nxt]
+            avail = after & _below(X[p]) if p >= 0 else after
+            if not (avail or spare):
+                continue
+            g = guard_a[d]
+            dom_a = after & _below(X[g]) if g >= 0 else after & _below(after) if pa >= 0 else after
+            g = guard_b[d]
+            dom_b = after & _below(X[g]) if g >= 0 else after & _below(after) if pb >= 0 else after
+            ra, rb = rows_a[sub], rows_b[sub]
+            A2 = {
+                y: A[y] + bisect_right(own_rows[y], own) * da + bisect_right(ra, tab_a[y]) * digit
+                for y in _descending(dom_a)
+            }
+            B2 = {
+                y: B[y] + bisect_right(own_rows[y], own) * db + bisect_right(rb, tab_b[y]) * digit
+                for y in _descending(dom_b)
+            }
+            level(nxt, after, X, O, packed, A2, B2, spare, _descending(avail))
+
+    X, O = [0] * n, [0] * n
+    if n == 2:
+        inner(full, X, O, 0, zero, zero, z, set(firsts))
+    else:
+        level(0, full, X, O, 0, zero, zero, z, sorted(firsts, reverse=True))
+    tally.update(batch)
+    return tally, best
+
+
+def _coded(n: int, bundles: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The owner code of an allocation, sum of owner * n^g over the goods g, with its bundles."""
+    return sum(j * n**g for j, bundle in enumerate(bundles) for g in goods(bundle)), bundles
+
+
+def _scan_part(
+    scan: _Scan, firsts: Sequence[int]
 ) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
-    """Count EFX allocations and violated conditions, one orbit per lowest code in [start, stop).
+    """Count EFX allocations and violated conditions over the orbits whose first walked
+    bundle is in `firsts`.
 
     A violated condition is a triple (i, j, g), j != i and g in X_j, with
     v_i(X_j - g) > v_i(X_i), as in `fairness.efx_conditions`.  With the
@@ -220,52 +440,37 @@ def _scan_range(
     the goods of X_j whose condition holds for i, so one C-level bisect
     replaces |X_j| comparisons.  The bundles partition the m goods, so the
     pairs j != i of agent i cover m - |X_i| conditions and all pairs cover
-    (n - 1) * m; the violations are that total minus the bisect counts.
-    Each lowest code stands for its whole orbit, so every count is taken
-    `scan.weight` times; the witness is the lowest EFX code, which is the
-    lowest of its orbit.  Tests hold the scan to
-    `fairness.violated_condition_count` and to a scan of every code.
-    With null goods the codes are those of the core goods, and
-    `_scan_core_range` counts the allocations each one stands for.
+    (n - 1) * m; the violations are that total minus what `_walk` tallies.
+    Each walked allocation stands for its whole orbit, so every count is
+    taken `scan.weight` times; the witness is the lowest EFX code, which is
+    the lowest of its orbit.  Tests hold the scan to
+    `fairness.violated_condition_count` and to a scan of every code.  With
+    null goods `_scan_core_part` counts the allocations each walked one
+    stands for.
     """
     if scan.null:
-        return _scan_core_range(scan, start, stop)
+        return _scan_core_part(scan, firsts)
     conditions = (scan.n - 1) * scan.m
-    found = efx_count = 0
-    hist: dict[int, int] = {}
-    witness: tuple[int, ...] | None = None
-    witness_code: int | None = None
-    for code, bundles in coded_bundles(scan.n, scan.m, start, stop, scan.pairs):
-        held = 0
-        for i, table, rows, others in scan.agents:
-            own = table[bundles[i]]
-            for j in others:
-                held += bisect_right(rows[bundles[j]], own)
-        violations = conditions - held
-        found += 1
-        hist[violations] = hist.get(violations, 0) + 1
-        if violations == 0:
-            efx_count += 1
-            if witness_code is None:
-                witness, witness_code = bundles, code
+    tally, best = _walk(scan, firsts, {conditions}, partial(_coded, scan.n))
     weight = scan.weight
-    hist = {bucket: count * weight for bucket, count in hist.items()}
-    return found * weight, efx_count * weight, hist, witness, witness_code
+    hist = {conditions - held: count * weight for held, count in tally.items()}
+    witness_code, witness = best or (None, None)
+    return sum(tally.values()) * weight, tally[conditions] * weight, hist, witness, witness_code
 
 
-def _scan_core_range(
-    scan: _Scan, start: int, stop: int
+def _scan_core_part(
+    scan: _Scan, firsts: Sequence[int]
 ) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
-    """`_scan_range` for an instance with null goods, over the core codes in [start, stop).
+    """`_scan_part` for an instance with null goods, over the core goods.
 
-    Codes with equal column sums (`_core_tally`) count alike, so the scan
+    Walked allocations with equal column sums count alike, so the walk
     tallies the sums.  They read as the core violations and an envy pattern
     (`_reading`), and `_hand_outs` counts the allocations behind each
-    pattern once.  Only when a range holds an EFX allocation does a second
-    pass collect the codes that have one; `_lowest_completion` gives the
-    lowest full code among them.
+    pattern once.  Only when the part holds an EFX allocation does a second
+    walk look at the allocations that have one; `_lowest_completion` gives
+    the lowest full code among them.
     """
-    tally, _ = _core_tally(scan, start, stop)
+    tally, _ = _walk(scan, firsts)
     patterns: dict[tuple[tuple[bool, ...], tuple[int, ...]], dict[int, int]] = {}
     for sums, count in tally.items():
         violations, pattern = _reading(scan, sums)
@@ -286,40 +491,8 @@ def _scan_core_range(
     if not efx_readings:
         return total, efx_count, hist, None, None
     efx_sums = {sums for sums in tally if _reading(scan, sums) in efx_readings}
-    _, hits = _core_tally(scan, start, stop, efx_sums)
-    witness_code, witness = min(_lowest_completion(scan, bundles) for bundles in hits)
+    _, (witness_code, witness) = _walk(scan, firsts, efx_sums, partial(_lowest_completion, scan))
     return total, efx_count, hist, witness, witness_code
-
-
-def _core_tally(
-    scan: _Scan, start: int, stop: int, wanted: frozenset | set = frozenset()
-) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """How many core codes in [start, stop) have each packing of column sums, and the
-    bundles of the codes whose packings are in `wanted`.
-
-    Column j sums ``bisect_right(envy_i[X_j], v_i(X_i))`` over the agents
-    i != j (`_envy_table`), so it reads as h + K*q: h conditions on the
-    goods of X_j hold, and q counts the agents that do not envy X_j, plus
-    n(n-1) when X_j is empty.  The columns are packed into one integer, as
-    the digits of base `_radix(scan)`, which keeps the tally small.
-    """
-    radix = _radix(scan)
-    agents = [
-        (i, table, rows, tuple((j, radix**j) for j in others))
-        for i, table, rows, others in scan.agents
-    ]
-    tally: dict[int, int] = {}
-    hits = []
-    for _, bundles in coded_bundles(scan.n, scan.m, start, stop, scan.pairs, len(scan.null)):
-        sums = 0
-        for i, table, rows, others in agents:
-            own = table[bundles[i]]
-            for j, digit in others:
-                sums += bisect_right(rows[bundles[j]], own) * digit
-        tally[sums] = tally.get(sums, 0) + 1
-        if sums in wanted:
-            hits.append(bundles)
-    return tally, hits
 
 
 def _radix(scan: _Scan) -> int:
@@ -378,7 +551,7 @@ def _lowest_completion(scan: _Scan, bundles: tuple[int, ...]) -> tuple[int, tupl
     hands them out lowest owner first, from the highest null good down.
     """
     n = scan.n
-    tables = [table for _, table, _, _ in scan.agents]
+    tables = scan.tables
     completions = []
     for perms in product(*(permutations(members) for members in scan.classes)):
         image = list(bundles)
@@ -398,9 +571,59 @@ def _lowest_completion(scan: _Scan, bundles: tuple[int, ...]) -> tuple[int, tupl
             if waiting and owner == waiting[0]:
                 waiting.pop(0)
             full[owner] |= 1 << good
-        code = sum(j * n**g for j, bundle in enumerate(full) for g in goods(bundle))
-        completions.append((code, tuple(full)))
+        completions.append(_coded(n, tuple(full)))
     return min(completions)
+
+
+def _shares(scan: _Scan, jobs: int) -> list[list[int]]:
+    """The first walked agent's bundles dealt into at most `jobs` shares of about equal work.
+
+    A first bundle X leaves its rest to the other n - 1 agents, and the k
+    later members of its class take only goods below the top good of X.
+    The walk under X is estimated by the assignments of the rest that leave
+    no more agents without a good than the null goods allow, counted by
+    inclusion-exclusion over the agents left without one.  The bundles go,
+    largest estimate first, each to the share with the least estimated work
+    so far (the lowest such share on a tie).  Each share lists its bundles
+    descending, as `_walk` takes them.
+    """
+    n, full, z = scan.n, (1 << scan.m) - 1, len(scan.null)
+    if jobs == 1:
+        return [list(_descending(full))]
+    later = next((len(c) - 1 for c in scan.classes if c[0] == scan.order[0]), 0)
+    others = n - 1 - later
+
+    def onto(held: int, free: int, low: int, high: int) -> int:
+        """Assignments of low + high goods giving a good to each of `held` agents, who
+        take only the low goods, and of `free` agents."""
+        return sum(
+            (-1) ** (i + j) * comb(held, i) * comb(free, j)
+            * (held - i + free - j) ** low * (free - j) ** high
+            for i in range(held + 1)
+            for j in range(free + 1)
+        )
+
+    @cache
+    def estimate(low: int, high: int, spare: int) -> int:
+        return sum(
+            comb(later, i) * comb(others, j) * onto(later - i, others - j, low, high)
+            for i in range(later + 1)
+            for j in range(others + 1)
+            if i + j <= spare
+        )
+
+    def work(bundle: int) -> int:
+        rest = full ^ bundle
+        low = (rest & _below(bundle)).bit_count()
+        return estimate(low, rest.bit_count() - low, z - (not bundle))
+
+    shares: list[list[int]] = [[] for _ in range(jobs)]
+    loads = [0] * jobs
+    for bundle in sorted(_descending(full), key=work, reverse=True):
+        share = loads.index(min(loads))
+        shares[share].append(bundle)
+        loads[share] += work(bundle)
+    return [sorted(share, reverse=True) for share in shares if share]
 
 
 def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
@@ -411,14 +634,15 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     the orbit size, so the report equals that of a scan of every code.  The
     value and removal tables are built once, one removal table per distinct
     valuation, before any worker starts.  Null goods, which change no
-    agent's value of any set, are factored out: the scan runs over the codes
-    of the other goods, letting as many bundles stay empty as there are
-    null goods, and counts the ways to hand the null goods out.  With jobs >
-    1 the owner-code range is cut into contiguous chunks holding equally
-    many orbits (`allocations.count_ordered_codes_below`), one per worker
-    process, with at most one worker per CPU; the merged report is identical
-    to a serial scan.
+    agent's value of any set, are factored out: the scan runs over the
+    other goods, letting as many bundles stay empty as there are null
+    goods, and counts the ways to hand the null goods out.  With jobs > 1
+    the first walked agent's bundles are dealt into shares of about equal
+    work (`_shares`), one per worker process, with at most one worker per
+    CPU; the merged report is identical to a serial scan.  `jobs` below 1
+    raises `JobCountOutOfRange`.
     """
+    check_job_count(jobs)
     n, m = len(valuations), valuations[0].m
     expected = count_allocations(n, m)
     tables = value_tables(valuations)
@@ -427,25 +651,12 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     classes = identical_classes(tables)
     scan = _scan_plan(tables, m, classes)
 
-    code_space = n**scan.m
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        parts = [_scan_range(scan, 0, code_space)]
+    shares = _shares(scan, min(jobs, os.cpu_count() or 1))
+    if len(shares) == 1:
+        parts = [_scan_part(scan, shares[0])]
     else:
-        orbits_below = partial(count_ordered_codes_below, n, scan.m, classes, empty=len(scan.null))
-        orbits = orbits_below(code_space)
-        bounds = [
-            bisect_left(range(code_space), orbits * i // jobs, key=orbits_below)
-            for i in range(jobs)
-        ]
-        bounds.append(code_space)
-        args = [
-            (scan, bounds[i], bounds[i + 1])
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with Pool(processes=len(args)) as pool:
-            parts = pool.starmap(_scan_range, args)
+        with Pool(processes=len(shares)) as pool:
+            parts = pool.starmap(_scan_part, [(scan, share) for share in shares])
 
     for total, efx_count, hist, witness, code in parts:
         report = report.merge(
@@ -456,6 +667,12 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
             f"scanned {report.total_allocations} allocations, expected {expected}"
         )
     return report
+
+
+def check_job_count(jobs: int) -> None:
+    """A scan needs at least one job."""
+    if jobs < 1:
+        raise JobCountOutOfRange(f"need jobs >= 1, got {jobs}")
 
 
 # -- analytics -----------------------------------------------------------------

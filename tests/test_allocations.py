@@ -5,15 +5,14 @@ import pytest
 
 from efxlab.allocations import (
     Allocation,
-    class_pairs,
     coded_bundles,
     count_allocations,
-    count_ordered_codes_below,
     enumerate_allocations,
     enumerate_bundle_tuples,
     singleton_histogram,
 )
 from efxlab.errors import AgentCountOutOfRange
+from efxlab.verification import _coded, _scan_plan, _shares, _walk
 
 
 def decoded_bundles(n, m, start, stop):
@@ -98,53 +97,80 @@ CLASSED = [
 ]
 
 
-def filtered_bundles(n, m, start, stop, pairs):
-    """Reference: the plain odometer, keeping codes whose pairs hold bundles[a] > bundles[b]."""
-    for code, bundles in coded_bundles(n, m, start, stop):
-        if all(bundles[a] > bundles[b] for a, b in pairs):
-            yield code, bundles
+def _class_scan(n, m, classes, empty=0):
+    """The scan plan of an additive instance whose class members share weights, plus
+    `empty` null goods on top of the m core goods."""
+    key = list(range(n))
+    for members in classes:
+        for agent in members:
+            key[agent] = members[0]
+    tables = []
+    for agent in range(n):
+        weights = [1 + g + 7 * key[agent] for g in range(m)]
+        masks = range(1 << m + empty)
+        tables.append([sum(w for g, w in enumerate(weights) if mask >> g & 1) for mask in masks])
+    return _scan_plan(tables, m + empty, [tuple(members) for members in classes])
 
 
-def _skipped_codes(n, m, pairs):
-    """Codes that break a pair but are not the first of their skipped block (code % n != 0)."""
+def _walked(scan, firsts):
+    """The owner codes, over the core goods, of every allocation `_walk` visits."""
+    tally, _ = _walk(scan, firsts)
+    visited = []
+
+    def record(bundles):
+        visited.append(_coded(scan.n, bundles))
+        return 0
+
+    _walk(scan, firsts, set(tally), record)
+    assert len(visited) == sum(tally.values())
+    return sorted(visited)
+
+
+def _every_first(scan):
+    return list(range(1 << scan.m))
+
+
+def filtered_bundles(n, m, classes, empty=0):
+    """Reference: every code with at most `empty` empty bundles and each class's bundles
+    decreasing, two empty bundles tying."""
+    pairs = [pair for members in classes for pair in zip(members, members[1:])]
     for code in range(n**m):
         owners = [code // n**g % n for g in range(m)]
-        bundles = [sum(1 << g for g in range(m) if owners[g] == a) for a in range(n)]
-        if code % n and any(bundles[a] < bundles[b] for a, b in pairs):
-            yield code
+        bundles = tuple(sum(1 << g for g in range(m) if owners[g] == a) for a in range(n))
+        if bundles.count(0) <= empty and all(bundles[a] >= bundles[b] for a, b in pairs):
+            yield code, bundles
 
 
 @pytest.mark.parametrize("n,m,classes", CLASSED)
 def test_skip_ahead_matches_filtering_the_odometer(n, m, classes):
-    pairs = class_pairs(classes)
+    """The walk skips every code that breaks a class pair, a whole subtree at a time, and
+    visits the rest: one code per orbit, the lowest.  A subset of the first walked
+    agent's bundles keeps exactly the codes that give that agent one of them."""
+    scan = _class_scan(n, m, classes)
+    every = list(filtered_bundles(n, m, classes))
+    assert _walked(scan, _every_first(scan)) == every
+    first = scan.order[0]
     rng = random.Random(n * 100 + m)
-    space = n**m
-    skipped = list(_skipped_codes(n, m, pairs))
-    ranges = [(0, space), (1, space), (space - 1, space), (0, space - 1)]
-    # starts inside a skipped block; stops where a jump lands (multiples of n**p)
-    ranges += [(code, space) for code in rng.sample(skipped, 4)]
-    ranges += [(0, k * n**p) for p in (m - 1, m - 2, 2) for k in range(1, n)]
-    ranges += [(rng.choice(skipped), k * n ** (m - 1)) for k in range(1, n)]
-    for _ in range(12):
-        start = rng.randrange(space)
-        ranges.append((start, rng.randrange(start, space + 1)))
-    for start, stop in ranges:
-        got = list(coded_bundles(n, m, start, stop, pairs))
-        assert got == list(filtered_bundles(n, m, start, stop, pairs)), (start, stop)
+    for _ in range(4):
+        firsts = rng.sample(_every_first(scan), 1 << m - 1)
+        kept = [(c, b) for c, b in every if b[first] in firsts]
+        assert _walked(scan, firsts) == kept
 
 
 @pytest.mark.parametrize("n,m,classes", CLASSED)
 def test_ordered_code_count_matches_the_enumeration(n, m, classes):
-    pairs = class_pairs(classes)
+    """Walked codes times the orbit size count every allocation, and the parallel
+    shares split the first walked agent's bundles, and the codes, without loss."""
+    scan = _class_scan(n, m, classes)
     orbit = prod(factorial(len(members)) for members in classes)
-    codes = [code for code, _ in coded_bundles(n, m, pairs=pairs)]
-    assert len(codes) * orbit == count_allocations(n, m)
-    rng = random.Random(m)
-    probes = [0, 1, codes[0], codes[-1], codes[-1] + 1, n**m, n**m + 5]
-    probes += rng.sample(range(n**m), min(40, n**m))
-    for code in probes:
-        below = sum(1 for c in codes if c < code)
-        assert count_ordered_codes_below(n, m, classes, code) == below, code
+    tally, _ = _walk(scan, _every_first(scan))
+    assert sum(tally.values()) * orbit == count_allocations(n, m)
+    for jobs in (2, 3, 4):
+        shares = _shares(scan, jobs)
+        assert len(shares) == jobs
+        assert sorted(b for share in shares for b in share) == _every_first(scan)
+        counts = [sum(_walk(scan, share)[0].values()) for share in shares]
+        assert sum(counts) == sum(tally.values())
 
 
 # (n, m, classes, empty bundles allowed): n may exceed m when enough may stay empty
@@ -163,23 +189,9 @@ WITH_EMPTY = [
 @pytest.mark.parametrize("n,m,classes,empty", WITH_EMPTY)
 def test_codes_with_empty_bundles_match_filtering_every_code(n, m, classes, empty):
     """Up to `empty` bundles may stay empty, and two empty members of a class tie."""
-    pairs = class_pairs(classes)
-    every = []
-    for code in range(n**m):
-        owners = [code // n**g % n for g in range(m)]
-        bundles = tuple(sum(1 << g for g in range(m) if owners[g] == a) for a in range(n))
-        if bundles.count(0) <= empty and all(bundles[a] >= bundles[b] for a, b in pairs):
-            every.append((code, bundles))
-    assert list(coded_bundles(n, m, pairs=pairs, empty=empty)) == every
-    rng = random.Random(n * 10 + m)
-    for _ in range(12):
-        start = rng.randrange(n**m + 1)
-        stop = rng.randrange(start, n**m + 1)
-        got = list(coded_bundles(n, m, start, stop, pairs, empty))
-        assert got == [(c, b) for c, b in every if start <= c < stop], (start, stop)
-    for code in range(n**m + 2):
-        below = sum(1 for c, _ in every if c < code)
-        assert count_ordered_codes_below(n, m, classes, code, empty) == below, code
+    scan = _class_scan(n, m, classes, empty)
+    assert (scan.m, len(scan.null)) == (m, empty)
+    assert _walked(scan, _every_first(scan)) == list(filtered_bundles(n, m, classes, empty))
 
 
 def test_stream_is_resumable_from_code_offsets():

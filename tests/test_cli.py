@@ -410,6 +410,15 @@ def test_zero_conflict_budget_is_accepted(tmp_path, capsys):
     assert "s SATISFIABLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,jobs", [("verify", "0"), ("verify", "-3"), ("selfcheck", "0")])
+def test_jobs_below_one_exit_one_with_one_error_line(counterexample_file, capsys, command, jobs):
+    argv = ["verify", "--vals", str(counterexample_file)] if command == "verify" else ["selfcheck"]
+    assert main([*argv, "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need jobs >= 1, got {jobs}\n"
+
+
 @pytest.mark.parametrize("flags,skipped", [(["--quick"], True), ([], False)])
 def test_quick_selfcheck_skips_the_n6_extension(monkeypatch, capsys, flags, skipped):
     seen = []

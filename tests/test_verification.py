@@ -9,13 +9,13 @@ import pytest
 from efxlab import verification
 from efxlab.allocations import (
     Allocation,
-    class_pairs,
     coded_bundles,
     count_allocations,
     enumerate_allocations,
 )
 from efxlab.bitset import goods
 from efxlab.decoding import load_bundled_counterexample
+from efxlab.errors import JobCountOutOfRange
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
@@ -27,8 +27,10 @@ from efxlab.valuations import (
 )
 from efxlab.verification import (
     VerifyReport,
+    _scan_part,
     _scan_plan,
-    _scan_range,
+    _shares,
+    _walk,
     count_mms_violation_tuples,
     find_mms_violations,
     identical_classes,
@@ -205,34 +207,34 @@ def _orbit(bundles, classes, n):
     return codes
 
 
-def test_scan_ranges_cut_at_arbitrary_codes_merge_to_the_full_scan():
+def test_scan_shares_of_first_bundles_merge_to_the_full_scan():
     rng = random.Random(11)
     for vals in _instances_with_efx():
         n, m = len(vals), vals[0].m
         tables = value_tables(vals)
         classes = identical_classes(tables)
         scan = _scan_plan(tables, m, classes)
-        space = n**m
-        full = _merged([_scan_range(scan, 0, space)], n, m)
-        # starts with an empty bundle: code n**m - 1 gives every good to the
-        # last agent; code 1 gives good 0 to agent 1, the rest to agent 0
-        cuts = sorted({1, space - 1, *rng.sample(range(2, space - 1), 5)})
-        bounds = [0, *cuts, space]
-        parts = [_scan_range(scan, a, b) for a, b in itertools.pairwise(bounds)]
-        assert _merged(parts, n, m) == full
+        firsts = list(range(1 << m))
+        full = _merged([_scan_part(scan, firsts)], n, m)
+        rng.shuffle(firsts)
+        cuts = sorted(rng.sample(range(1, len(firsts)), 5))
+        shares = [firsts[a:b] for a, b in itertools.pairwise([0, *cuts, len(firsts)])]
+        assert _merged([_scan_part(scan, share) for share in shares], n, m) == full
 
-        # A range counts the orbits whose lowest code lies in it, each weighted
-        # by its size.  Without identical agents every orbit is one code, and
-        # this is the allocation-by-allocation count.
-        start, stop = cuts[1], cuts[-1]
-        total, efx_count, hist, witness, code = _scan_range(scan, start, stop)
+        # A share counts the orbits whose lowest code gives the first walked
+        # agent one of its bundles, each weighted by its size.  Without
+        # identical agents every orbit is one code, and this is the
+        # allocation-by-allocation count.
+        first = scan.order[0]
+        share = set(shares[0] + shares[1])
+        total, efx_count, hist, witness, code = _scan_part(scan, share)
         expected: dict[int, int] = {}
         efx_codes = []
         efx_weight = 0
-        for c, bundles in coded_bundles(n, m, start, stop):
+        for c, bundles in coded_bundles(n, m):
             orbit = _orbit(bundles, classes, n)
             assert c in orbit
-            if c != min(orbit):
+            if c != min(orbit) or bundles[first] not in share:
                 continue
             count = violated_condition_count(Allocation(m, bundles), vals)
             expected[count] = expected.get(count, 0) + len(orbit)
@@ -245,10 +247,10 @@ def test_scan_ranges_cut_at_arbitrary_codes_merge_to_the_full_scan():
 
 
 class _RecordingPool:
-    """Stands in for `multiprocessing.Pool`: records its size and chunk count, runs in-process."""
+    """Stands in for `multiprocessing.Pool`: records its size and shares, runs in-process."""
 
     calls: list[tuple[int, int]] = []
-    ranges: list[tuple[int, int]] = []
+    shares: list[list[int]] = []
 
     def __init__(self, processes):
         self.processes = processes
@@ -261,7 +263,7 @@ class _RecordingPool:
 
     def starmap(self, func, args):
         self.calls.append((self.processes, len(args)))
-        self.ranges.extend((start, stop) for _, start, stop in args)
+        self.shares.extend(share for _, share in args)
         return list(itertools.starmap(func, args))
 
 
@@ -276,36 +278,30 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, pools):
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_parallel_chunks_hold_equally_many_orbits(monkeypatch, jobs):
-    """Orbits cluster in low top digits, so equal code ranges would not balance the workers.
+def test_parallel_shares_balance_the_walk(monkeypatch, jobs):
+    """The shares split the first walked agent's bundles; each holds about as many orbits.
 
-    The second instance has a null good, so its chunks cut the codes of the
-    other five goods, and their representatives may leave one bundle empty.
+    The second instance has a null good, so its shares walk the other five
+    goods, and their allocations may leave one bundle empty.
     """
     u, v, w = (random_monotone_rank_valuation(6, 730 + j) for j in range(3))
     small = [as_real(random_monotone_rank_valuation(5, 740 + j)) for j in range(3)]
     padded = add_dummy_goods([small[0], small[1], small[2], small[1], small[2]], 1)
     for vals in ([u, v, w, v, w], padded):
-        n, m = len(vals), vals[0].m
         tables = value_tables(vals)
-        pairs = class_pairs(identical_classes(tables))
-        empty = len(null_goods(tables, m))
+        scan = _scan_plan(tables, vals[0].m, identical_classes(tables))
         monkeypatch.setattr(verification, "Pool", _RecordingPool)
         monkeypatch.setattr(verification.os, "cpu_count", lambda: jobs)
         monkeypatch.setattr(_RecordingPool, "calls", [])
-        monkeypatch.setattr(_RecordingPool, "ranges", [])
+        monkeypatch.setattr(_RecordingPool, "shares", [])
         assert verify(vals, jobs=jobs) == _full_scan(vals)
         assert _RecordingPool.calls == [(jobs, jobs)]
-        bounds = [start for start, _ in _RecordingPool.ranges] + [_RecordingPool.ranges[-1][1]]
-        assert bounds[0] == 0 and bounds[-1] == n ** (m - empty)
-        assert all(stop == start for (_, stop), (start, _) in itertools.pairwise(_RecordingPool.ranges))
-        orbits = [
-            sum(1 for _ in coded_bundles(n, m - empty, a, b, pairs, empty))
-            for a, b in itertools.pairwise(bounds)
-        ]
-        assert max(orbits) - min(orbits) <= 1, orbits
-        codes = [(b - a) for a, b in itertools.pairwise(bounds)]
-        assert max(codes) > 2 * min(codes)  # the cuts follow the orbits, not the codes
+        shares = _RecordingPool.shares
+        assert shares == _shares(scan, jobs)
+        assert sorted(b for share in shares for b in share) == list(range(1 << scan.m))
+        assert all(share == sorted(share, reverse=True) for share in shares)
+        orbits = [sum(_walk(scan, share)[0].values()) for share in shares]
+        assert max(orbits) - min(orbits) <= max(orbits) // 20, orbits
 
 
 def _moved(vals, order):
@@ -358,6 +354,56 @@ def test_null_goods_are_found_wherever_they_sit():
     extension = extend_counterexample(load_bundled_counterexample(), 4)
     assert null_goods(value_tables(extension), 9) == ()
     assert null_goods(value_tables(add_dummy_goods(extension, 1)), 10) == (9,)
+
+
+def _walk_shapes():
+    """(instance, what it covers): the walk's outer levels, classes and null goods."""
+    a, b, c = (random_monotone_rank_valuation(5, 770 + j) for j in range(3))
+    yield [a], "n=1: one bundle, no pair"
+    yield [a, b], "n=2: no outer level"
+    yield [a, a], "n=2: the innermost pair is a class"
+    yield [a, b, a], "agent 0 in a class with agent 2"
+    yield [a, a, a], "a class of three, split between the outer level and the innermost pair"
+    yield [b, a, a, a], "a class of three beside agent 0; the innermost pair mixes them"
+    yield [a, b, a, b], "two classes; the innermost pair is the second"
+    yield [a, b, c, a, b], "two classes and a third agent"
+    d, e = (as_real(random_monotone_rank_valuation(3, 780 + j)) for j in range(2))
+    yield add_dummy_goods([d], 2), "n=1 with null goods"
+    yield add_dummy_goods([d, d, d], 1), "z=1, a class of three"
+    yield add_dummy_goods([d, e, d], 2), "z=2, empty class members tie"
+    yield add_dummy_goods([d, e, e, d], 3), "z=3, two classes; up to three bundles empty"
+    yield _moved(add_dummy_goods([d, e], 3), [5, 0, 3, 1, 4, 2]), "z=3 scattered, n=2"
+    for seed in range(2):
+        f, g, h = (random_monotone_rank_valuation(5, 790 + 10 * seed + j) for j in range(3))
+        yield [f, g, h], "many EFX allocations"
+        yield [f, g, h, f], "many EFX allocations and a class"
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5000])
+def test_walk_matches_the_full_scan(monkeypatch, jobs):
+    """Whole reports, witness code included, against a scan of every code, for every share count."""
+    monkeypatch.setattr(verification, "Pool", _RecordingPool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 5000)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    monkeypatch.setattr(_RecordingPool, "shares", [])
+    efx_rich = 0
+    for vals, shape in _walk_shapes():
+        report = verify(vals, jobs=jobs)
+        reference = _full_scan(vals)
+        assert report.to_json() == reference.to_json(), shape
+        assert report.first_witness_code == reference.first_witness_code, shape
+        assert report == reference, shape
+        efx_rich += reference.efx_count > reference.total_allocations // 10
+    assert efx_rich >= 4
+    sizes = [processes for processes, _ in _RecordingPool.calls]
+    assert all(size <= jobs for size in sizes) and (jobs == 1) == (not sizes)
+
+
+def test_jobs_below_one_are_refused():
+    vals = [random_monotone_rank_valuation(4, 30 + j) for j in range(3)]
+    for jobs in (0, -3):
+        with pytest.raises(JobCountOutOfRange):
+            verify(vals, jobs=jobs)
 
 
 def test_every_good_null():
