@@ -3,15 +3,16 @@
 An allocation of ``m`` goods to ``n`` agents is identified with the base-n
 integer whose digit ``i`` is the owner of good ``g_i``; enumeration ascends
 through these codes, keeping only codes in which every agent owns something.
-The lazy stream is resumable from any code offset.  The encoder, the SMT
-emission and the acceptance checks read it in code order; the exhaustive
-scan in `verification` walks allocations bundle by bundle instead.
+The encoder, the SMT emission and the acceptance checks read it in code
+order; the exhaustive scan in `verification` walks allocations bundle by
+bundle instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from .bitset import full_set
@@ -52,58 +53,23 @@ def count_allocations(n: int, m: int) -> int:
     sum_k (-1)^k C(n,k) (n-k)^m.
     """
     _check_agent_count(n, m)
-    return _surjections(n, n, m)
+    return sum((-1) ** k * comb(n, k) * (n - k) ** m for k in range(n + 1))
 
 
-def _surjections(required: int, n: int, length: int) -> int:
-    """Strings of `length` base-n digits in which `required` given digits all occur."""
-    return sum(
-        (-1) ** k * comb(required, k) * (n - k) ** length for k in range(required + 1)
-    )
+def coded_bundles(n: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(code, bundles)`` for the owner codes, ascending, that leave no bundle empty.
 
-
-def coded_bundles(
-    n: int, m: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(code, bundles)`` for the owner codes in [start, stop) that leave no bundle empty.
-
-    Codes ascend like an odometer over the owners of the goods: ``start`` is
-    decoded once, and each later step moves only the goods whose digit
-    changes (the lowest one, plus one more per carry; n/(n-1) goods per step
-    on average).
+    The owners run over the product with good m-1 as the first factor, so
+    the last factor, good 0, is the lowest digit and codes ascend.
     """
     _check_agent_count(n, m)
-    stop = n**m if stop is None else min(stop, n**m)
-    if start >= stop:
-        return
-    owners = [0] * m
-    bundles = [0] * n
-    rest = start
-    for good in range(m):
-        rest, owner = divmod(rest, n)
-        owners[good] = owner
-        bundles[owner] |= 1 << good
-    last = n - 1
-    code = start
-    while True:
+    bits = [1 << good for good in reversed(range(m))]
+    for code, owners in enumerate(product(range(n), repeat=m)):
+        bundles = [0] * n
+        for owner, bit in zip(owners, bits):
+            bundles[owner] |= bit
         if 0 not in bundles:
             yield code, tuple(bundles)
-        code += 1
-        if code == stop:
-            return
-        # code < n**m, so the carry stops at or before the last good
-        good, bit = 0, 1
-        owner = owners[good]
-        while owner == last:
-            bundles[last] ^= bit
-            bundles[0] |= bit
-            owners[good] = 0
-            good += 1
-            bit <<= 1
-            owner = owners[good]
-        bundles[owner] ^= bit
-        bundles[owner + 1] |= bit
-        owners[good] = owner + 1
 
 
 def enumerate_bundle_tuples(n: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -49,14 +49,19 @@ def singleton_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of the mask (including 0 and the mask itself), ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
+def submasks(mask: int) -> list[int]:
+    """The list of all subsets of the mask (including 0 and the mask itself), ascending.
+
+    Doubling over the goods of the mask, lowest first: each good adds a copy
+    of the list so far with that good set, so entry k holds the goods of the
+    mask that the bits of k pick.
+    """
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [sub | low for sub in subs]
+        mask ^= low
+    return subs
 
 
 def bitstring(mask: int, m: int) -> str:

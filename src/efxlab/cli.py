@@ -17,6 +17,7 @@ from collections.abc import Iterator, Sequence
 from typing import TextIO
 
 from . import acceptance, cdcl, smtlib, three_agent, verification
+from .bitset import goods
 from .decoding import (
     decode_valuations,
     dump_dyadic,
@@ -237,8 +238,7 @@ def cmd_solve3(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"tag: {result.tag}")
     for agent, bundle in enumerate(result.bundles):
-        goods = [i for i in range(result.m) if bundle >> i & 1]
-        print(f"agent {agent}: bundle {bundle} (goods {goods})")
+        print(f"agent {agent}: bundle {bundle} (goods {list(goods(bundle))})")
     print(f"iterations: {result.iterations}")
     if result.certificates:
         for agent, parts in sorted(result.certificates.items()):
@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="exhaustively scan all allocations of an instance")
     verify.add_argument("--vals", required=True)
-    verify.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
-    verify.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
+    expect = verify.add_mutually_exclusive_group()
+    expect.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
+    expect.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
     verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)

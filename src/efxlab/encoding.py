@@ -36,7 +36,7 @@ from math import comb
 from typing import IO
 
 from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import cardinality, check_good_count, is_proper_subset
+from .bitset import cardinality, check_good_count, full_set, is_proper_subset, submasks
 from .dimacs import Clause, CnfFormula
 from .errors import GoodCountOutOfRange, LevelOutOfRange
 from .fairness import efx_conditions
@@ -111,12 +111,11 @@ def var_id(agent: int, a: int, b: int, m: int) -> int:
 # -- clause family streams ----------------------------------------------------
 
 def monotonicity_clauses(m: int) -> Iterator[Clause]:
-    n_sets = 1 << m
+    full = full_set(m)
     for agent in range(NUM_AGENTS):
-        for a in range(n_sets):
-            for b in range(a + 1, n_sets):
-                if is_proper_subset(a, b):
-                    yield (var_id(agent, a, b, m),)
+        for a in range(full + 1):
+            for extra in submasks(full ^ a)[1:]:  # the proper supersets a | extra, ascending
+                yield (var_id(agent, a, a | extra, m),)
 
 
 def transitivity_clauses(m: int, level_k: int | None = None) -> Iterator[Clause]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import check_good_count, is_proper_subset
+from .bitset import check_good_count, submasks
 from .encoding import NUM_AGENTS
 from .errors import GoodCountOutOfRange
 from .fairness import efx_conditions
@@ -56,12 +56,11 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     monotonicity = 0
     for agent in range(NUM_AGENTS):
         for small in range(n_sets):
-            for large in range(small + 1, n_sets):
-                if is_proper_subset(small, large):
-                    lines.append(
-                        f"(assert (< {const_name(agent, small)} {const_name(agent, large)}))"
-                    )
-                    monotonicity += 1
+            for extra in submasks(small ^ (n_sets - 1))[1:]:  # the proper supersets, ascending
+                lines.append(
+                    f"(assert (< {const_name(agent, small)} {const_name(agent, small | extra)}))"
+                )
+                monotonicity += 1
 
     item_order = 0
     for i in range(m):

@@ -40,9 +40,10 @@ def is_submodular(f: RealValuation) -> tuple[bool, tuple[int, int, int] | None]:
     everything = full_set(f.m)
     values = f.values
     for t in range(1 << f.m):
+        subsets = submasks(t)
         for g_bit in singleton_bits(everything & ~t):
             gain_t = values[t | g_bit] - values[t]
-            for s in submasks(t):
+            for s in subsets:
                 if values[s | g_bit] - values[s] < gain_t:
                     return False, (s, t, g_bit.bit_length() - 1)
     return True, None

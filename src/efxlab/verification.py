@@ -134,14 +134,6 @@ def null_goods(tables: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
     )
 
 
-def _spread(goods_kept: Sequence[int]) -> list[int]:
-    """``spread[k]``: the mask over all goods of the set whose bit c is good goods_kept[c]."""
-    masks = [0]
-    for good in goods_kept:
-        masks += [mask | 1 << good for mask in masks]
-    return masks
-
-
 def _removal_table(table: list[int], m: int) -> list[list[int]]:
     """``removal[Y]``: the values v(Y - g) over the goods g in Y, sorted."""
     return [
@@ -204,7 +196,8 @@ def _scan_plan(tables: list[list[int]], m: int, classes: list[tuple[int, ...]]) 
     null = null_goods(tables, m)
     core = tuple(g for g in range(m) if g not in null)
     if null:
-        spread = _spread(core)
+        # entry k of the core goods' submasks holds the core goods c whose bit c is set in k
+        spread = submasks(sum(1 << g for g in core))
         tables = [[table[mask] for mask in spread] for table in tables]
         floor = min(min(table) for table in tables) - 1
         removal = {i: _envy_table(tables[i], len(core), n, floor) for i in set(shared)}
@@ -233,16 +226,6 @@ def _below(bundle: int) -> int:
     X_a, so X_b has no good above the top good of X_a.
     """
     return (1 << bundle.bit_length() >> 1) - 1 if bundle else 0
-
-
-def _descending(mask: int) -> Iterator[int]:
-    """The submasks of `mask`, descending."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
 
 
 def _walk(
@@ -326,12 +309,7 @@ def _walk(
             must_a = rest & ~_below(X[pb]) if pb >= 0 else 0
         if must_a & must_b:
             return
-        subs = [0]
-        free = rest ^ must_a ^ must_b
-        while free:
-            low = free & -free
-            subs += [sub | low for sub in subs]
-            free ^= low
+        subs = submasks(rest ^ must_a ^ must_b)
         xa = [must_a | sub for sub in subs] if must_a else subs
         xb = [must_b | sub for sub in reversed(subs)]
         if left < 2:  # each empty bundle takes one of the `left` spares
@@ -406,13 +384,13 @@ def _walk(
             ra, rb = rows_a[sub], rows_b[sub]
             A2 = {
                 y: A[y] + bisect_right(own_rows[y], own) * da + bisect_right(ra, tab_a[y]) * digit
-                for y in _descending(dom_a)
+                for y in submasks(dom_a)
             }
             B2 = {
                 y: B[y] + bisect_right(own_rows[y], own) * db + bisect_right(rb, tab_b[y]) * digit
-                for y in _descending(dom_b)
+                for y in submasks(dom_b)
             }
-            level(nxt, after, X, O, packed, A2, B2, spare, _descending(avail))
+            level(nxt, after, X, O, packed, A2, B2, spare, submasks(avail)[::-1])
 
     X, O = [0] * n, [0] * n
     if n == 2:
@@ -589,7 +567,7 @@ def _shares(scan: _Scan, jobs: int) -> list[list[int]]:
     """
     n, full, z = scan.n, (1 << scan.m) - 1, len(scan.null)
     if jobs == 1:
-        return [list(_descending(full))]
+        return [submasks(full)[::-1]]
     later = next((len(c) - 1 for c in scan.classes if c[0] == scan.order[0]), 0)
     others = n - 1 - later
 
@@ -619,7 +597,8 @@ def _shares(scan: _Scan, jobs: int) -> list[list[int]]:
 
     shares: list[list[int]] = [[] for _ in range(jobs)]
     loads = [0] * jobs
-    for bundle in sorted(_descending(full), key=work, reverse=True):
+    # a stable sort: equal estimates keep the descending order of the bundles
+    for bundle in sorted(submasks(full)[::-1], key=work, reverse=True):
         share = loads.index(min(loads))
         shares[share].append(bundle)
         loads[share] += work(bundle)

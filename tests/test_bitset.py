@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from efxlab.bitset import (
@@ -26,9 +28,11 @@ def test_subset_relations():
 
 
 def test_submasks_enumerates_all_subsets_ascending():
-    subs = list(submasks(0b1010))
-    assert subs == [0b0000, 0b0010, 0b1000, 0b1010]
-    assert list(submasks(0)) == [0]
+    assert submasks(0b1010) == [0b0000, 0b0010, 0b1000, 0b1010]
+    assert submasks(0) == [0]
+    rng = random.Random(15)
+    for mask in [0, (1 << 10) - 1, *(rng.randrange(1 << 12) for _ in range(20))]:
+        assert submasks(mask) == [s for s in range(mask + 1) if not s & ~mask], mask
 
 
 def test_bitstring_leftmost_is_high_bit():

@@ -196,6 +196,14 @@ def test_verify_expect_some_fails_on_counterexample(counterexample_file, capsys)
     assert code == 1
 
 
+def test_contradictory_expectations_are_a_usage_error(counterexample_file, capsys):
+    argv = ["verify", "--vals", str(counterexample_file), "--expect-none", "--expect-some"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_reads_rank_and_value_blocks_alike(tmp_path, counterexample_file, capsys):
     values_file = tmp_path / "counterexample8_values.txt"
     values_file.write_text(dump_value_blocks([as_real(v) for v in load_bundled_counterexample()]))
@@ -249,6 +257,17 @@ def test_solve3_prints_verified_tag(counterexample_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["tag"] in ("tEFX", "EF1&EEFX")
     assert len(payload["bundles"]) == 3
+
+
+def test_solve3_text_lists_each_bundle_and_its_goods(counterexample_file, capsys):
+    assert main(["solve3", "--vals", str(counterexample_file)]) == 0
+    assert capsys.readouterr().out == (
+        "tag: tEFX\n"
+        "agent 0: bundle 6 (goods [1, 2])\n"
+        "agent 1: bundle 73 (goods [0, 3, 6])\n"
+        "agent 2: bundle 176 (goods [4, 5, 7])\n"
+        "iterations: 1\n"
+    )
 
 
 def test_smt_subcommand(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
+from math import factorial, prod
 
 import pytest
 
@@ -27,6 +28,7 @@ from efxlab.valuations import (
 )
 from efxlab.verification import (
     VerifyReport,
+    _coded,
     _scan_part,
     _scan_plan,
     _shares,
@@ -397,6 +399,115 @@ def test_walk_matches_the_full_scan(monkeypatch, jobs):
     assert efx_rich >= 4
     sizes = [processes for processes, _ in _RecordingPool.calls]
     assert all(size <= jobs for size in sizes) and (jobs == 1) == (not sizes)
+
+
+# (n, m, classes of interchangeable agents): a class of 2, non-adjacent
+# members, a class of 3, and a class of 3 beside one of 2
+CLASSED = [
+    (2, 5, [(0, 1)]),
+    (3, 6, [(0, 2)]),
+    (3, 6, [(0, 1, 2)]),
+    (4, 6, [(1, 3)]),
+    (4, 7, [(2, 3)]),
+    (5, 6, [(0, 2, 4), (1, 3)]),
+]
+
+
+def _class_scan(n, m, classes, empty=0):
+    """The scan plan of an additive instance whose class members share weights, plus
+    `empty` null goods on top of the m core goods."""
+    key = list(range(n))
+    for members in classes:
+        for agent in members:
+            key[agent] = members[0]
+    tables = []
+    for agent in range(n):
+        weights = [1 + g + 7 * key[agent] for g in range(m)]
+        masks = range(1 << m + empty)
+        tables.append([sum(w for g, w in enumerate(weights) if mask >> g & 1) for mask in masks])
+    return _scan_plan(tables, m + empty, [tuple(members) for members in classes])
+
+
+def _walked(scan, firsts):
+    """The owner codes, over the core goods, of every allocation `_walk` visits."""
+    tally, _ = _walk(scan, firsts)
+    visited = []
+
+    def record(bundles):
+        visited.append(_coded(scan.n, bundles))
+        return 0
+
+    _walk(scan, firsts, set(tally), record)
+    assert len(visited) == sum(tally.values())
+    return sorted(visited)
+
+
+def _every_first(scan):
+    return list(range(1 << scan.m))
+
+
+def filtered_bundles(n, m, classes, empty=0):
+    """Reference: every code with at most `empty` empty bundles and each class's bundles
+    decreasing, two empty bundles tying."""
+    pairs = [pair for members in classes for pair in zip(members, members[1:])]
+    for code in range(n**m):
+        owners = [code // n**g % n for g in range(m)]
+        bundles = tuple(sum(1 << g for g in range(m) if owners[g] == a) for a in range(n))
+        if bundles.count(0) <= empty and all(bundles[a] >= bundles[b] for a, b in pairs):
+            yield code, bundles
+
+
+@pytest.mark.parametrize("n,m,classes", CLASSED)
+def test_walk_visits_the_lowest_code_of_each_orbit(n, m, classes):
+    """The walk skips every code that breaks a class pair, a whole subtree at a time, and
+    visits the rest: one code per orbit, the lowest.  A subset of the first walked
+    agent's bundles keeps exactly the codes that give that agent one of them."""
+    scan = _class_scan(n, m, classes)
+    every = list(filtered_bundles(n, m, classes))
+    assert _walked(scan, _every_first(scan)) == every
+    first = scan.order[0]
+    rng = random.Random(n * 100 + m)
+    for _ in range(4):
+        firsts = rng.sample(_every_first(scan), 1 << m - 1)
+        kept = [(c, b) for c, b in every if b[first] in firsts]
+        assert _walked(scan, firsts) == kept
+
+
+@pytest.mark.parametrize("n,m,classes", CLASSED)
+def test_walk_and_its_shares_count_every_allocation(n, m, classes):
+    """Walked codes times the orbit size count every allocation, and the parallel
+    shares split the first walked agent's bundles, and the codes, without loss."""
+    scan = _class_scan(n, m, classes)
+    orbit = prod(factorial(len(members)) for members in classes)
+    tally, _ = _walk(scan, _every_first(scan))
+    assert sum(tally.values()) * orbit == count_allocations(n, m)
+    for jobs in (2, 3, 4):
+        shares = _shares(scan, jobs)
+        assert len(shares) == jobs
+        assert sorted(b for share in shares for b in share) == _every_first(scan)
+        counts = [sum(_walk(scan, share)[0].values()) for share in shares]
+        assert sum(counts) == sum(tally.values())
+
+
+# (n, m, classes, empty bundles allowed): n may exceed m when enough may stay empty
+WITH_EMPTY = [
+    (2, 3, [(0, 1)], 1),
+    (3, 4, [(0, 2)], 2),
+    (3, 3, [(0, 1, 2)], 2),
+    (4, 5, [(2, 3)], 1),
+    (4, 3, [(0, 1), (2, 3)], 1),
+    (5, 4, [(0, 2, 4), (1, 3)], 2),
+    (3, 1, [], 2),
+    (2, 0, [(0, 1)], 2),
+]
+
+
+@pytest.mark.parametrize("n,m,classes,empty", WITH_EMPTY)
+def test_codes_with_empty_bundles_match_filtering_every_code(n, m, classes, empty):
+    """Up to `empty` bundles may stay empty, and two empty members of a class tie."""
+    scan = _class_scan(n, m, classes, empty)
+    assert (scan.m, len(scan.null)) == (m, empty)
+    assert _walked(scan, _every_first(scan)) == list(filtered_bundles(n, m, classes, empty))
 
 
 def test_jobs_below_one_are_refused():
