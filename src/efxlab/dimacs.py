@@ -1,17 +1,21 @@
 """CNF formula container, DIMACS text round-trip, and model-line parsing.
 
-`parse_dimacs` reads a text or a stream of lines.  Its literals come from a
-per-parse table from token text to literal, so equal literals are one int
-object: the parsed formula holds one object per distinct literal rather than
-one per occurrence, and a line holding one clause of known tokens is read by
-one table lookup per token.
+`parse_dimacs` reads a text or a stream of lines `BATCH_LINES` lines at a
+time.  Its literals come from a per-parse table from token text to literal,
+so equal literals are one int object: the parsed formula holds one object per
+distinct literal rather than one per occurrence.  A batch that is a run of
+clauses of one width is read by a few C-level passes over all its tokens;
+any other batch is read line by line.
+
+A literal, a header count or a model literal is an optional sign and ASCII
+decimal digits, nothing else.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import (
     DuplicateAssignment,
@@ -25,6 +29,8 @@ Clause = tuple[int, ...]
 
 # Characters of a text that `parse_dimacs` splits into lines at once.
 TEXT_CHUNK = 1 << 16
+# Lines that `parse_dimacs` reads as one batch.
+BATCH_LINES = 1 << 11
 
 
 @dataclass
@@ -73,37 +79,118 @@ def _text_chunks(text: str) -> Iterator[str]:
         start = end
 
 
+def _decimal(text: str) -> bool:
+    """Whether `text` is ASCII without "_", so that `int()` reads a
+    whitespace-free piece of it only if that is an optional sign and decimal
+    digits; `int()` alone also takes "1_0" and non-ASCII digits such as "١".
+    """
+    return text.isascii() and "_" not in text
+
+
+def _integer(token: str) -> int:
+    """`token` as an int if it is an optional sign and ASCII digits, else ValueError."""
+    if not _decimal(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
     """Parse DIMACS CNF; comments ignored, header validated against the body.
 
     `source` is the whole text, split into lines as by `str.splitlines`, or
     an iterable of lines such as an open text file, each item one line with
-    or without its terminator; a file is read one line at a time, never held
-    whole.  In an item, a character other than a line feed or carriage
-    return at which `splitlines` would break (a form feed, say) is
-    whitespace.  Errors name the 1-based line.
+    or without its terminator; a file is read `BATCH_LINES` lines at a time,
+    never held whole.  In an item, a character other than a line feed or
+    carriage return at which `splitlines` would break (a form feed, say) is
+    whitespace.  A literal is an optional sign and ASCII digits.  Errors name
+    the 1-based line.
 
     Each literal token is looked up in a table from token text to literal,
     filled the first time a token passes the checks and cleared at every
-    header (a header may lower the variable count).  Equal tokens therefore
-    share one int object, and a line that holds exactly one clause, known
-    tokens and its final "0" is read by one lookup per token.  Any other
-    line is read token by token: `int()`, the range check, then the table.
-    The terminator "0" (and any zero token) is never in the table, so a zero
-    anywhere else always takes the token-by-token path.
+    header (a header may lower the variable count), so equal tokens share
+    one int object.  A batch of lines whose tokens are clauses of one width,
+    each closed by the token "0", after a header and with no clause left
+    open before it, is read at once (`_read_batch`).  Every other batch, and
+    one with a token that fails the checks, is read line by line
+    (`_read_lines`), which raises the errors.
     """
-    num_vars: int | None = None
-    num_clauses: int | None = None
+    header: tuple[int, int] | None = None
     clauses: list[Clause] = []
     pending: list[int] = []
     table: dict[str, int] = {}  # token text -> checked non-zero literal
-    lookup = table.__getitem__
 
     if isinstance(source, str):
         lines = chain.from_iterable(map(str.splitlines, _text_chunks(source)))
     else:
-        lines = source
-    for lineno, raw in enumerate(lines, start=1):
+        lines = iter(source)
+    lineno = 1
+    for batch in iter(lambda: list(islice(lines, BATCH_LINES)), []):
+        if header is None or pending or not _read_batch(batch, header[0], clauses, table):
+            header = _read_lines(batch, lineno, header, clauses, pending, table)
+        lineno += len(batch)
+
+    if header is None:
+        raise HeaderMismatch("missing 'p cnf' header")
+    if pending:
+        raise MissingTerminator("final clause lacks the 0 terminator")
+    num_vars, num_clauses = header
+    if len(clauses) != num_clauses:
+        raise HeaderMismatch(f"header says {num_clauses} clauses, body has {len(clauses)}")
+    return CnfFormula(num_vars, clauses)
+
+
+def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: dict[str, int]) -> bool:
+    """Append the clauses of `batch` if its tokens are clauses of one width
+    w >= 1, each closed by "0", and every token not in `table` is a literal
+    in range (then added to it).  Otherwise change nothing and return False.
+    """
+    tokens = " ".join(batch).split()
+    if not tokens or tokens[-1] != "0":
+        return False
+    width = tokens.index("0")
+    step = width + 1
+    count, extra = divmod(len(tokens), step)
+    if not width or extra or tokens.count("0") != count or tokens[width::step].count("0") != count:
+        return False
+    del tokens[width::step]
+    lookup = table.__getitem__
+    try:
+        lits = list(map(lookup, tokens))
+    except KeyError:  # tokens not seen since the header: check them together
+        new = list(set(tokens).difference(table))
+        if not _decimal("".join(new)):
+            return False
+        try:
+            values = list(map(int, new))
+        except ValueError:
+            return False
+        magnitudes = list(map(abs, values))
+        if min(magnitudes) == 0 or max(magnitudes) > num_vars:
+            return False
+        table.update(zip(new, values))
+        lits = list(map(lookup, tokens))
+    clauses.extend(zip(*[iter(lits)] * width))
+    return True
+
+
+def _read_lines(
+    batch: list[str],
+    lineno: int,
+    header: tuple[int, int] | None,
+    clauses: list[Clause],
+    pending: list[int],
+    table: dict[str, int],
+) -> tuple[int, int] | None:
+    """Read `batch`, whose first line is line `lineno`, one line at a time.
+
+    Returns the header in force after it.  A line that holds exactly one
+    clause of known tokens and its final "0" is read by one lookup per
+    token; any other line token by token: the token rule, the range check,
+    then the table.  The terminator "0" (and any zero token) is never in the
+    table, so a zero anywhere else always takes the token-by-token path.
+    """
+    lookup = table.__getitem__
+    for lineno, raw in enumerate(batch, start=lineno):
         tokens = raw.split()
         if not tokens:
             continue
@@ -111,10 +198,10 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
         if head == "c" or head == "%":
             continue
         if head == "p":
-            num_vars, num_clauses = _header(tokens, lineno, raw)
+            header = _header(tokens, lineno, raw)
             table.clear()
             continue
-        if num_vars is None:
+        if header is None:
             raise HeaderMismatch(f"line {lineno}: clause before header")
         if not pending and tokens[-1] == "0":
             try:
@@ -126,27 +213,20 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
             lit = table.get(token)
             if lit is None:
                 try:
-                    lit = int(token)
+                    lit = _integer(token)
                 except ValueError as exc:
                     raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
                 if lit == 0:
                     clauses.append(tuple(pending))
                     pending.clear()
                     continue
-                if abs(lit) > num_vars:
+                if abs(lit) > header[0]:
                     raise LiteralOutOfRange(
-                        f"line {lineno}: literal {lit} exceeds {num_vars} variables"
+                        f"line {lineno}: literal {lit} exceeds {header[0]} variables"
                     )
                 table[token] = lit
             pending.append(lit)
-
-    if num_vars is None or num_clauses is None:
-        raise HeaderMismatch("missing 'p cnf' header")
-    if pending:
-        raise MissingTerminator("final clause lacks the 0 terminator")
-    if len(clauses) != num_clauses:
-        raise HeaderMismatch(f"header says {num_clauses} clauses, body has {len(clauses)}")
-    return CnfFormula(num_vars, clauses)
+    return header
 
 
 def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
@@ -155,7 +235,7 @@ def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
         line = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
         raise HeaderMismatch(f"line {lineno}: malformed header {line!r}")
     try:
-        num_vars, num_clauses = int(parts[2]), int(parts[3])
+        num_vars, num_clauses = _integer(parts[2]), _integer(parts[3])
     except ValueError as exc:
         raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
     if num_vars < 0 or num_clauses < 0:
@@ -173,16 +253,20 @@ def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
 
 
 def iter_model_literals(text: str) -> Iterator[int]:
-    """Signed literals from SAT-competition style `v` lines, until the 0."""
-    for raw in text.splitlines():
+    """Signed literals from SAT-competition style `v` lines, until the 0.
+
+    A literal is an optional sign and ASCII digits; errors name the line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line.startswith("v"):
             continue
+        read = int if _decimal(line) else _integer  # one check for a whole plain line
         for token in line[1:].split():
             try:
-                lit = int(token)
+                lit = read(token)
             except ValueError as exc:
-                raise MalformedLiteral(f"bad model literal {token!r}") from exc
+                raise MalformedLiteral(f"line {lineno}: bad model literal {token!r}") from exc
             if lit == 0:
                 return
             yield lit

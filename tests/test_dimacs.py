@@ -1,5 +1,7 @@
+import functools
 import io
 import random
+import re
 
 import pytest
 
@@ -101,6 +103,20 @@ def test_parse_model_range_check():
         parse_model("v 5 0\n", num_vars=4)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v 1_0 0\n", "line 1: bad model literal '1_0'"),
+        ("s SATISFIABLE\nv 1 -2\nv \u0663 0\n", "line 3: bad model literal '\u0663'"),
+        ("v 1 +-2 0\n", "line 1: bad model literal '+-2'"),
+    ],
+)
+def test_parse_model_takes_only_signed_ascii_digits(text, message):
+    with pytest.raises(MalformedLiteral) as caught:
+        parse_model(text)
+    assert str(caught.value) == message
+
+
 def test_parse_model_requires_terminator():
     with pytest.raises(MissingTerminator):
         parse_model("v 1 -2\n")
@@ -114,21 +130,33 @@ def test_assignment_satisfies():
 
 # -- the table-driven parser against the per-token parser it replaced ---------
 
+DECIMAL = re.compile(r"[+-]?[0-9]+")  # a literal or count: an optional sign, ASCII digits
 
-def reference_parse_dimacs(text):
-    """The per-token parser: `int()` and the range check on every token."""
+
+def _decimal_int(token):
+    if not DECIMAL.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def reference_parse_dimacs(source):
+    """The per-token parser: the token rule, `int()` and the range check on every token.
+
+    `source` is a text, split as by `str.splitlines`, or a list of lines.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
     num_vars = num_clauses = None
     clauses, pending = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if parts[:2] != ["p", "cnf"] or len(parts) != 4:
-                raise HeaderMismatch(f"line {lineno}: malformed header {raw!r}")
+                raise HeaderMismatch(f"line {lineno}: malformed header {raw.rstrip(chr(13) + chr(10))!r}")
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = _decimal_int(parts[2]), _decimal_int(parts[3])
             except ValueError as exc:
                 raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
             if num_vars < 0 or num_clauses < 0:
@@ -138,7 +166,7 @@ def reference_parse_dimacs(text):
             raise HeaderMismatch(f"line {lineno}: clause before header")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = _decimal_int(token)
             except ValueError as exc:
                 raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
             if lit == 0:
@@ -175,60 +203,116 @@ def _spell(rng, lit):
     return str(lit)
 
 
-def _random_lines(rng):
-    """Valid DIMACS lines in varied layouts; a second header may lower the variable count."""
-    sections = [(rng.randint(1, 12), rng.randint(0, 12))]
-    if rng.random() < 0.4:
-        sections.append((rng.randint(1, sections[0][0]), rng.randint(0, 8)))
-    total = sum(count for _, count in sections)
-    lines = ["c random formula"] if rng.random() < 0.5 else []
-    for num_vars, count in sections:
-        lines.append(f"p cnf {num_vars} {total}")
-        line = []
-        for _ in range(count):
-            lits = [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(rng.randint(0, 4))]
-            for token in [_spell(rng, lit) for lit in lits] + [rng.choice(["0"] * 8 + ["-0", "00"])]:
-                line.append(token)
-                if rng.random() < 0.1:  # the clause goes on on the next line
-                    lines.append(" ".join(line))
-                    line = []
-            if rng.random() < 0.7:  # else the next clause shares the line
-                lines.append(rng.choice([" ", "  ", "\t"]).join(line))
+def _scattered(rng, num_vars, count):
+    """`count` clauses of widths 0-4 laid out at random: several to a line,
+    spanning lines, "-0"/"00" terminators, blank and comment lines between."""
+    lines, line = [], []
+    for _ in range(count):
+        lits = [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(rng.randint(0, 4))]
+        for token in [_spell(rng, lit) for lit in lits] + [rng.choice(["0"] * 8 + ["-0", "00"])]:
+            line.append(token)
+            if rng.random() < 0.1:  # the clause goes on on the next line
+                lines.append(" ".join(line))
                 line = []
-            if rng.random() < 0.1:
-                if line:
-                    lines.append(" ".join(line))
-                    line = []
-                lines.append(rng.choice(["", "   ", "c mid-body 1 2 0", "%"]))
-        if line:
-            lines.append(" ".join(line))
+        if rng.random() < 0.7:  # else the next clause shares the line
+            lines.append(rng.choice([" ", "  ", "\t"]).join(line))
+            line = []
+        if rng.random() < 0.1:
+            if line:
+                lines.append(" ".join(line))
+                line = []
+            lines.append(rng.choice(["", "   ", "c mid-body 1 2 0", "%"]))
+    if line:
+        lines.append(" ".join(line))
     return lines
 
 
-def _break(rng, lines):
-    """`lines` with one fault: a bad or out-of-range token, a lost terminator, a bad header."""
+def _run(rng, num_vars, count):
+    """`count` clauses of one width, one to a line and closed by "0", as a
+    batch must be to be read at once; maybe one clause ends in "-0" or "00"
+    and one spans two lines, perhaps across the end of a batch."""
+    width = rng.randint(1, 4)
+    spelled = [_spell(rng, lit) for lit in range(-num_vars, num_vars + 1) for _ in range(10) if lit]
+    tokens = rng.choices(spelled, k=count * width)
+    lines = [" ".join(tokens[start:start + width]) + " 0" for start in range(0, len(tokens), width)]
+    odd = rng.randrange(3 * count)  # when below count, the clause that ends in "-0" or "00"
+    if odd < count:
+        lines[odd] = lines[odd][:-1] + rng.choice(["-0", "00"])
+    split = rng.randrange(3 * count)  # when below count, the clause that spans two lines
+    if split < count:
+        cut = rng.randint(1, width)
+        clause = lines[split].split()
+        lines[split:split + 1] = [" ".join(clause[:cut]), " ".join(clause[cut:])]
+    return lines
+
+
+def _random_lines(rng, longest_run):
+    """Valid DIMACS lines in varied layouts; a second header may lower the variable count.
+
+    Each section's body mixes scattered clauses with runs of `longest_run / 2`
+    to `longest_run` clauses of one width.
+    """
+    sections = [rng.randint(1, 12)]
+    if rng.random() < 0.4:
+        sections.append(rng.randint(1, sections[0]))
+    bodies = []
+    for num_vars in sections:
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:
+                body += _run(rng, num_vars, rng.randint(longest_run // 2, longest_run))
+            else:
+                body += _scattered(rng, num_vars, rng.randint(0, 12))
+        bodies.append(body)
+    # every clause ends in one of the three terminators, and no other token is a zero
+    total = sum(token in ("0", "-0", "00") for body in bodies for line in body
+                if not line.startswith("c") for token in line.split())
+    lines = ["c random formula"] if rng.random() < 0.5 else []
+    for num_vars, body in zip(sections, bodies):
+        lines.append(f"p cnf {num_vars} {total}")
+        lines += body
+    return lines
+
+
+def _plant(rng, line, token):
+    """`line` with `token` put in: in place of a token before the last (which
+    keeps a run's clause width) or inserted anywhere."""
+    tokens = line.split()
+    if len(tokens) > 1 and rng.random() < 0.5:
+        tokens[rng.randrange(len(tokens) - 1)] = token
+    else:
+        tokens.insert(rng.randrange(len(tokens) + 1), token)
+    return " ".join(tokens)
+
+
+def _break(rng, lines, faults=7):
+    """`lines` with one fault: a bad or out-of-range token, a lost terminator,
+    then (for `faults` above 3) a bad header.
+
+    A bad token goes into the second half of the body, so that it comes
+    after several batches that are read at once."""
     lines = list(lines)
     body = [i for i, line in enumerate(lines) if line.split() and line.split()[0][0] not in "cp%"]
+    late = body[len(body) // 2:]
     headers = [i for i, line in enumerate(lines) if line.startswith("p")]
-    fault = rng.randrange(7)
+    fault = rng.randrange(faults)
     if fault == 0 and body:  # a malformed token
-        i = rng.choice(body)
-        tokens = lines[i].split()
-        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(["x", "1.5", "--2", "1-", "0x1"]))
-        lines[i] = " ".join(tokens)
+        i = rng.choice(late)
+        token = rng.choice(["x", "1.5", "--2", "1-", "0x1", "1_0", "-1_0", "\u0661", "2\u0663", "\uff11"])
+        lines[i] = _plant(rng, lines[i], token)
     elif fault == 1 and body:  # a literal past the count, maybe one cached before a lower header
-        i = rng.choice(body)
+        i = rng.choice(late)
         counts = [int(lines[h].split()[2]) for h in headers if h < i]
         lit = rng.choice((1, -1)) * rng.randint(counts[-1] + 1, max(counts) + 1)
-        tokens = lines[i].split()
-        tokens.insert(rng.randrange(len(tokens) + 1), str(lit))
-        lines[i] = " ".join(tokens)
+        lines[i] = _plant(rng, lines[i], str(lit))
     elif fault == 2 and body:  # the last terminator lost
         i = body[-1]
         lines[i] = " ".join(lines[i].split()[:-1] + ["1"])
     elif fault == 3:
         i = rng.choice(headers)
-        lines[i] = rng.choice(["p cnf 3", "p cnf x 1", "p dnf 3 1", "p cnf -1 0", "p cnf 2 -1"])
+        lines[i] = rng.choice(
+            ["p cnf 3", "p cnf x 1", "p dnf 3 1", "p cnf -1 0", "p cnf 2 -1", "p cnf 1_0 1", "p cnf 3 \u0661"]
+        )
     elif fault == 4:
         lines.insert(0, rng.choice(["1 2 0", "0"]))
     elif fault == 5:
@@ -240,24 +324,68 @@ def _break(rng, lines):
     return lines
 
 
-def _random_texts(count, newlines=("\n", "\r\n", "\r", "\x0c", " ")):
+def _random_texts(count, newlines=("\n", "\r\n", "\r", "\x0c", " "), longest_run=16, faults=7):
     rng = random.Random(20261018)
     for _ in range(count):
-        lines = _random_lines(rng)
+        lines = _random_lines(rng, longest_run)
         if rng.random() < 0.5:
-            lines = _break(rng, lines)
-        ends = [rng.choice(newlines) for _ in lines]
+            lines = _break(rng, lines, faults)
+        ends = rng.choices(newlines, k=len(lines))
         yield "".join(line + end for line, end in zip(lines, ends))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, dimacs.TEXT_CHUNK])
-def test_parse_matches_the_per_token_parser(monkeypatch, chunk):
-    monkeypatch.setattr(dimacs, "TEXT_CHUNK", chunk)
+def _count_batches(monkeypatch):
+    """Counts of batches read at once and line by line from now on."""
+    seen = {"at_once": 0, "by_line": 0}
+    read_batch, read_lines = dimacs._read_batch, dimacs._read_lines
+
+    def counted_batch(*args):
+        done = read_batch(*args)
+        seen["at_once"] += done
+        return done
+
+    def counted_lines(*args):
+        seen["by_line"] += 1
+        return read_lines(*args)
+
+    monkeypatch.setattr(dimacs, "_read_batch", counted_batch)
+    monkeypatch.setattr(dimacs, "_read_lines", counted_lines)
+    return seen
+
+
+@functools.cache
+def _cases(*texts_args, **texts_kwargs):
+    """`_random_texts(...)`, each text with the reference outcomes of the text
+    and of its lines as a file yields them."""
+    cases = []
+    for text in _random_texts(*texts_args, **texts_kwargs):
+        lines = list(io.StringIO(text, newline=""))  # split at "\n", "\r\n" and "\r" only
+        cases.append((text, _outcome(reference_parse_dimacs, text), _outcome(reference_parse_dimacs, lines)))
+    return cases
+
+
+def _parse_as_the_reference(cases):
+    """Check that each text, and its lines as a file, parse as the reference
+    parses them; the number of texts that raised."""
     raised = 0
-    for text in _random_texts(1500):
-        want = _outcome(reference_parse_dimacs, text)
+    for text, want, want_lines in cases:
         assert _outcome(parse_dimacs, text) == want, text
+        assert _outcome(parse_dimacs, io.StringIO(text, newline="")) == want_lines, text
         raised += isinstance(want[0], type)
+    return raised
+
+
+@pytest.mark.parametrize("batch", [1, 7, dimacs.BATCH_LINES])
+@pytest.mark.parametrize("chunk", [1, 7, dimacs.TEXT_CHUNK])
+def test_parse_matches_the_per_token_parser(monkeypatch, chunk, batch):
+    monkeypatch.setattr(dimacs, "TEXT_CHUNK", chunk)
+    monkeypatch.setattr(dimacs, "BATCH_LINES", batch)
+    batches = _count_batches(monkeypatch)
+    # runs of clauses of one width many batches long, faults late in the body:
+    # most batches are read at once, and errors come after several of them
+    _parse_as_the_reference(_cases(3, ("\n", "\r\n", "\r"), longest_run=6 * batch + 64, faults=3))
+    assert batches["at_once"] > 2 * batches["by_line"]
+    raised = _parse_as_the_reference(_cases(1500))
     assert 300 < raised < 1200  # both valid and broken texts were tried
 
 
@@ -280,6 +408,9 @@ def test_parse_from_lines_matches_parse_from_text(newline):
         ("p cnf -3 0\n", HeaderMismatch, "line 1: negative header counts"),
         ("c\np cnf 3 -1\n", HeaderMismatch, "line 2: negative header counts"),
         ("p cnf 3\r\n", HeaderMismatch, "line 1: malformed header 'p cnf 3'"),
+        ("p cnf 12 2\n1_0 -2 0\n\u0661 0\n", MalformedLiteral, "line 2: bad literal '1_0'"),
+        ("p cnf 12 2\n1 -2 0\n\u0661 0\n", MalformedLiteral, "line 3: bad literal '\u0661'"),
+        ("c\np cnf 1_0 2\n", HeaderMismatch, "line 2: non-integer header counts"),
     ],
 )
 def test_parse_errors_name_the_line(text, error, message):
@@ -294,18 +425,57 @@ def test_inner_zero_ends_a_clause_on_a_line_of_known_tokens():
     assert parse_dimacs(text).clauses == [(1, -2), (1,), (-2,), (1, -2), (3, 4)]
 
 
-def test_equal_literals_share_one_object():
+def test_equal_literals_share_one_object(monkeypatch):
     formula = encode_formula(EncodeOptions(4, 2, True))
     text = write_dimacs(formula)
     spanning = text.replace(" 0\n", "\n0\n")  # every clause spans two lines
-    for source in (text, spanning, io.StringIO(text)):
-        parsed = parse_dimacs(source)
-        assert parsed.clauses == formula.clauses
-        first = {}
-        for clause in parsed.clauses:
-            for lit in clause:
-                assert first.setdefault(lit, lit) is lit
-        assert max(first) > 256  # beyond the ints Python caches itself
+    for batch in (7, dimacs.BATCH_LINES):  # literals met again in later batches, or in the same
+        monkeypatch.setattr(dimacs, "BATCH_LINES", batch)
+        for source in (text, spanning, io.StringIO(text)):
+            parsed = parse_dimacs(source)
+            assert parsed.clauses == formula.clauses
+            first = {}
+            for clause in parsed.clauses:
+                for lit in clause:
+                    assert first.setdefault(lit, lit) is lit
+            assert max(first) > 256  # beyond the ints Python caches itself
+
+
+def test_batches_of_one_clause_width_are_read_at_once(monkeypatch):
+    out = io.StringIO()
+    encoding.write_dimacs_stream(EncodeOptions(5, 4, True), out)
+    text = out.getvalue()
+    lines = text.splitlines()
+    size = dimacs.BATCH_LINES
+    batches = [lines[start:start + size] for start in range(0, len(lines), size)]
+    # only the header's batch and those where one clause family gives way to
+    # another, of another width, need reading line by line
+    by_line = sum(
+        any(line[0] in "cp" for line in batch) or len({len(line.split()) for line in batch}) > 1
+        for batch in batches
+    )
+    assert len(batches) > 4 * by_line
+    for source in (text, io.StringIO(text)):
+        seen = _count_batches(monkeypatch)
+        assert parse_dimacs(source).clauses == encode_formula(EncodeOptions(5, 4, True)).clauses
+        assert seen == {"at_once": len(batches) - by_line, "by_line": by_line}
+
+
+@pytest.mark.parametrize("batch", [7, dimacs.BATCH_LINES])
+def test_a_stream_is_read_no_further_than_the_batch_of_a_bad_line(monkeypatch, batch):
+    monkeypatch.setattr(dimacs, "BATCH_LINES", batch)
+    for bad in (2, 3 * batch, 3 * batch + 1, 5 * batch + 2):
+        asked = 0
+
+        def lines():
+            nonlocal asked
+            for lineno in range(1, bad + 10 * batch):
+                asked = lineno
+                yield "p cnf 3 1\n" if lineno == 1 else ("1 x 0\n" if lineno == bad else "1 -2 0\n")
+
+        with pytest.raises(MalformedLiteral, match=f"^line {bad}: bad literal 'x'$"):
+            parse_dimacs(lines())
+        assert asked < bad + batch
 
 
 def test_negative_header_counts_are_rejected():
