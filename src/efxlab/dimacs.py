@@ -150,13 +150,15 @@ def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: d
     width = tokens.index("0")
     step = width + 1
     count, extra = divmod(len(tokens), step)
-    if not width or extra or tokens.count("0") != count or tokens[width::step].count("0") != count:
+    if not width or extra or tokens[width::step].count("0") != count:
         return False
-    del tokens[width::step]
+    del tokens[width::step]  # a "0" left is caught below: it is never in the table, nor learned
+    start = len(clauses)
     lookup = table.__getitem__
     try:
-        lits = list(map(lookup, tokens))
+        clauses.extend(zip(*[map(lookup, tokens)] * width))
     except KeyError:  # tokens not seen since the header: check them together
+        del clauses[start:]
         new = list(set(tokens).difference(table))
         if not _decimal("".join(new)):
             return False
@@ -164,12 +166,10 @@ def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: d
             values = list(map(int, new))
         except ValueError:
             return False
-        magnitudes = list(map(abs, values))
-        if min(magnitudes) == 0 or max(magnitudes) > num_vars:
+        if 0 in values or max(map(abs, values)) > num_vars:
             return False
         table.update(zip(new, values))
-        lits = list(map(lookup, tokens))
-    clauses.extend(zip(*[iter(lits)] * width))
+        clauses.extend(zip(*[map(lookup, tokens)] * width))
     return True
 
 
