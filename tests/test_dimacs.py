@@ -154,7 +154,8 @@ def reference_parse_dimacs(source):
         if line.startswith("p"):
             parts = line.split()
             if parts[:2] != ["p", "cnf"] or len(parts) != 4:
-                raise HeaderMismatch(f"line {lineno}: malformed header {raw.rstrip(chr(13) + chr(10))!r}")
+                shown = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
+                raise HeaderMismatch(f"line {lineno}: malformed header {shown!r}")
             try:
                 num_vars, num_clauses = _decimal_int(parts[2]), _decimal_int(parts[3])
             except ValueError as exc:
