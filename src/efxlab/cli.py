@@ -1,9 +1,11 @@
 """Batch command-line front end for the reproduction workflows.
 
-Every subcommand is a thin adapter over the library modules; no fairness or
-encoding logic lives here.  Exit codes: 0 on success, 1 on a domain failure
-(for example an EFX allocation found under --expect-none, or a solver that
-ran out of budget), 2 on usage or I/O errors.
+Every subcommand is a thin adapter over the library modules; no fairness,
+encoding or file-format logic lives here.  An artifact goes to its `-o` path
+through `_create`, the one place where "-" means stdout; then the report
+goes to stderr, so that stdout holds the artifact alone.  Exit codes: 0 on
+success, 1 on a domain failure (for example an EFX allocation found under
+--expect-none, or a solver that ran out of budget), 2 on usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .decoding import (
     load_rank_blocks,
     load_valuations,
 )
-from .dimacs import CnfFormula, parse_dimacs, parse_model, write_dimacs
-from .encoding import EncodeOptions, clause_counts, good_count, write_dimacs_file
+from .dimacs import CnfFormula, parse_dimacs, parse_model, stream_dimacs, write_model
+from .encoding import EncodeOptions, clause_counts, good_count, write_dimacs_stream
 from .errors import EfxLabError, IndexOutOfRange, NotUtf8Text
 from .simplify import preprocess
 from .submodular import extend_counterexample, is_submodular, submodular_realize
@@ -70,12 +72,14 @@ def _parse_dimacs_file(path: str) -> CnfFormula:
         return parse_dimacs(handle)
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _create(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    """Stdout for "-" (left open), else the file at `path` open for writing UTF-8 text."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
+def _report_to(out: TextIO | None) -> TextIO:
+    """The stream for a command's report: stderr if its artifact went to stdout."""
+    return sys.stderr if out is sys.stdout else sys.stdout
 
 
 def _conflict_budget(text: str) -> int:
@@ -88,44 +92,46 @@ def _conflict_budget(text: str) -> int:
     return budget
 
 
-def _stats_payload(stats) -> dict:
-    return {
-        "m": stats.m,
-        "level_k": stats.level_k,
-        "item_order": stats.item_order,
-        "variables": stats.variables,
-        "families": stats.family_counts,
-        "total_clauses": stats.total_clauses,
-        "notes": stats.notes,
-    }
-
-
-def _print_stats(stats, as_json: bool) -> None:
+def _print_report(payload: dict, as_json: bool, file: TextIO) -> None:
+    """`payload` as indented JSON, or as one `key: value` line per entry."""
     if as_json:
-        print(json.dumps(_stats_payload(stats), indent=2))
+        print(json.dumps(payload, indent=2), file=file)
         return
-    print(f"variables: {stats.variables}")
-    for family, count in stats.family_counts.items():
-        print(f"{family}: {count}")
-    print(f"total clauses: {stats.total_clauses}")
+    for key, value in payload.items():
+        print(f"{key}: {value}", file=file)
+
+
+def _print_stats(stats, as_json: bool, file: TextIO) -> None:
+    if as_json:
+        payload = {
+            "m": stats.m,
+            "level_k": stats.level_k,
+            "item_order": stats.item_order,
+            "variables": stats.variables,
+            "families": stats.family_counts,
+            "total_clauses": stats.total_clauses,
+            "notes": stats.notes,
+        }
+        _print_report(payload, True, file)
+        return
+    counts = {"variables": stats.variables, **stats.family_counts, "total clauses": stats.total_clauses}
+    _print_report(counts, False, file)
     for note in stats.notes:
-        print(f"note: {note}")
+        print(f"note: {note}", file=file)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     opts = EncodeOptions(args.m, args.level, args.item_order)
-    stats = write_dimacs_file(
-        opts,
-        args.output,
-        comments=[f"no-EFX encoding: m={args.m} level_k={args.level} item_order={args.item_order}"],
-    )
-    _print_stats(stats, args.json)
+    comment = f"no-EFX encoding: m={args.m} level_k={args.level} item_order={args.item_order}"
+    with _create(args.output) as out:
+        stats = write_dimacs_stream(opts, out, [comment])
+    _print_stats(stats, args.json, _report_to(out))
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     stats = clause_counts(EncodeOptions(args.m, args.level, args.item_order))
-    _print_stats(stats, args.json)
+    _print_stats(stats, args.json, sys.stdout)
     return EXIT_OK
 
 
@@ -140,17 +146,15 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "fixed_variables": len(result.fixed),
         "unsat": result.unsat,
     }
+    out = None
     if args.output:
         # the written file re-adds the fixed assignments as unit clauses so
         # it stands alone; output_clauses counts the residual without them
         standalone = result.as_standalone_formula()
         payload["written_clauses"] = len(standalone.clauses)
-        _write(args.output, write_dimacs(standalone))
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+        with _create(args.output) as out:
+            stream_dimacs(out, standalone.num_vars, len(standalone.clauses), standalone.clauses)
+    _print_report(payload, args.json, _report_to(out))
     return EXIT_OK
 
 
@@ -158,17 +162,9 @@ def cmd_sat(args: argparse.Namespace) -> int:
     formula = _parse_dimacs_file(args.input)
     result = cdcl.solve(formula, conflict_budget=args.budget)
     if result.status is cdcl.SolveStatus.SATISFIABLE:
-        print("s SATISFIABLE")
         assert result.assignment is not None
-        literals = [
-            var if result.assignment.values[var] else -var
-            for var in range(1, formula.num_vars + 1)
-        ]
-        # 20 literals a line; the last line ends with the 0, alone if no variables
-        rows = [literals[start : start + 20] for start in range(0, len(literals), 20)] or [[]]
-        rows[-1].append(0)
-        for row in rows:
-            print(" ".join(["v", *map(str, row)]))
+        print("s SATISFIABLE")
+        print(write_model(result.assignment), end="")
         return EXIT_OK
     if result.status is cdcl.SolveStatus.UNSATISFIABLE:
         print("s UNSATISFIABLE")
@@ -180,7 +176,8 @@ def cmd_sat(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     assignment = parse_model(_read(args.input))
     valuations = decode_valuations(assignment, good_count(assignment.num_vars))
-    _write(args.output, dump_rank_blocks(valuations))
+    with _create(args.output) as out:
+        out.write(dump_rank_blocks(valuations))
     return EXIT_OK
 
 
@@ -199,7 +196,8 @@ def cmd_submodular(args: argparse.Namespace) -> int:
     valuations = load_rank_blocks(_read(args.vals))
     if not 0 <= args.agent < len(valuations):
         raise IndexOutOfRange(f"agent {args.agent} outside 0..{len(valuations) - 1}")
-    _write(args.output, dump_dyadic(submodular_realize(valuations[args.agent])))
+    with _create(args.output) as out:
+        out.write(dump_dyadic(submodular_realize(valuations[args.agent])))
     return EXIT_OK
 
 
@@ -216,7 +214,8 @@ def cmd_check_submodular(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     base = load_rank_blocks(_read(args.vals))
     extended = extend_counterexample(base, args.agents)
-    _write(args.output, dump_value_blocks(extended))
+    with _create(args.output) as out:
+        out.write(dump_value_blocks(extended))
     return EXIT_OK
 
 
@@ -248,18 +247,10 @@ def cmd_solve3(args: argparse.Namespace) -> int:
 
 def cmd_smt(args: argparse.Namespace) -> int:
     text, stats = smtlib.emit_smtlib(args.m)
-    _write(args.output, text)
-    payload = {
-        "m": stats.m,
-        "constants": stats.constants,
-        "disjuncts": stats.disjuncts,
-        "inequalities": stats.inequalities,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    with _create(args.output) as out:
+        out.write(text)
+    payload = {key: getattr(stats, key) for key in ("m", "constants", "disjuncts", "inequalities")}
+    _print_report(payload, args.json, _report_to(out))
     return EXIT_OK
 
 

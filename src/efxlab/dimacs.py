@@ -1,21 +1,19 @@
-"""CNF formula container, DIMACS text round-trip, and model-line parsing.
+"""CNF formula container, and the one reader and writer of DIMACS and `v` lines.
 
-`parse_dimacs` reads a text or a stream of lines `BATCH_LINES` lines at a
-time.  Its literals come from a per-parse table from token text to literal,
-so equal literals are one int object: the parsed formula holds one object per
-distinct literal rather than one per occurrence.  A batch that is a run of
-clauses of one width is read by a few C-level passes over all its tokens;
-any other batch is read line by line.
-
-A literal, a header count or a model literal is an optional sign and ASCII
-decimal digits, nothing else.
+`stream_dimacs` writes every DIMACS text the package produces, with one `%d`
+line format per clause width; `write_dimacs` is its string form.
+`parse_dimacs` reads DIMACS back a batch of lines at a time.  `write_model`
+writes the `v` lines that `parse_model` reads.  A literal, a header count or
+a model literal is an optional sign and ASCII decimal digits, nothing else.
 """
 
 from __future__ import annotations
 
+import io
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import IO
 
 from .errors import (
     DuplicateAssignment,
@@ -31,6 +29,8 @@ Clause = tuple[int, ...]
 TEXT_CHUNK = 1 << 16
 # Lines that `parse_dimacs` reads as one batch.
 BATCH_LINES = 1 << 11
+# Clauses formatted per `write` call by `stream_dimacs`.
+WRITE_BATCH = 8192
 
 
 @dataclass
@@ -105,14 +105,11 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
     whitespace.  A literal is an optional sign and ASCII digits.  Errors name
     the 1-based line.
 
-    Each literal token is looked up in a table from token text to literal,
-    filled the first time a token passes the checks and cleared at every
+    Literals come from a table from token text to literal, cleared at every
     header (a header may lower the variable count), so equal tokens share
-    one int object.  A batch of lines whose tokens are clauses of one width,
-    each closed by the token "0", after a header and with no clause left
-    open before it, is read at once (`_read_batch`).  Every other batch, and
-    one with a token that fails the checks, is read line by line
-    (`_read_lines`), which raises the errors.
+    one int object.  A batch of clauses of one width after the header is
+    read at once (`_read_batch`); any other batch, or one with a token that
+    fails the checks, line by line (`_read_lines`), which raises the errors.
     """
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
@@ -181,15 +178,12 @@ def _read_lines(
     pending: list[int],
     table: dict[str, int],
 ) -> tuple[int, int] | None:
-    """Read `batch`, whose first line is line `lineno`, one line at a time.
+    """Read `batch`, whose first line is line `lineno`, one token at a time.
 
-    Returns the header in force after it.  A line that holds exactly one
-    clause of known tokens and its final "0" is read by one lookup per
-    token; any other line token by token: the token rule, the range check,
-    then the table.  The terminator "0" (and any zero token) is never in the
-    table, so a zero anywhere else always takes the token-by-token path.
+    Returns the header in force after it.  A token in the table is a checked
+    literal; any other goes through the token rule, then is a terminator
+    "0" (never in the table) or a literal that passes the range check.
     """
-    lookup = table.__getitem__
     for lineno, raw in enumerate(batch, start=lineno):
         tokens = raw.split()
         if not tokens:
@@ -203,12 +197,6 @@ def _read_lines(
             continue
         if header is None:
             raise HeaderMismatch(f"line {lineno}: clause before header")
-        if not pending and tokens[-1] == "0":
-            try:
-                clauses.append(tuple(map(lookup, tokens[:-1])))
-                continue
-            except KeyError:
-                pass  # a token not seen since the header: check every token
         for token in tokens:
             lit = table.get(token)
             if lit is None:
@@ -243,13 +231,49 @@ def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
     return num_vars, num_clauses
 
 
+def stream_dimacs(
+    out: IO[str], num_vars: int, num_clauses: int, clauses: Iterable[Clause], comments: Iterable[str] = ()
+) -> int:
+    """Write DIMACS to `out`: comments, the header, one line per clause.
+
+    `clauses` is pulled `WRITE_BATCH` at a time, never held whole.  Returns
+    how many were written, for a caller that counted them beforehand.
+    """
+    for comment in comments:
+        out.write(f"c {comment}\n")
+    out.write(f"p cnf {num_vars} {num_clauses}\n")
+    formats: list[str] = []  # formats[w] is the line of a clause of width w
+    written = 0
+    clauses = iter(clauses)
+    while batch := list(islice(clauses, WRITE_BATCH)):
+        out.write(_clause_lines(batch, formats))
+        written += len(batch)
+    return written
+
+
+def _clause_lines(batch: list[Clause], formats: list[str]) -> str:
+    """The lines of `batch`, adding the formats of widths not seen before."""
+    try:
+        return "".join([formats[len(clause)] % clause for clause in batch])
+    except IndexError:  # a clause wider than any so far: only then find the widest
+        formats.extend("%d " * width + "0\n" for width in range(len(formats), max(map(len, batch)) + 1))
+        return _clause_lines(batch, formats)
+
+
 def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
-    """Normalized DIMACS text: comments, header, one clause per line."""
-    lines = [f"c {comment}" for comment in comments]
-    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
-    for clause in formula.clauses:
-        lines.append(" ".join([*map(str, clause), "0"]))
-    return "\n".join(lines) + "\n"
+    """Normalized DIMACS text of `formula`, as `stream_dimacs` writes it."""
+    out = io.StringIO()
+    stream_dimacs(out, formula.num_vars, len(formula.clauses), formula.clauses, comments)
+    return out.getvalue()
+
+
+def write_model(assignment: Assignment) -> str:
+    """`v` lines of the assigned literals in variable order, 20 a line, the
+    last ending in the 0 (`v 0` alone if none), as `parse_model` reads them."""
+    literals = [var if value else -var for var, value in sorted(assignment.values.items())]
+    rows = [literals[start : start + 20] for start in range(0, len(literals), 20)] or [[]]
+    rows[-1].append(0)
+    return "".join(" ".join(["v", *map(str, row)]) + "\n" for row in rows)
 
 
 def iter_model_literals(text: str) -> Iterator[int]:

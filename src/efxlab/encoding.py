@@ -24,28 +24,26 @@ Clause families, emitted in this order with ascending loops inside each:
                      2m literals each (two per good, duplicates kept): the
                      negation -x(i, X_j - g, X_i) of every EFX condition
                      `fairness.efx_conditions` yields, in its order
+
+`write_dimacs_stream` feeds `encode` to the one DIMACS writer,
+`dimacs.stream_dimacs`, with the header count from `clause_counts`.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from math import comb
 from typing import IO
 
 from .allocations import count_allocations, enumerate_bundle_tuples
 from .bitset import cardinality, check_good_count, full_set, is_proper_subset, submasks
-from .dimacs import Clause, CnfFormula
+from .dimacs import Clause, CnfFormula, stream_dimacs
 from .errors import GoodCountOutOfRange, LevelOutOfRange
 from .fairness import efx_conditions
 from . import reference
 
 NUM_AGENTS = 3
-
-# Clauses formatted per `write` call by the DIMACS stream writer.
-WRITE_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -233,25 +231,9 @@ def write_dimacs_stream(
     which the test suite pins against actual stream lengths.
     """
     stats = clause_counts(opts)
-    for comment in comments:
-        out.write(f"c {comment}\n")
-    out.write(f"p cnf {stats.variables} {stats.total_clauses}\n")
-    # One line format per clause width; no family emits more than 2m literals.
-    line_formats = ["%d " * width + "0\n" for width in range(2 * opts.m + 1)]
-    written = 0
-    clauses = encode(opts)
-    while batch := list(islice(clauses, WRITE_BATCH)):
-        out.write("".join([line_formats[len(clause)] % clause for clause in batch]))
-        written += len(batch)
+    written = stream_dimacs(out, stats.variables, stats.total_clauses, encode(opts), comments)
     if written != stats.total_clauses:
         raise AssertionError(
             f"counting pre-pass predicted {stats.total_clauses} clauses, emitted {written}"
         )
     return stats
-
-
-def write_dimacs_file(opts: EncodeOptions, path: str, comments: Iterable[str] = ()) -> EncodeStats:
-    if path == "-":
-        return write_dimacs_stream(opts, sys.stdout, comments)
-    with open(path, "w", encoding="utf-8") as handle:
-        return write_dimacs_stream(opts, handle, comments)

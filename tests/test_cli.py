@@ -16,7 +16,10 @@ from efxlab.decoding import (
     load_bundled_counterexample,
     load_value_blocks,
 )
-from efxlab.dimacs import parse_dimacs, parse_model
+from efxlab.dimacs import assignment_from_ranks, parse_dimacs, parse_model, write_dimacs
+from efxlab.encoding import EncodeOptions, encode_formula, var_id
+from efxlab.simplify import preprocess
+from efxlab.smtlib import emit_smtlib
 from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
 
 THREE_GOODS = random_monotone_rank_valuation(3, 8)
@@ -161,18 +164,19 @@ def test_preprocess_roundtrip(tmp_path, capsys):
     assert (1,) in reduced.clauses and (3,) in reduced.clauses
 
 
-def test_decode_model_into_blocks(tmp_path, capsys):
-    from efxlab.dimacs import assignment_from_ranks
-    from efxlab.encoding import var_id
-
-    m = 3
-    triple = [random_monotone_rank_valuation(m, 70 + j) for j in range(3)]
+def write_model_of(triple, path: Path) -> None:
+    """A one-line `v` model of the rank tables of three valuations over 3 goods."""
     assignment = assignment_from_ranks(
-        [v.rank for v in triple], lambda i, a, b: var_id(i, a, b, m)
+        [v.rank for v in triple], lambda i, a, b: var_id(i, a, b, 3)
     )
     literals = [var if value else -var for var, value in sorted(assignment.values.items())]
+    path.write_text("s SATISFIABLE\nv " + " ".join(map(str, literals)) + " 0\n")
+
+
+def test_decode_model_into_blocks(tmp_path, capsys):
+    triple = [random_monotone_rank_valuation(3, 70 + j) for j in range(3)]
     model = tmp_path / "model.txt"
-    model.write_text("s SATISFIABLE\nv " + " ".join(map(str, literals)) + " 0\n")
+    write_model_of(triple, model)
     out = tmp_path / "vals.txt"
     assert main(["decode", "-i", str(model), "-o", str(out)]) == 0
     assert out.read_text() == dump_rank_blocks(triple)
@@ -276,6 +280,85 @@ def test_smt_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["disjuncts"] == 36
     assert "(set-logic QF_LRA)" in out.read_text()
+
+
+M4_OPTS = EncodeOptions(4, 2, True)
+M4_ARGV = ["encode", "-m", "4", "-k", "2", "--item-order"]
+M4_COMMENT = "no-EFX encoding: m=4 level_k=2 item_order=True"
+
+
+@pytest.fixture()
+def m4_cnf(tmp_path):
+    path = tmp_path / "efx4.cnf"
+    path.write_text(write_dimacs(encode_formula(M4_OPTS)))
+    return path
+
+
+def _preprocessed(path: Path) -> str:
+    return write_dimacs(preprocess(parse_dimacs(path.read_text())).as_standalone_formula())
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, artifact, line, key, value",
+    [
+        pytest.param(
+            M4_ARGV, lambda cnf: write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT]),
+            "total clauses: 711", "total_clauses", 711, id="encode",
+        ),
+        pytest.param(
+            ["smt", "-m", "4"], lambda cnf: emit_smtlib(4)[0],
+            "disjuncts: 36", "disjuncts", 36, id="smt",
+        ),
+        pytest.param(
+            ["preprocess", "-i", "{cnf}", "-o", "-"], _preprocessed,
+            "input_clauses: 711", "input_clauses", 711, id="preprocess",
+        ),
+    ],
+)
+def test_stdout_artifact_comes_without_its_report(m4_cnf, capsys, argv, artifact, line, key, value, as_json):
+    argv = [arg.format(cnf=m4_cnf) for arg in argv]
+    assert main([*argv, *(["--json"] if as_json else [])]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == artifact(m4_cnf)
+    if argv[0] != "smt":
+        parse_dimacs(captured.out)
+    if as_json:
+        assert json.loads(captured.err)[key] == value
+    else:
+        assert line in captured.err.splitlines()
+
+
+def test_encode_pipes_into_sat(monkeypatch, capsys):
+    assert main(M4_ARGV) == 0
+    monkeypatch.setattr("sys.stdin", stdin_from(capsys.readouterr().out.encode()))
+    assert main(["sat", "-i", "-"]) == 0
+    assert capsys.readouterr().out == "s UNSATISFIABLE\n"
+
+
+OUTPUT_COMMANDS = {
+    "encode": M4_ARGV,
+    "preprocess": ["preprocess", "-i", "{cnf}"],
+    "decode": ["decode", "-i", "{model}"],
+    "submodular": ["submodular", "--vals", "{vals}", "--agent", "1"],
+    "extend": ["extend", "--vals", "{vals}", "-n", "4"],
+    "smt": ["smt", "-m", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_file_and_stdout_outputs_hold_the_same_artifact(tmp_path, m4_cnf, counterexample_file, capsys, command):
+    model = tmp_path / "model.txt"
+    write_model_of([random_monotone_rank_valuation(3, 70 + j) for j in range(3)], model)
+    inputs = {"cnf": m4_cnf, "model": model, "vals": counterexample_file}
+    argv = [arg.format(**inputs) for arg in OUTPUT_COMMANDS[command]]
+    path = tmp_path / "artifact.txt"
+    assert main([*argv, "-o", str(path)]) == 0
+    to_file = capsys.readouterr()
+    assert main([*argv, "-o", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out.encode() == path.read_bytes()
+    assert (to_file.err, to_stdout.err) == ("", to_file.out)  # the report moves to stderr
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):
@@ -465,4 +548,7 @@ def test_readme_command_lines_parse():
     assert lines
     parser = build_parser()
     for line in lines:
-        parser.parse_args(shlex.split(line.split("#")[0])[2:])
+        for command in line[2:].split("#")[0].split("|"):  # each command of a pipe
+            argv = shlex.split(command)
+            assert argv[0] == "efxlab", line
+            parser.parse_args(argv[1:])

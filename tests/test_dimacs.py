@@ -12,6 +12,7 @@ from efxlab.dimacs import (
     parse_dimacs,
     parse_model,
     write_dimacs,
+    write_model,
 )
 from efxlab.encoding import EncodeOptions, EncodeStats, encode_formula
 from efxlab.errors import (
@@ -79,6 +80,48 @@ def test_both_writers_give_identical_bytes(monkeypatch):
     encoding.write_dimacs_stream(opts, out, ["c1"])
     assert out.getvalue() == write_dimacs(CnfFormula(8, clauses), ["c1"])
     assert out.getvalue().endswith("p cnf 8 3\n0\n-3 0\n1 -2 3 -4 5 -6 7 -8 0\n")
+
+
+WIDE = (
+    "1 -2 3 -4 5 -6 7 -8 9 -10 11 -12 13 -14 15 -16 17 -18 19 -20 "
+    "21 -22 23 -24 25 -26 27 -28 29 -30 31 -32 33 -34 35 -36 37 -38 39 -40 0\n"
+)
+
+
+@pytest.mark.parametrize("batch", [1, 2, dimacs.WRITE_BATCH])
+def test_write_dimacs_bytes_at_every_clause_width(monkeypatch, batch):
+    # 40 literals is wider than any encoder family's 2m
+    wide = tuple(lit if lit % 2 else -lit for lit in range(1, 41))
+    monkeypatch.setattr(dimacs, "WRITE_BATCH", batch)
+    assert write_dimacs(CnfFormula(40, [])) == "p cnf 40 0\n"
+    text = write_dimacs(CnfFormula(40, [(), (7,), wide, (-1, 2), wide, ()]), ["c1", "c2"])
+    assert text == "c c1\nc c2\np cnf 40 6\n0\n7 0\n" + WIDE + "-1 2 0\n" + WIDE + "0\n"
+
+
+def test_stream_writer_checks_the_emitted_count(monkeypatch):
+    counted = encoding.clause_counts
+
+    def one_fewer(opts):
+        stats = counted(opts)
+        stats.family_counts["not_efx"] -= 1
+        return stats
+
+    monkeypatch.setattr(encoding, "clause_counts", one_fewer)
+    with pytest.raises(AssertionError, match="^counting pre-pass predicted 710 clauses, emitted 711$"):
+        encoding.write_dimacs_stream(EncodeOptions(4, 2, True), io.StringIO())
+
+
+@pytest.mark.parametrize("num_vars", [0, 1, 19, 20, 21, 40, 41])
+def test_write_model_inverts_parse_model(num_vars):
+    assignment = Assignment(num_vars, {var: var % 3 != 1 for var in range(1, num_vars + 1)})
+    text = write_model(assignment)
+    assert parse_model(text, num_vars) == assignment
+    full_lines = (num_vars - 1) // 20 if num_vars else 0
+    widths = [20] * full_lines + [num_vars - 20 * full_lines + 1]  # the last line adds the 0
+    rows = [line.split() for line in text.splitlines()]
+    assert [row[0] for row in rows] == ["v"] * len(widths)
+    assert [len(row) - 1 for row in rows] == widths
+    assert text.endswith(" 0\n")
 
 
 def test_parse_model_single_line():
