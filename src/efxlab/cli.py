@@ -3,9 +3,12 @@
 Every subcommand is a thin adapter over the library modules; no fairness,
 encoding or file-format logic lives here.  An artifact goes to its `-o` path
 through `_create`, the one place where "-" means stdout; then the report
-goes to stderr, so that stdout holds the artifact alone.  Exit codes: 0 on
-success, 1 on a domain failure (for example an EFX allocation found under
---expect-none, or a solver that ran out of budget), 2 on usage or I/O errors.
+goes to stderr, so that stdout holds the artifact alone.  A file path is
+written under a temporary name and takes the artifact only when the command
+succeeds, so a failing command leaves it as it was.  Exit codes: 0 on
+success, also when the reader of stdout closes it early (as `head` does);
+1 on a domain failure (for example an EFX allocation found under
+--expect-none, or a solver that ran out of budget); 2 on usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterator, Sequence
 from typing import TextIO
@@ -72,9 +76,43 @@ def _parse_dimacs_file(path: str) -> CnfFormula:
         return parse_dimacs(handle)
 
 
-def _create(path: str) -> contextlib.AbstractContextManager[TextIO]:
-    """Stdout for "-" (left open), else the file at `path` open for writing UTF-8 text."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+@contextlib.contextmanager
+def _create(path: str) -> Iterator[TextIO]:
+    """Stdout for "-" (left open), else UTF-8 text that becomes the file at `path`.
+
+    A regular file is written beside its target under a temporary name, with
+    the target's permissions, and moved onto it when the block ends; on an
+    exception the temporary file is removed and `path` is left as it was.
+    Anything else that exists at `path`, such as /dev/null or a named pipe,
+    is written in place.
+    """
+    if path == "-":
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as out:
+            yield out
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        out = open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = path  # name the path the user gave
+        raise
+    try:
+        with out:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _report_to(out: TextIO | None) -> TextIO:
@@ -355,7 +393,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`efxlab encode -m 4 | head -1`):
+        # stop quietly, and send what Python flushes at exit to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except EfxLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -4,23 +4,30 @@ Unit propagation runs to fixpoint: clauses containing a satisfied literal are
 removed (the propagated units themselves included; fixed variables are
 reported separately) and falsified literals are stripped, possibly producing
 further units or the empty clause (immediate UNSAT).  The unit clauses are
-assigned first, then one sweep over the other clauses applies them; only the
-units that sweep derives go through a queue over occurrence lists of the
-clauses it left, so the work stays linear in the formula size.
+assigned first, then one sweep over the other clauses applies them.  The
+units that sweep derives are assigned in turn, and a second sweep applies
+them to the clauses that hold one of their variables.  Only the units the
+second sweep derives go through a queue over occurrence lists of the clauses
+left, so the work stays linear in the formula size, and no per-literal index
+is built when two sweeps reach the fixpoint.
 
 Subsumption then keeps the first clause of each literal set, in clause order,
 and drops every clause whose literal set strictly contains another clause's.
-The check is complete; shortest clauses are tried first, and a kept subset is
-found by looking up the candidate's proper subsets (short candidates) or by
-scanning the kept clauses watched by the candidate's literals (long ones).
-Deletion-only subsumption cannot enable further propagation, so that is the
-fixpoint.
+One dict holds one key per distinct literal set, mapped to its first clause;
+it is the dedupe, the set of kept clauses and the survivors at once.  The
+check is complete; shortest literal sets are tried first, a subsumed one
+leaves the dict, and a kept subset is found by looking up the candidate's
+proper subsets (short candidates) or by scanning the kept sets watched by
+the candidate's literals (long ones).  Deletion-only subsumption cannot
+enable further propagation, so that is the fixpoint.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
 from .dimacs import Clause, CnfFormula
 
@@ -81,10 +88,39 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
             unsat = True
             break
 
+    # The units the sweep derived are assigned.  A second sweep applies them
+    # to the residue clauses that hold one of their variables, picked out at
+    # C level, since most clauses hold none.
+    units, derived = derived, []  # now the units the second sweep leaves
+    for lit in () if unsat else units:
+        if -lit in true_lits:
+            unsat = True
+            break
+        if lit not in true_lits:
+            true_lits.add(lit)
+            false_lits.add(-lit)
+            trail.append(lit)
+    if units and not unsat:
+        touch = {lit for unit in units for lit in (unit, -unit)}
+        for idx in compress(range(len(residue)), map(not_, map(touch.isdisjoint, residue))):
+            clause, residue[idx] = residue[idx], None
+            if not true_lits.isdisjoint(clause):
+                continue
+            lits = tuple(lit for lit in clause if lit not in false_lits)
+            if len(lits) > 1:
+                residue[idx] = lits
+            elif lits:
+                derived.append(lits[0])
+            else:
+                unsat = True
+                break
+
+    # Only the units of the second sweep, if any, go through a queue over
+    # occurrence lists, so the work stays linear however long the chain.
     if derived and not unsat:
         occur: dict[int, list[int]] = {}
         for idx, clause in enumerate(residue):
-            for lit in clause:
+            for lit in clause or ():
                 occur.setdefault(lit, []).append(idx)
         while derived:
             lit = derived.pop()
@@ -128,37 +164,35 @@ def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
     their order.
     """
     clauses = formula.clauses
-    keys = [tuple(sorted(set(clause))) for clause in clauses]  # literal sets
-    if () in keys:  # the empty clause is a strict subset of every other clause
+    # each literal set, as a sorted tuple, to its first clause, in clause order
+    first: dict[Clause, Clause] = {}
+    deque(map(first.setdefault, map(tuple, map(sorted, map(set, clauses))), clauses), maxlen=0)
+    if () in first:  # the empty clause is a strict subset of every other clause
         return CnfFormula(formula.num_vars, [()]), len(clauses) - 1
 
-    kept: set[Clause] = set()
+    # Subsumed sets leave `first`, so a narrower set still in it is a kept one.
     kept_widths: list[int] = []  # ascending
     watch: dict[int, list[Clause]] = {}  # each kept set under its first literal
-    for key in sorted(dict.fromkeys(keys), key=len):
+    for key in sorted(first, key=len):
         # Every kept set is narrower than the key or distinct from it at the
         # same width, so only a strict subset of the key can be found: the
         # probes skip the key's own width.
         width = len(key)
         if width <= SUBSET_PROBE_WIDTH:
             subsumed = any(
-                not kept.isdisjoint(combinations(key, w)) for w in kept_widths if w < width
+                not first.keys().isdisjoint(combinations(key, w)) for w in kept_widths if w < width
             )
         else:
             lits = set(key)
             subsumed = any(lits.issuperset(other) for lit in key for other in watch.get(lit, ()))
         if subsumed:
+            del first[key]
             continue
-        kept.add(key)
         watch.setdefault(key[0], []).append(key)
         if not kept_widths or kept_widths[-1] < width:
             kept_widths.append(width)
 
-    survivors = []
-    for clause, key in zip(clauses, keys):
-        if key in kept:
-            kept.remove(key)  # later clauses with this literal set are repeats
-            survivors.append(clause)
+    survivors = list(first.values())
     return CnfFormula(formula.num_vars, survivors), len(clauses) - len(survivors)
 
 

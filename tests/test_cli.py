@@ -1,12 +1,17 @@
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import efxlab
 from efxlab import acceptance
 from efxlab.cli import build_parser, main
 from efxlab.decoding import (
@@ -359,6 +364,66 @@ def test_file_and_stdout_outputs_hold_the_same_artifact(tmp_path, m4_cnf, counte
     to_stdout = capsys.readouterr()
     assert to_stdout.out.encode() == path.read_bytes()
     assert (to_file.err, to_stdout.err) == ("", to_file.out)  # the report moves to stderr
+
+
+@pytest.mark.parametrize("existing", [None, b"kept bytes\n"], ids=["new", "existing"])
+def test_failing_command_leaves_its_output_path_as_it_was(tmp_path, capsys, existing):
+    path = tmp_path / "left.cnf"
+    if existing is not None:
+        path.write_bytes(existing)
+    assert main(["encode", "-m", "2", "-o", str(path)]) == 1
+    assert "outside supported range" in capsys.readouterr().err
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+    assert [child.name for child in tmp_path.iterdir()] == ([] if existing is None else ["left.cnf"])
+
+
+def test_successful_output_replaces_the_file_behind_a_link_and_keeps_its_mode(tmp_path, capsys):
+    path, link = tmp_path / "efx4.cnf", tmp_path / "latest.cnf"
+    path.write_text("c an older and longer file\n" * 2000)
+    path.chmod(0o640)
+    link.symlink_to(path.name)
+    assert main([*M4_ARGV, "-o", str(link)]) == 0
+    assert path.read_text() == write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT])
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert link.is_symlink()
+    assert sorted(child.name for child in tmp_path.iterdir()) == ["efx4.cnf", "latest.cnf"]
+
+
+def test_output_to_a_named_pipe_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "efx4.pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the artifact fits in the pipe's buffer
+    try:
+        assert main([*M4_ARGV, "-o", str(fifo)]) == 0
+        artifact = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert artifact.decode() == write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT])
+
+
+def test_output_into_a_missing_directory_exits_two_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "efx4.cnf"
+    assert main([*M4_ARGV, "-o", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_closed_stdout_pipe_ends_quietly_with_exit_zero():
+    src = str(Path(efxlab.__file__).resolve().parents[1])
+    run = f"import sys; sys.path.insert(0, {src!r}); from efxlab.cli import main; sys.exit(main())"
+    # m=5 writes megabytes, far more than a pipe buffers, so the writer is
+    # still writing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-c", run, "encode", "-m", "5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"c no-EFX encoding: m=5 level_k=None item_order=False\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):

@@ -240,6 +240,44 @@ def test_long_implication_chain_propagates_to_the_end():
     assert result.formula.clauses == []
 
 
+def assert_matches_reference(formula):
+    got, want = propagate_units(formula), reference_propagate(formula)
+    assert got.unsat == want.unsat
+    if not want.unsat:
+        assert got.formula.clauses == want.formula.clauses
+        assert got.fixed == want.fixed
+        assert got.stats == want.stats
+    return got
+
+
+def test_both_polarities_derived_by_the_first_sweep_are_unsat():
+    assert assert_matches_reference(CnfFormula(2, [(1,), (-1, 2), (-1, -2)])).unsat
+
+
+def test_units_that_stop_at_the_second_sweep():
+    # the first sweep derives 2; the second applies it and derives nothing
+    formula = CnfFormula(6, [(1,), (-2, 3, 4), (-1, 2), (2, 5), (3, 6), (-2, -6, 3)])
+    result = assert_matches_reference(formula)
+    assert result.fixed == {1: True, 2: True}
+    assert result.formula.clauses == [(3, 4), (3, 6), (-6, 3)]
+
+
+def test_units_of_the_second_sweep_go_through_the_queue():
+    # 2 comes from the first sweep, 3 from the second, then 4 and 5 from the queue
+    formula = CnfFormula(7, [(1,), (-4, 5), (-3, 4), (-2, 3), (-1, 2), (-5, 6, 7), (-4, 6, -7)])
+    result = assert_matches_reference(formula)
+    assert result.fixed == {v: True for v in range(1, 6)}
+    assert result.formula.clauses == [(6, 7), (6, -7)]
+
+
+def test_subsume_returns_the_first_input_clause_of_each_literal_set():
+    clauses = [tuple(lits) for lits in ([2, 1], [3, -1], [1, 2], [-1, 3, 3], [4, 5, 6], [2, 1, 2], [6, 5, 4, 1])]
+    reduced, removed = subsume(CnfFormula(6, clauses))
+    assert removed == 4
+    assert len(reduced.clauses) == 3
+    assert all(got is want for got, want in zip(reduced.clauses, [clauses[0], clauses[1], clauses[4]]))
+
+
 def consistency_formula(m, k):
     """Every family except no-EFX, with item order: satisfiable."""
     clauses = [
