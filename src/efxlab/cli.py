@@ -174,8 +174,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    formula = _parse_dimacs_file(args.input)
-    result = preprocess(formula)
+    # no local name for the parsed formula, so that preprocess can release it
+    result = preprocess(_parse_dimacs_file(args.input))
     payload = {
         "input_clauses": result.stats.input_clauses,
         "propagated_units": result.stats.propagated_units,
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     expect = verify.add_mutually_exclusive_group()
     expect.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
     expect.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
-    verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    verify.add_argument("--jobs", type=int, default=verification.usable_cpus())
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck = sub.add_parser("selfcheck", help="run the acceptance suite")
     selfcheck.add_argument("--quick", action="store_true", help="skip the slow criteria")
-    selfcheck.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    selfcheck.add_argument("--jobs", type=int, default=verification.usable_cpus())
     selfcheck.add_argument("-v", "--verbose", action="store_true")
     selfcheck.set_defaults(func=cmd_selfcheck)
 

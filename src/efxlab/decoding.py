@@ -22,6 +22,7 @@ Text formats, each of which states its own shape:
 from __future__ import annotations
 
 from importlib import resources
+from operator import add
 
 from .bitset import bitstring, check_good_count, parse_bitstring
 from .dimacs import Assignment
@@ -41,33 +42,51 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
     """Rank valuations of all three agents from a full comparison assignment.
 
     rank_i(A) = number of sets B with "v_i(B) < v_i(A)" under the assignment.
-    Raises IncompleteAssignment for a missing variable, NotATotalOrder (with
-    a witness 3-cycle) if ranks collide, and MonotonicityViolated if the
-    order contradicts the subset order.
+    An agent's variables are consecutive ids in pair order, so set a's row
+    of comparisons with the sets b > a is one slice of them: a wins where it
+    is False, each b where it is True.  Raises IncompleteAssignment for the
+    first missing variable in pair order, NotATotalOrder (with a witness
+    3-cycle) if ranks collide, and MonotonicityViolated if the order
+    contradicts the subset order.
     """
     check_good_count(m)
     n_sets = 1 << m
+    pairs = n_sets * (n_sets - 1) // 2
     valuations = []
     for agent in range(NUM_AGENTS):
-        below = [[False] * n_sets for _ in range(n_sets)]  # below[a][b]: v(b) < v(a)
-        for a in range(n_sets):
-            for b in range(a + 1, n_sets):
-                var = var_id(agent, a, b, m)
-                value = assignment.get(var)
-                if value is None:
-                    raise IncompleteAssignment(var)
-                below[b][a] = value
-                below[a][b] = not value
-        rank = [sum(row) for row in below]
+        first = var_id(agent, 0, 1, m)
+        values = list(map(assignment.values.get, range(first, first + pairs)))
+        if None in values:
+            raise IncompleteAssignment(first + values.index(None))
+        rank = [0] * n_sets
+        start = 0
+        for a in range(n_sets - 1):
+            row = values[start : start + n_sets - 1 - a]  # x(a, b) for b = a+1 .. n_sets-1
+            start += len(row)
+            rank[a] += len(row) - sum(row)
+            rank[a + 1 :] = map(add, rank[a + 1 :], row)
         seen = [-1] * n_sets
         for mask, r in enumerate(rank):
             if seen[r] != -1:
+                below = _below_matrix(values, n_sets)
                 raise NotATotalOrder(_find_three_cycle(below, seen[r], mask))
             seen[r] = mask
         val = RankValuation(m, tuple(rank))
         val.validate()
         valuations.append(val)
     return valuations
+
+
+def _below_matrix(values: list[bool], n_sets: int) -> list[list[bool]]:
+    """below[a][b]: v(b) < v(a), from one agent's variables in pair order."""
+    below = [[False] * n_sets for _ in range(n_sets)]
+    pairs = iter(values)
+    for a in range(n_sets):
+        for b in range(a + 1, n_sets):
+            value = next(pairs)
+            below[b][a] = value
+            below[a][b] = not value
+    return below
 
 
 def _find_three_cycle(below: list[list[bool]], a: int, b: int) -> tuple[int, int, int]:

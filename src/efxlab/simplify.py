@@ -197,8 +197,13 @@ def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
 
 
 def preprocess(formula: CnfFormula) -> SimplifyResult:
-    """Unit propagation to fixpoint, then complete subsumption."""
+    """Unit propagation to fixpoint, then complete subsumption.
+
+    The reference to `formula` is dropped before `subsume` runs, so a caller
+    that keeps none lets the input clauses that propagation removed be freed.
+    """
     result = propagate_units(formula)
+    del formula
     if result.unsat:
         return result
     reduced, removed = subsume(result.formula)

@@ -9,7 +9,11 @@ swaps, the one with the lowest owner code, and weights it by the orbit size.
 It walks those allocations agent by agent (`_walk`): each level fixes one
 bundle as a submask of the goods left and adds the terms of the agent pairs
 it completes, once for every allocation below it, and the innermost loop
-splits what is left between the last two agents.  The class order of
+splits what is left between the last two agents.  The terms of that last
+pair depend only on the split, so a walk computes them once per distinct
+set of goods left and keeps them for every prefix that leaves the same
+goods: a cache local to the walk, of at most 3^m entries per list kept for
+m goods, one per pair of disjoint bundles.  The class order of
 identical agents is a restriction on the submasks, not a filter.  Violations
 are counted from value tables and sorted removal tables, built once per
 distinct valuation.  The first agent's bundles can be dealt into shares of
@@ -30,12 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import permutations, product
+from itertools import compress, permutations, product, repeat
 from math import comb, factorial, prod
 from multiprocessing import Pool
 
@@ -254,8 +258,16 @@ def _walk(
     the goods left between the last two bundles X_a and X_b, X_b = rest ^
     X_a, and reads the terms of every earlier bundle but the last with X_a
     and X_b from the tables `A` and `B` that the levels above built for the
-    submasks X_a and X_b may take.  So a split pays six bisects whatever n
-    is.
+    submasks X_a and X_b may take.  The terms of the pair (a, b) itself
+    depend on the split alone, not on the prefix above it, so they are
+    computed once per distinct `rest` and kept in `splits`, with the split
+    lists and the values of X_a and X_b, for every prefix that leaves the
+    same goods; the class order and the empty bundles pick a slice of them.
+    Without null goods the lists leave out the two splits with an empty
+    bundle, which no walk takes.  Each list of `splits` holds at most one
+    entry per submask of its `rest`, so each kind holds at most sum over
+    rest of 2^|rest| = 3^m entries for m core goods.  So a split pays four
+    bisects whatever n is, and two more the first time its `rest` comes up.
     """
     n, z = scan.n, len(scan.null)
     full = (1 << scan.m) - 1
@@ -298,6 +310,7 @@ def _walk(
     zero = [0] * (full + 1)  # the tables A and B before any level adds to them
     no_rows = [()] * (full + 1)  # the rows of the missing last level when n == 2
     batch: list[int] = []
+    splits: dict[int, tuple[list[int], ...]] = {}  # see the docstring
 
     def inner(rest, X, O, base, A, B, left, only=None):
         """Tally every split of `rest` between X_a and X_b below the prefix X, O."""
@@ -309,29 +322,46 @@ def _walk(
             must_a = rest & ~_below(X[pb]) if pb >= 0 else 0
         if must_a & must_b:
             return
-        subs = submasks(rest ^ must_a ^ must_b)
-        xa = [must_a | sub for sub in subs] if must_a else subs
-        xb = [must_b | sub for sub in reversed(subs)]
-        if left < 2:  # each empty bundle takes one of the `left` spares
-            if not rest:
-                return
-            if not left:
-                stop = len(subs) - (not must_b)
-                xa, xb = xa[not must_a : stop], xb[not must_a : stop]
+        if left < 2 and not rest:  # each empty bundle takes one of the `left` spares
+            return
+        terms = splits.get(rest)
+        if terms is None:
+            xa = submasks(rest)
+            if not z:  # no bundle may stay empty
+                xa = xa[1:-1]
+            xb = xa[::-1]
+            ta = list(map(tab_a.__getitem__, xa))
+            tb = list(map(tab_b.__getitem__, xb))
+            mutual = [
+                bisect_right(rows_b[x], t_b) * da + bisect_right(rows_a[y], t_a) * db
+                for x, y, t_a, t_b in zip(xa, xb, ta, tb)
+            ]
+            terms = splits[rest] = xa, xb, ta, tb, mutual
+        # must_a and must_b are each empty or the goods of rest above some good: the
+        # X_a holding must_a are the last submasks, those leaving must_b to X_b the first
+        count = 1 << rest.bit_count()
+        start = count - (count >> must_a.bit_count())
+        stop = count >> must_b.bit_count()
+        if not left:  # neither bundle may stay empty
+            start, stop = start + (not must_a), stop - (not must_b)
+        if not z:
+            start, stop = start - 1, stop - 1
+        if start or stop < len(terms[0]):
+            terms = [column[start:stop] for column in terms]
         if only is not None:
-            xb = [y for x, y in zip(xa, xb) if x in only]
-            xa = [x for x in xa if x in only]
+            keep = [x in only for x in terms[0]]
+            terms = [list(compress(column, keep)) for column in terms]
+        xa, xb, ta, tb, mutual = terms
         if last >= 0:
             rl, ol, dl = rows[last], O[last], digits[last]
             ral, rbl = rows_a[X[last]], rows_b[X[last]]
         else:
             rl, ol, dl, ral, rbl = no_rows, 0, 0, (), ()
         sums = [
-            base + A[x] + B[y]
-            + (bisect_right(rl[x], ol) + bisect_right(rows_b[x], tb)) * da
-            + (bisect_right(rl[y], ol) + bisect_right(rows_a[y], ta)) * db
-            + (bisect_right(ral, ta) + bisect_right(rbl, tb)) * dl
-            for x, y, ta, tb in zip(xa, xb, map(tab_a.__getitem__, xa), map(tab_b.__getitem__, xb))
+            base + A[x] + B[y] + mu
+            + bisect_right(rl[x], ol) * da + bisect_right(rl[y], ol) * db
+            + (bisect_right(ral, t_a) + bisect_right(rbl, t_b)) * dl
+            for x, y, t_a, t_b, mu in zip(xa, xb, ta, tb, mutual)
         ]
         batch.extend(sums)
         if len(batch) > 4096:
@@ -443,15 +473,16 @@ def _scan_core_part(
 
     Walked allocations with equal column sums count alike, so the walk
     tallies the sums.  They read as the core violations and an envy pattern
-    (`_reading`), and `_hand_outs` counts the allocations behind each
+    (`_reader`), and `_hand_outs` counts the allocations behind each
     pattern once.  Only when the part holds an EFX allocation does a second
     walk look at the allocations that have one; `_lowest_completion` gives
     the lowest full code among them.
     """
     tally, _ = _walk(scan, firsts)
+    read = _reader(scan)
     patterns: dict[tuple[tuple[bool, ...], tuple[int, ...]], dict[int, int]] = {}
     for sums, count in tally.items():
-        violations, pattern = _reading(scan, sums)
+        violations, pattern = read(sums)
         by_violations = patterns.setdefault(pattern, {})
         by_violations[violations] = by_violations.get(violations, 0) + count
     total = efx_count = 0
@@ -468,7 +499,7 @@ def _scan_core_part(
             efx_readings.add((0, pattern))
     if not efx_readings:
         return total, efx_count, hist, None, None
-    efx_sums = {sums for sums in tally if _reading(scan, sums) in efx_readings}
+    efx_sums = {sums for sums in tally if read(sums) in efx_readings}
     _, (witness_code, witness) = _walk(scan, firsts, efx_sums, partial(_lowest_completion, scan))
     return total, efx_count, hist, witness, witness_code
 
@@ -478,22 +509,34 @@ def _radix(scan: _Scan) -> int:
     return ((scan.n - 1) * scan.m + 1) * scan.n**2
 
 
-def _reading(scan: _Scan, sums: int) -> tuple[int, tuple[tuple[bool, ...], tuple[int, ...]]]:
-    """The core violations of a code with packed column sums `sums`, and its envy pattern:
-    which core bundles are empty, and how many agents envy each."""
+def _reader(scan: _Scan) -> Callable[[int], tuple[int, tuple[tuple[bool, ...], tuple[int, ...]]]]:
+    """`read(sums)`: the core violations of a code with packed column sums `sums`, and its
+    envy pattern: which core bundles are empty, and how many agents envy each.
+
+    A column h + K*q reads as h held conditions, an empty bundle when q >= n,
+    and n - 1 - q mod n envious agents; those readings are tabled once over
+    every column value below the radix.
+    """
     n = scan.n
     marks = (n - 1) * scan.m + 1
     radix = _radix(scan)
-    held = 0
-    empty = []
-    envied = []
-    for _ in range(n):
-        sums, column = divmod(sums, radix)
-        q, h = divmod(column, marks)
-        held += h
-        empty.append(q >= n)
-        envied.append(n - 1 - q % n)
-    return (n - 1) * scan.m - held, (tuple(empty), tuple(envied))
+    columns = [
+        (h, q >= n, n - 1 - q % n) for q, h in map(divmod, range(radix), repeat(marks))
+    ]
+
+    def read(sums: int) -> tuple[int, tuple[tuple[bool, ...], tuple[int, ...]]]:
+        held = 0
+        empty = []
+        envied = []
+        for _ in range(n):
+            sums, column = divmod(sums, radix)
+            h, is_empty, envy = columns[column]
+            held += h
+            empty.append(is_empty)
+            envied.append(envy)
+        return (n - 1) * scan.m - held, (tuple(empty), tuple(envied))
+
+    return read
 
 
 def _hand_outs(scan: _Scan, empty: tuple[bool, ...], envied: tuple[int, ...]) -> dict[int, int]:
@@ -618,8 +661,8 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     goods, and counts the ways to hand the null goods out.  With jobs > 1
     the first walked agent's bundles are dealt into shares of about equal
     work (`_shares`), one per worker process, with at most one worker per
-    CPU; the merged report is identical to a serial scan.  `jobs` below 1
-    raises `JobCountOutOfRange`.
+    CPU this process may use (`usable_cpus`); the merged report is
+    identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`.
     """
     check_job_count(jobs)
     n, m = len(valuations), valuations[0].m
@@ -630,7 +673,7 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     classes = identical_classes(tables)
     scan = _scan_plan(tables, m, classes)
 
-    shares = _shares(scan, min(jobs, os.cpu_count() or 1))
+    shares = _shares(scan, min(jobs, usable_cpus()))
     if len(shares) == 1:
         parts = [_scan_part(scan, shares[0])]
     else:
@@ -646,6 +689,14 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
             f"scanned {report.total_allocations} allocations, expected {expected}"
         )
     return report
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one,
+    else the CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_job_count(jobs: int) -> None:
@@ -675,6 +726,21 @@ def marginal_values(v: RankValuation, good: int, result_size: int) -> list[int]:
     return values
 
 
+def _split_ranks(rank: Sequence[int], ground: int) -> list[tuple[int, int, int, int]]:
+    """(a, b, low, high) for each split of `ground` into a < b = ground ^ a, with low and
+    high the lesser and greater of v(a), v(b).
+
+    Split (a, b) and split (c, d) violate MMS when low_ab > high_cd; the two
+    splits then differ, as low <= high within a split.
+    """
+    splits = []
+    for a in submasks(ground):
+        b = ground ^ a
+        if a < b:
+            splits.append((a, b, *sorted((rank[a], rank[b]))))
+    return splits
+
+
 def iter_mms_violations(v: RankValuation) -> Iterator[tuple[int, int, int, int]]:
     """Canonical witnesses that v is not MMS-feasible.
 
@@ -683,17 +749,13 @@ def iter_mms_violations(v: RankValuation) -> Iterator[tuple[int, int, int, int]]
     number comes first, and each unordered pair of splits is visited once
     (ground sets ascending, splits by ascending first part).
     """
-    n_sets = 1 << v.m
-    rank = v.rank
-    for ground in range(n_sets):
-        splits = [(part, ground ^ part) for part in submasks(ground) if part < ground ^ part]
-        for i, (a, b) in enumerate(splits):
-            low_ab = min(rank[a], rank[b])
-            high_ab = max(rank[a], rank[b])
-            for c, d in splits[i + 1 :]:
-                if low_ab > max(rank[c], rank[d]):
+    for ground in range(1 << v.m):
+        splits = _split_ranks(v.rank, ground)
+        for i, (a, b, low_ab, high_ab) in enumerate(splits):
+            for c, d, low_cd, high_cd in splits[i + 1 :]:
+                if low_ab > high_cd:
                     yield (a, b, c, d)
-                elif min(rank[c], rank[d]) > high_ab:
+                elif low_cd > high_ab:
                     yield (c, d, a, b)
 
 
@@ -707,6 +769,13 @@ def count_mms_violation_tuples(v: RankValuation) -> int:
 
     Each canonical witness corresponds to four ordered quadruples (either
     pair may be written in either order), which is the count the condition
-    itself defines.
+    itself defines.  Per ground set, a split (a, b) is the upper pair of one
+    witness for each split whose high is below its low, so one sort of the
+    highs and a bisect per split count them in O(k log k) for k splits.
     """
-    return 4 * sum(1 for _ in iter_mms_violations(v))
+    count = 0
+    for ground in range(1 << v.m):
+        splits = _split_ranks(v.rank, ground)
+        highs = sorted(high for _, _, _, high in splits)
+        count += sum(map(bisect_left, repeat(highs), (low for _, _, low, _ in splits)))
+    return 4 * count

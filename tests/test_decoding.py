@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from efxlab.decoding import (
@@ -12,9 +14,10 @@ from efxlab.decoding import (
     load_value_blocks,
 )
 from efxlab.dimacs import Assignment, assignment_from_ranks
-from efxlab.encoding import num_variables, var_id
+from efxlab.encoding import NUM_AGENTS, num_variables, var_id
 from efxlab.errors import (
     BitstringMismatch,
+    EfxLabError,
     GoodCountOutOfRange,
     IncompleteAssignment,
     LineCountMismatch,
@@ -23,7 +26,7 @@ from efxlab.errors import (
     RankNotIncreasing,
 )
 from efxlab.submodular import submodular_realize
-from efxlab.valuations import as_real, random_monotone_rank_valuation
+from efxlab.valuations import RankValuation, as_real, random_monotone_rank_valuation
 
 
 def numeric_assignment(m: int) -> Assignment:
@@ -53,6 +56,84 @@ def test_decode_detects_missing_variables():
     with pytest.raises(IncompleteAssignment) as err:
         decode_valuations(assignment, 3)
     assert err.value.var == 5
+
+
+def _reference_decode(assignment: Assignment, m: int) -> list[RankValuation]:
+    """Reference: a comparison matrix per agent, filled one `var_id` at a time."""
+    n_sets = 1 << m
+    valuations = []
+    for agent in range(NUM_AGENTS):
+        below = [[False] * n_sets for _ in range(n_sets)]  # below[a][b]: v(b) < v(a)
+        for a in range(n_sets):
+            for b in range(a + 1, n_sets):
+                var = var_id(agent, a, b, m)
+                value = assignment.get(var)
+                if value is None:
+                    raise IncompleteAssignment(var)
+                below[b][a] = value
+                below[a][b] = not value
+        rank = [sum(row) for row in below]
+        seen = [-1] * n_sets
+        for mask, r in enumerate(rank):
+            if seen[r] != -1:
+                first, second = (seen[r], mask) if below[mask][seen[r]] else (mask, seen[r])
+                middle = next(
+                    c for c in range(n_sets)
+                    if c not in (first, second) and below[c][second] and below[first][c]
+                )
+                raise NotATotalOrder((second, middle, first))
+            seen[r] = mask
+        val = RankValuation(m, tuple(rank))
+        val.validate()
+        valuations.append(val)
+    return valuations
+
+
+def _outcome(decode, assignment, m):
+    """The ranks `decode` returns, or the type and message of the error it raises."""
+    try:
+        return [v.rank for v in decode(assignment, m)]
+    except EfxLabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_decode_roundtrips_and_matches_the_matrix_decoder(m):
+    """Round trips of random triples, then the same triples with comparisons flipped,
+    which make 3-cycles or break monotonicity, against the reference decoder."""
+    rng = random.Random(m)
+    for trial in range(3):
+        triple = [random_monotone_rank_valuation(m, 100 * m + 3 * trial + j) for j in range(3)]
+        assignment = assignment_from_ranks(
+            [v.rank for v in triple], lambda i, a, b: var_id(i, a, b, m)
+        )
+        assert _outcome(decode_valuations, assignment, m) == [v.rank for v in triple]
+        for var in rng.sample(sorted(assignment.values), 4):
+            assignment.values[var] = not assignment.values[var]
+            assert _outcome(decode_valuations, assignment, m) == _outcome(
+                _reference_decode, assignment, m
+            )
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_decode_refuses_good_counts_below_three(m):
+    with pytest.raises(GoodCountOutOfRange):
+        decode_valuations(Assignment(0), m)
+
+
+@pytest.mark.parametrize(
+    "missing",
+    [[1], [num_variables(3) // 2], [num_variables(3)], [40, 80, 17], [80, 50]],
+    ids=["first", "middle", "last", "three", "two-agents"],
+)
+def test_decode_names_the_first_missing_variable_in_pair_order(missing):
+    assignment = numeric_assignment(3)
+    for var in missing:
+        del assignment.values[var]
+    with pytest.raises(IncompleteAssignment) as err:
+        decode_valuations(assignment, 3)
+    assert err.value.var == min(missing)
+    assert _outcome(decode_valuations, assignment, 3) == _outcome(_reference_decode, assignment, 3)
 
 
 def test_decode_detects_comparison_cycles():

@@ -14,13 +14,14 @@ from efxlab.allocations import (
     count_allocations,
     enumerate_allocations,
 )
-from efxlab.bitset import goods
+from efxlab.bitset import goods, submasks
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import JobCountOutOfRange
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
 from efxlab.valuations import (
+    RankValuation,
     RealValuation,
     as_real,
     monotonicity_violation,
@@ -100,7 +101,7 @@ def test_report_bytes_are_pinned(monkeypatch):
     Instances: the counterexample, the n=4, m=9 extension, and the extension
     plus one dummy good.
     """
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
     counterexample = load_bundled_counterexample()
     extension = extend_counterexample(counterexample, 4)
     digests = {
@@ -160,7 +161,7 @@ def _instances_with_identical_agents():
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_orbit_scan_matches_the_full_scan(monkeypatch, jobs):
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
     for vals in _instances_with_identical_agents():
         assert identical_classes(value_tables(vals))
         report = verify(vals, jobs=jobs)
@@ -181,7 +182,7 @@ def _instances_with_efx():
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_witness_is_first_efx_allocation_in_code_order(monkeypatch, jobs):
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
     for vals in _instances_with_efx():
         n, m = len(vals), vals[0].m
         first = next(a for a in enumerate_allocations(n, m) if is_efx(a, vals))
@@ -271,9 +272,22 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("cpus,pools", [(2, [(2, 2)]), (3, [(3, 3)]), (None, [])])
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, pools):
+    """Without an affinity call the CPU count caps the pool, and an unknown count means one."""
     vals = [random_monotone_rank_valuation(4, 30 + j) for j in range(3)]
     monkeypatch.setattr(verification, "Pool", _RecordingPool)
+    monkeypatch.delattr(verification.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    assert verify(vals, jobs=5000) == verify(vals, jobs=1)
+    assert _RecordingPool.calls == pools
+
+
+@pytest.mark.parametrize("allowed,pools", [({0, 1}, [(2, 2)]), ({5}, [])])
+def test_worker_pool_is_capped_at_the_cpus_this_process_may_use(monkeypatch, allowed, pools):
+    vals = [random_monotone_rank_valuation(4, 30 + j) for j in range(3)]
+    monkeypatch.setattr(verification, "Pool", _RecordingPool)
+    monkeypatch.setattr(verification.os, "sched_getaffinity", lambda pid: allowed, raising=False)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingPool, "calls", [])
     assert verify(vals, jobs=5000) == verify(vals, jobs=1)
     assert _RecordingPool.calls == pools
@@ -293,7 +307,7 @@ def test_parallel_shares_balance_the_walk(monkeypatch, jobs):
         tables = value_tables(vals)
         scan = _scan_plan(tables, vals[0].m, identical_classes(tables))
         monkeypatch.setattr(verification, "Pool", _RecordingPool)
-        monkeypatch.setattr(verification.os, "cpu_count", lambda: jobs)
+        monkeypatch.setattr(verification, "usable_cpus", lambda: jobs)
         monkeypatch.setattr(_RecordingPool, "calls", [])
         monkeypatch.setattr(_RecordingPool, "shares", [])
         assert verify(vals, jobs=jobs) == _full_scan(vals)
@@ -330,7 +344,7 @@ def _instances_with_null_goods():
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_factored_scan_matches_the_full_scan(monkeypatch, jobs):
     """Histogram, EFX count and witness with null goods factored out, against every code."""
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)  # jobs chunks on any host
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
     seen = set()
     for vals in _instances_with_null_goods():
         tables = value_tables(vals)
@@ -385,7 +399,7 @@ def _walk_shapes():
 def test_walk_matches_the_full_scan(monkeypatch, jobs):
     """Whole reports, witness code included, against a scan of every code, for every share count."""
     monkeypatch.setattr(verification, "Pool", _RecordingPool)
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 5000)
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 5000)
     monkeypatch.setattr(_RecordingPool, "calls", [])
     monkeypatch.setattr(_RecordingPool, "shares", [])
     efx_rich = 0
@@ -592,3 +606,127 @@ def test_mms_violations_respect_limit_and_shape():
 def test_numeric_orderable_valuation_has_no_mms_violations():
     assert list(iter_mms_violations(numeric_order_valuation(3))) == []
     assert list(iter_mms_violations(numeric_order_valuation(4))) == []
+
+
+def _brute_force_report(vals):
+    """Reference: every allocation, its violations counted by the fairness predicates."""
+    n, m = len(vals), vals[0].m
+    hist: dict[int, int] = {}
+    witness = None
+    for allocation in enumerate_allocations(n, m):
+        count = violated_condition_count(allocation, vals)
+        hist[count] = hist.get(count, 0) + 1
+        if count == 0 and witness is None:
+            witness = allocation.bundles
+    monotone = tuple(monotonicity_violation(table, m) is None for table in value_tables(vals))
+    return VerifyReport(n, m, monotone, sum(hist.values()), hist.get(0, 0), hist, witness)
+
+
+def _random_instances(seed, count):
+    """Random instances with n = 2..5 agents, all identical, in classes of 2 or 3, or all
+    distinct, and 0..2 null goods at random positions; at most ~4,000 allocations each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        z = rng.randint(0, 2)
+        core = max(m for m in range(3, 8) if n**m <= 4096) - z
+        shape = rng.choice(["identical", "classes", "distinct"])
+        if shape == "identical":
+            sizes = [n]
+        elif shape == "classes":
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(min(rng.choice([1, 2, 2, 3]), n - sum(sizes)))
+            if max(sizes) < 2:
+                sizes = [2, *sizes[2:]]
+        else:
+            sizes = [1] * n
+        owners = [k for k, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(owners)
+        base = rng.randrange(1 << 20)
+        kinds = [as_real(random_monotone_rank_valuation(core, base + k)) for k in range(len(sizes))]
+        vals = add_dummy_goods([kinds[k] for k in owners], z)
+        order = list(range(core + z))
+        rng.shuffle(order)
+        yield _moved(vals, order), (n, core, z, shape)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_scan_matches_the_fairness_predicates_on_random_instances(monkeypatch, jobs):
+    """The split cache, its slices and the table-read columns against a brute-force scan."""
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
+    seen = set()
+    for vals, shape in _random_instances(1900 + jobs, 24):
+        tables = value_tables(vals)
+        seen.add((shape[3], len(null_goods(tables, vals[0].m))))
+        report = verify(vals, jobs=jobs)
+        assert report.to_json() == _brute_force_report(vals).to_json(), shape
+    assert {shape for shape, _ in seen} == {"identical", "classes", "distinct"}
+    assert {z for _, z in seen} == {0, 1, 2}
+
+
+def _reading_by_divmod(scan, sums):
+    """Reference: the core violations and envy pattern of packed column sums, two divmods
+    per column."""
+    n = scan.n
+    marks = (n - 1) * scan.m + 1
+    radix = verification._radix(scan)
+    held = 0
+    empty = []
+    envied = []
+    for _ in range(n):
+        sums, column = divmod(sums, radix)
+        q, h = divmod(column, marks)
+        held += h
+        empty.append(q >= n)
+        envied.append(n - 1 - q % n)
+    return (n - 1) * scan.m - held, (tuple(empty), tuple(envied))
+
+
+def test_column_tables_read_every_tally_as_divmod_does():
+    """Every packed sum the walk tallies, on the dummy-good instance of the certify-m8
+    benchmark and on instances with two null goods."""
+    extension = extend_counterexample(load_bundled_counterexample(), 4)
+    instances = [add_dummy_goods(extension, 1)]
+    instances += [vals for vals, (_, _, z, _) in _random_instances(1950, 12) if z == 2]
+    for vals in instances:
+        tables = value_tables(vals)
+        scan = _scan_plan(tables, vals[0].m, identical_classes(tables))
+        assert scan.null
+        tally, _ = _walk(scan, _every_first(scan)[::-1])
+        read = verification._reader(scan)
+        assert all(read(sums) == _reading_by_divmod(scan, sums) for sums in tally)
+    assert len(instances) > 2
+
+
+def _mms_tuples_by_definition(rank, m):
+    """Reference: ordered (A, B, C, D) with A|B == C|D, A&B == 0 == C&D and
+    min(v(A), v(B)) > max(v(C), v(D)), counted over ordered pairs of ordered splits."""
+    count = 0
+    for ground in range(1 << m):
+        parts = submasks(ground)
+        for a in parts:
+            low = min(rank[a], rank[ground ^ a])
+            count += sum(low > max(rank[c], rank[ground ^ c]) for c in parts)
+    return count
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_mms_count_by_sorting_matches_the_pairwise_count(m):
+    """Monotone rank valuations (m >= 3) and arbitrary rank permutations."""
+    rng = random.Random(m)
+    valuations = [random_monotone_rank_valuation(m, 60 + k) for k in range(3)] if m >= 3 else []
+    for _ in range(3):
+        ranks = list(range(1 << m))
+        rng.shuffle(ranks)
+        valuations.append(RankValuation(m, tuple(ranks)))
+    for v in valuations:
+        count = count_mms_violation_tuples(v)
+        assert count == 4 * len(find_mms_violations(v))
+        if m <= 6:
+            assert count == _mms_tuples_by_definition(v.rank, m)
+
+
+def test_mms_counts_of_the_counterexample_are_pinned():
+    counts = [count_mms_violation_tuples(v) for v in load_bundled_counterexample()]
+    assert counts == [5452, 5124, 5192]
