@@ -1,9 +1,12 @@
 """Turning SAT models into valuations, and the valuation text formats.
 
 Model decoding counts wins: the rank of a set is the number of sets it beats
-under the assignment's comparison variables.  A rank collision certifies that
-the comparison relation is not a total order, and a witnessing 3-cycle is
-extracted for the error.
+under the assignment's comparison variables.  An agent's variables are
+consecutive ids in pair order, so they are read in one pass and each set's
+comparisons with the later sets are one slice of them, counted for both
+sides at once.  A rank collision certifies that the comparison relation is
+not a total order; only then is the comparison matrix built, to extract a
+witnessing 3-cycle for the error.
 
 Text formats, each of which states its own shape:
 
