@@ -29,6 +29,12 @@ entries are skipped when popped, and the heap is rebuilt when the activity
 rescale fires or it grows past twice the number of occurring variables.  Truth
 values and watch lists are indexed by literal (negative literals at the
 negative end of the list).
+
+Clauses are held by reference, as in MiniSat (Eén & Sörensson, SAT 2003):
+watch lists hold the clause lists themselves, and a variable's reason is the
+clause that implied it (None for decisions and level-0 facts), so neither a
+visit to a watch nor a step back through a reason goes through an index, and
+dropping learned clauses renumbers nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import neg
 
 from .dimacs import Assignment, CnfFormula
 from .errors import BudgetOutOfRange
@@ -75,7 +83,8 @@ class _Solver:
         # indexed by literal (value[-v] at the negative end): 1 true, -1 false, 0 unset
         self.value: list[int] = [0] * (2 * n + 1)
         self.level: list[int] = [0] * (n + 1)
-        self.reason: list[int] = [-1] * (n + 1)
+        # the clause that implied the variable; None for decisions and level-0 facts
+        self.reason: list[list[int] | None] = [None] * (n + 1)
         self.phase: list[int] = [-1] * (n + 1)
         self.activity: list[float] = [0.0] * (n + 1)
         self.act_inc = 1.0
@@ -88,7 +97,8 @@ class _Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.prop_head = 0
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]  # by literal
+        # by literal: the clauses whose first two literals hold it
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.units: list[int] = []
         self.clause_lbd: list[int] = []
         self.ok = True
@@ -96,34 +106,40 @@ class _Solver:
         self.decisions = 0
         self.restarts = 0
 
+        clauses = self.clauses
+        clause_lbd = self.clause_lbd
+        watches = self.watches
         for clause in formula.clauses:
-            lits = list(dict.fromkeys(clause))
-            if not any(-lit in lits for lit in lits):  # a tautology constrains nothing
-                self._add_clause(lits)
-        self.learned_from = len(self.clauses)
+            distinct = set(clause)
+            if not distinct.isdisjoint(map(neg, clause)):
+                continue  # a tautology constrains nothing
+            lits = list(clause) if len(distinct) == len(clause) else list(dict.fromkeys(clause))
+            if len(lits) > 1:
+                clauses.append(lits)
+                clause_lbd.append(0)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif lits:
+                self.units.append(lits[0])
+            else:
+                self.ok = False
+        self.learned_from = len(clauses)
         # only variables that occur in a clause are decided; the rest take their
         # saved phase in the model
-        self.branch_vars = sorted({abs(lit) for clause in formula.clauses for lit in clause})
+        self.branch_vars = sorted(set(map(abs, chain.from_iterable(formula.clauses))))
         self._rebuild_heap()
 
     # -- clause plumbing -------------------------------------------------
 
-    def _add_clause(self, lits: list[int], lbd: int = 0) -> int | None:
-        """Index of the new clause, None for an empty or unit one; never a tautology."""
-        if len(lits) == 0:
-            self.ok = False
-            return None
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return None
-        idx = len(self.clauses)
+    def _add_learned(self, lits: list[int], lbd: int) -> list[int]:
+        """Adds a learned clause of two or more literals, watched by the first two."""
         self.clauses.append(lits)
         self.clause_lbd.append(lbd)
-        self.watches[lits[0]].append(idx)
-        self.watches[lits[1]].append(idx)
-        return idx
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
+        return lits
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         value = self.value
         if value[lit] != 0:
             return value[lit] > 0
@@ -136,11 +152,10 @@ class _Solver:
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int | None:
-        """Returns the index of a conflicting clause, or None."""
+    def _propagate(self) -> list[int] | None:
+        """Returns a conflicting clause, or None."""
         trail = self.trail
         value = self.value
-        clauses = self.clauses
         watches = self.watches
         level = self.level
         reason = self.reason
@@ -153,32 +168,31 @@ class _Solver:
             watch_list = watches[false_lit]
             if not watch_list:
                 continue
-            kept: list[int] = []
-            for i, idx in enumerate(watch_list):
-                clause = clauses[idx]
+            kept: list[list[int]] = []
+            for i, clause in enumerate(watch_list):
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
                 if value[first] > 0:
-                    kept.append(idx)
+                    kept.append(clause)
                     continue
                 for pos in range(2, len(clause)):
                     if value[clause[pos]] >= 0:
                         clause[1], clause[pos] = clause[pos], clause[1]
-                        watches[clause[1]].append(idx)
+                        watches[clause[1]].append(clause)
                         break
                 else:
-                    kept.append(idx)
+                    kept.append(clause)
                     if value[first] < 0:
                         kept.extend(watch_list[i + 1 :])
                         watches[false_lit] = kept
                         self.prop_head = head
-                        return idx
+                        return clause
                     value[first] = 1
                     value[-first] = -1
                     var = abs(first)
                     level[var] = current_level
-                    reason[var] = idx
+                    reason[var] = clause
                     phase[var] = 1 if first > 0 else -1
                     trail.append(first)
             watches[false_lit] = kept
@@ -187,43 +201,49 @@ class _Solver:
 
     # -- learning --------------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        """Raise an assigned variable's activity.
-
-        Its heap entry, if any, goes stale; the backtrack that unassigns the
-        variable pushes one carrying the new activity.
-        """
+    def _rescale_activities(self) -> None:
+        """Scales every activity and the increment by 1e-100, before one passes 1e100."""
         activity = self.activity
-        activity[var] += self.act_inc
-        self.queued[var] = False
-        if activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                activity[v] *= 1e-100
-            self.act_inc *= 1e-100
-            self._rebuild_heap()
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self.act_inc *= 1e-100
+        self._rebuild_heap()
 
-    def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
-        """First-UIP learned clause, minimized; backjump level, and LBD."""
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
+        """First-UIP learned clause, minimized; backjump level, and LBD.
+
+        Each variable the clause's derivation resolves on, or keeps, is
+        bumped.  A bumped variable is assigned, so its heap entry, if any, goes
+        stale; the backtrack that unassigns it pushes one carrying the new
+        activity.
+        """
         learned: list[int] = []
         seen = self.seen
         level = self.level
         reason = self.reason
+        activity = self.activity
+        queued = self.queued
+        act_inc = self.act_inc
         trail = self.trail
         counter = 0
         propagated = 0  # trail literal whose reason is being expanded
-        reason_idx = conflict_idx
+        clause = conflict
         trail_pos = len(trail) - 1
         current_level = len(self.trail_lim)
 
         while True:
-            for cl_lit in self.clauses[reason_idx]:
+            for cl_lit in clause:
                 if cl_lit == propagated:
                     continue
                 var = abs(cl_lit)
                 if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
-                self._bump(var)
+                activity[var] += act_inc
+                queued[var] = False
+                if activity[var] > 1e100:
+                    self._rescale_activities()
+                    act_inc = self.act_inc
                 if level[var] == current_level:
                     counter += 1
                 else:
@@ -236,7 +256,7 @@ class _Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_idx = reason[abs(propagated)]
+            clause = reason[abs(propagated)]
 
         # recursive minimization (Sörensson & Biere 2009): drop each literal
         # whose reason is implied by the rest of the clause; `seen` still marks
@@ -248,7 +268,7 @@ class _Solver:
         learned = [-propagated] + [
             lit
             for lit in learned
-            if reason[abs(lit)] == -1 or not self._redundant(lit, levels, marked)
+            if reason[abs(lit)] is None or not self._redundant(lit, levels, marked)
         ]
         for lit in marked:
             seen[abs(lit)] = False
@@ -275,16 +295,15 @@ class _Solver:
         seen = self.seen
         level = self.level
         reason = self.reason
-        clauses = self.clauses
         start = len(marked)
         stack = [lit]
         while stack:
             # the reason's implied literal, clause[0], is on a marked variable
-            for other in clauses[reason[abs(stack.pop())]]:
+            for other in reason[abs(stack.pop())]:
                 var = abs(other)
                 if seen[var] or level[var] == 0:
                     continue
-                if reason[var] == -1 or not levels >> level[var] & 1:
+                if reason[var] is None or not levels >> level[var] & 1:
                     for undo in marked[start:]:
                         seen[abs(undo)] = False
                     del marked[start:]
@@ -307,7 +326,7 @@ class _Solver:
             value[lit] = 0
             value[-lit] = 0
             var = abs(lit)
-            reason[var] = -1
+            reason[var] = None
             if not queued[var]:
                 heappush(heap, (-activity[var], var))
                 queued[var] = True
@@ -330,37 +349,28 @@ class _Solver:
 
     def _reduce_db(self) -> None:
         """Drop the weaker half of the learned clauses (high LBD, long)."""
+        clauses = self.clauses
+        clause_lbd = self.clause_lbd
         learned_ids = [
             idx
-            for idx in range(self.learned_from, len(self.clauses))
-            if self.clause_lbd[idx] > 2 and not self._is_reason(idx)
+            for idx in range(self.learned_from, len(clauses))
+            if clause_lbd[idx] > 2 and not self._is_reason(clauses[idx])
         ]
-        learned_ids.sort(key=lambda idx: (self.clause_lbd[idx], len(self.clauses[idx])))
+        learned_ids.sort(key=lambda idx: (clause_lbd[idx], len(clauses[idx])))
         drop = set(learned_ids[len(learned_ids) // 2 :])
         if not drop:
             return
-        keep_map: dict[int, int] = {}
-        new_clauses: list[list[int]] = []
-        new_lbd: list[int] = []
-        for idx, clause in enumerate(self.clauses):
-            if idx in drop:
-                continue
-            keep_map[idx] = len(new_clauses)
-            new_clauses.append(clause)
-            new_lbd.append(self.clause_lbd[idx])
-        self.clauses = new_clauses
-        self.clause_lbd = new_lbd
-        self.watches = [[] for _ in range(2 * self.num_vars + 1)]
-        for idx, clause in enumerate(self.clauses):
-            self.watches[clause[0]].append(idx)
-            self.watches[clause[1]].append(idx)
-        for var in range(1, self.num_vars + 1):
-            if self.reason[var] >= 0:
-                self.reason[var] = keep_map[self.reason[var]]
+        kept = [idx for idx in range(len(clauses)) if idx not in drop]
+        self.clauses = clauses = [clauses[idx] for idx in kept]
+        self.clause_lbd = [clause_lbd[idx] for idx in kept]
+        # watch lists are rebuilt in clause order, as they were first built
+        watches = self.watches = [[] for _ in range(2 * self.num_vars + 1)]
+        for clause in clauses:
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
 
-    def _is_reason(self, idx: int) -> bool:
-        first = self.clauses[idx][0]
-        return self.value[abs(first)] != 0 and self.reason[abs(first)] == idx
+    def _is_reason(self, clause: list[int]) -> bool:
+        return self.reason[abs(clause[0])] is clause
 
     def _pick_branch_var(self) -> int:
         """The unassigned variable of highest activity, lowest index on ties; 0 if none."""
@@ -381,7 +391,7 @@ class _Solver:
         if not self.ok:
             return SolveResult(SolveStatus.UNSATISFIABLE)
         for lit in self.units:
-            if not self._enqueue(lit, -1):
+            if not self._enqueue(lit, None):
                 return SolveResult(SolveStatus.UNSATISFIABLE)
         if self._propagate() is not None:
             return SolveResult(SolveStatus.UNSATISFIABLE)
@@ -402,10 +412,10 @@ class _Solver:
                 learned, backjump, lbd = self._analyze(conflict)
                 self._backtrack(backjump)
                 if len(learned) == 1:
-                    if not self._enqueue(learned[0], -1):
+                    if not self._enqueue(learned[0], None):
                         return self._stats_result(SolveStatus.UNSATISFIABLE)
                 else:
-                    self._enqueue(learned[0], self._add_clause(learned, lbd))
+                    self._enqueue(learned[0], self._add_learned(learned, lbd))
                 self.act_inc /= 0.95
                 if len(self.clauses) - self.learned_from > reduce_ceiling:
                     self._reduce_db()
@@ -424,7 +434,7 @@ class _Solver:
                 return self._stats_result(SolveStatus.SATISFIABLE)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(var * self.phase[var], -1)
+            self._enqueue(var * self.phase[var], None)
 
     def _stats_result(self, status: SolveStatus) -> SolveResult:
         assignment = None

@@ -39,6 +39,11 @@ class CnfFormula:
     clauses: list[Clause]
 
     def check_literals(self) -> None:
+        """Raises LiteralOutOfRange, naming the first bad literal, unless every
+        literal is nonzero and of magnitude at most `num_vars`."""
+        lits = set(chain.from_iterable(self.clauses))
+        if 0 not in lits and (not lits or -self.num_vars <= min(lits) and max(lits) <= self.num_vars):
+            return
         for clause in self.clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
@@ -62,7 +67,9 @@ class Assignment:
         return val if lit > 0 else not val
 
     def satisfies(self, formula: CnfFormula) -> bool:
-        return all(any(self.value_of(lit) for lit in clause) for clause in formula.clauses)
+        """Whether every clause holds a true literal; unassigned ones are not true."""
+        true_lits = {var if val else -var for var, val in self.values.items()}
+        return not any(map(true_lits.isdisjoint, formula.clauses))
 
 
 def _text_chunks(text: str) -> Iterator[str]:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations, compress, filterfalse
+from operator import ne, not_
 
 from .dimacs import Clause, CnfFormula
 
@@ -79,7 +79,7 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
         if clause and false_lits.isdisjoint(clause) and len(set(clause)) == len(clause):
             residue.append(clause)
             continue
-        lits = tuple(lit for lit in dict.fromkeys(clause) if lit not in false_lits)
+        lits = tuple(filterfalse(false_lits.__contains__, dict.fromkeys(clause)))
         if len(lits) > 1:
             residue.append(lits)
         elif lits:
@@ -106,7 +106,7 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
             clause, residue[idx] = residue[idx], None
             if not true_lits.isdisjoint(clause):
                 continue
-            lits = tuple(lit for lit in clause if lit not in false_lits)
+            lits = tuple(filterfalse(false_lits.__contains__, clause))
             if len(lits) > 1:
                 residue[idx] = lits
             elif lits:
@@ -164,9 +164,13 @@ def subsume(formula: CnfFormula) -> tuple[CnfFormula, int]:
     their order.
     """
     clauses = formula.clauses
-    # each literal set, as a sorted tuple, to its first clause, in clause order
+    # each literal set, as a sorted tuple, to its first clause, in clause order;
+    # sorted clauses are those tuples unless some clause repeats a literal
     first: dict[Clause, Clause] = {}
-    deque(map(first.setdefault, map(tuple, map(sorted, map(set, clauses))), clauses), maxlen=0)
+    deque(map(first.setdefault, map(tuple, map(sorted, clauses)), clauses), maxlen=0)
+    if any(map(ne, map(len, first), map(len, map(set, first)))):
+        first.clear()
+        deque(map(first.setdefault, map(tuple, map(sorted, map(set, clauses))), clauses), maxlen=0)
     if () in first:  # the empty clause is a strict subset of every other clause
         return CnfFormula(formula.num_vars, [()]), len(clauses) - 1
 

@@ -1,10 +1,12 @@
+import hashlib
 import random
 from collections import defaultdict
 
 import pytest
 
 from efxlab.cdcl import SolveStatus, _Solver, luby, solve
-from efxlab.dimacs import CnfFormula
+from efxlab.cli import main
+from efxlab.dimacs import CnfFormula, write_dimacs
 from efxlab.encoding import (
     EncodeOptions,
     encode_formula,
@@ -85,6 +87,35 @@ def test_out_of_range_literal_is_rejected():
         solve(CnfFormula(2, [(1, 0)]))
 
 
+def test_tautologies_are_dropped_and_repeated_literals_merged():
+    solver = _Solver(CnfFormula(3, [(1, -1, 2), (2, 2, 3), (3, 1, 3), (-2, -2), (1, 1, -1), (3, -2, 1)]))
+    assert solver.clauses == [[2, 3], [3, 1], [3, -2, 1]]
+    assert solver.units == [-2] and solver.ok
+    assert solver.branch_vars == [1, 2, 3]
+    assert not _Solver(CnfFormula(2, [(1, 2), ()])).ok
+
+
+def test_solver_input_matches_per_clause_definition():
+    # reference: literals deduplicated in first-occurrence order, tautologies
+    # dropped, units queued in clause order, an empty clause refutes at once
+    rng = random.Random(5)
+    for _ in range(300):
+        num_vars = rng.randint(1, 6)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(rng.randint(0, 5)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        kept = [list(dict.fromkeys(clause)) for clause in clauses]
+        kept = [lits for lits in kept if not any(-lit in lits for lit in lits)]
+        solver = _Solver(CnfFormula(num_vars, clauses))
+        assert solver.clauses == [lits for lits in kept if len(lits) > 1]
+        assert solver.units == [lits[0] for lits in kept if len(lits) == 1]
+        assert solver.ok == all(kept)
+        assert solver.branch_vars == sorted({abs(lit) for clause in clauses for lit in clause})
+        for lit in [*range(1, num_vars + 1), *range(-num_vars, 0)]:
+            assert solver.watches[lit] == [c for c in solver.clauses if lit in c[:2]]
+
+
 def test_budget_exhaustion_returns_unknown():
     # the pigeonhole principle has no units, so refuting it needs conflicts;
     # a zero-conflict budget must therefore give up
@@ -111,7 +142,7 @@ def test_watched_propagation_agrees_with_naive_propagation():
             continue
         conflict = None
         for lit in solver.units:
-            if not solver._enqueue(lit, -1):
+            if not solver._enqueue(lit, None):
                 conflict = True
                 break
         if conflict is None:
@@ -154,12 +185,55 @@ def nolevel_m5() -> CnfFormula:
     return reduced.formula
 
 
+class DigestSolver(_Solver):
+    """Hashes the learned clauses, in order, as each one leaves analysis."""
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.digest = hashlib.sha256()
+
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
+        learned, backjump, lbd = super()._analyze(conflict)
+        self.digest.update(f"{' '.join(map(str, learned))}\n".encode())
+        return learned, backjump, lbd
+
+
 def test_learning_search_on_efx_encoding_is_pinned(nolevel_m5):
-    # the preprocessed m=5 no-level encoding needs learning and restarts; its
-    # counters pin the search (decision order, learned clauses, restart points)
-    result = solve(nolevel_m5)
-    assert result.status is SolveStatus.UNSATISFIABLE
-    assert (result.conflicts, result.decisions, result.restarts) == (912, 1415, 9)
+    # Both need learning and restarts, and the first also clause-database
+    # reduction.  Their counters and the hash of the learned-clause sequence
+    # pin the search: decision order, learned clauses, restart and reduction
+    # points.  The values come from the solver that kept clauses by index.
+    learn = preprocess(encode_formula(EncodeOptions(6, 3, True))).formula
+    for formula, want in (
+        (learn, (3588, 7220, 28, "41057963a583e706")),
+        (nolevel_m5, (912, 1415, 9, "ac8eae005570fdd9")),
+    ):
+        solver = DigestSolver(formula)
+        result = solver.solve(None)
+        assert result.status is SolveStatus.UNSATISFIABLE
+        got = (result.conflicts, result.decisions, result.restarts, solver.digest.hexdigest()[:16])
+        assert got == want
+
+
+def test_sat_model_search_on_consistency_formula_is_pinned(tmp_path, capsys):
+    # every family but no-EFX at m=6 k=4 with item order, preprocessed: the
+    # model `efxlab sat` prints after 403 decisions and no conflict
+    m, k = 6, 4
+    clauses = [
+        *monotonicity_clauses(m),
+        *transitivity_clauses(m, k),
+        *item_order_clauses(m),
+        *leveled_clauses(m, k),
+    ]
+    reduced = preprocess(CnfFormula(num_variables(m), clauses))
+    path = tmp_path / "consistency.cnf"
+    path.write_text(write_dimacs(reduced.formula))
+    assert main(["sat", "-i", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("s SATISFIABLE\n")
+    assert hashlib.sha256(printed.encode()).hexdigest() == (
+        "90592439071804bf6498b23dcdc2755caf70a44e61699c4e6340fe759abac1a2"
+    )
 
 
 def scan_branch_var(solver: _Solver) -> int:
@@ -195,8 +269,8 @@ class ScanCheckedSolver(_Solver):
             if self.value[var] == 0 or self.queued[var]:
                 assert (-self.activity[var], var) in entries, f"variable {var} has no current entry"
 
-    def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
-        analysis = super()._analyze(conflict_idx)
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
+        analysis = super()._analyze(conflict)
         self._check_heap()
         return analysis
 
@@ -255,13 +329,27 @@ class ReducingSolver(ScanCheckedSolver):
         return super()._pick_branch_var()
 
     def _check_invariants(self) -> None:
-        watched = sorted(idx for watch_list in self.watches for idx in watch_list)
-        assert watched == sorted(2 * list(range(len(self.clauses))))
-        for idx, clause in enumerate(self.clauses):
-            assert idx in self.watches[clause[0]] and idx in self.watches[clause[1]]
+        """Watch lists hold each live clause, by identity, under exactly its
+        first two literals, and hold nothing else; each trail literal's reason
+        is None or a live clause whose first literal it is, and an unassigned
+        variable has no reason."""
+        live = {id(clause): clause for clause in self.clauses}
+        assert len(live) == len(self.clauses), "a clause is listed twice"
+        watched_under: dict[int, list[int]] = defaultdict(list)
+        n = self.num_vars
+        assert not self.watches[0]
+        for lit in [*range(1, n + 1), *range(-n, 0)]:
+            for clause in self.watches[lit]:
+                assert live.get(id(clause)) is clause, f"watch list of {lit} holds a dropped clause"
+                watched_under[id(clause)].append(lit)
+        for clause in self.clauses:
+            assert sorted(watched_under[id(clause)]) == sorted(clause[:2]), clause
+        assert sum(map(len, self.watches)) == 2 * len(self.clauses)
         for lit in self.trail:
             reason = self.reason[abs(lit)]
-            assert reason == -1 or self.clauses[reason][0] == lit
+            assert reason is None or (live.get(id(reason)) is reason and reason[0] == lit)
+        for var in range(1, n + 1):
+            assert self.value[var] or self.reason[var] is None
 
 
 def test_reduce_db_mid_search_keeps_watches_and_reasons():
@@ -335,7 +423,7 @@ class RupCheckedSolver(_Solver):
 
     def _live_occurrences(self) -> dict[int, list[int]]:
         """Occurrence lists of the live clauses, extended as clauses are learned."""
-        if self.indexed is not self.clauses:  # first call, or renumbered by _reduce_db
+        if self.indexed is not self.clauses:  # first call, or rebuilt by _reduce_db
             self.indexed = self.clauses
             self.occurs = defaultdict(list)
             self.indexed_count = 0
@@ -345,10 +433,10 @@ class RupCheckedSolver(_Solver):
         self.indexed_count = len(self.clauses)
         return self.occurs
 
-    def _analyze(self, conflict_idx: int) -> tuple[list[int], int, int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
         self.seen.marked.clear()
         conflict_level = len(self.trail_lim)
-        learned, backjump, lbd = super()._analyze(conflict_idx)
+        learned, backjump, lbd = super()._analyze(conflict)
         fixed = [lit for lit in self.trail if self.level[abs(lit)] == 0]
         assumed = fixed + [-lit for lit in learned]
         assert unit_propagation_conflicts(self.clauses, self._live_occurrences(), assumed), (

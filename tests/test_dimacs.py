@@ -171,6 +171,49 @@ def test_assignment_satisfies():
     assert not Assignment(2, {1: True, 2: False}).satisfies(formula)
 
 
+def test_assignment_satisfies_matches_per_literal_definition():
+    # reference: a clause holds iff one of its literals is true; an unassigned
+    # variable's literals are neither true nor false, and an empty clause never holds
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(500):
+        num_vars = rng.randint(1, 6)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        formula = CnfFormula(num_vars, clauses)
+        assigned = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
+        assignment = Assignment(num_vars, {var: rng.random() < 0.5 for var in assigned})
+        want = all(any(assignment.value_of(lit) for lit in clause) for clause in clauses)
+        assert assignment.satisfies(formula) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    assert not Assignment(1, {1: True}).satisfies(CnfFormula(1, [(1,), ()]))
+    assert not Assignment(2, {1: False}).satisfies(CnfFormula(2, [(-2, 1)]))
+
+
+@pytest.mark.parametrize(
+    "clauses, message",
+    [
+        ([(1, 0)], "literal 0 invalid for 3 variables"),
+        ([(1, -2)] * 500 + [(3, 0), (-9,)], "literal 0 invalid for 3 variables"),
+        ([(1, -2)] * 500 + [(2, -4), (0,)], "literal -4 invalid for 3 variables"),
+        ([(1, -2)] * 500 + [(3, 2, 7)], "literal 7 invalid for 3 variables"),
+    ],
+)
+def test_check_literals_names_the_first_bad_literal(clauses, message):
+    with pytest.raises(LiteralOutOfRange) as caught:
+        CnfFormula(3, clauses).check_literals()
+    assert str(caught.value) == message
+
+
+def test_check_literals_accepts_every_literal_in_range():
+    CnfFormula(3, [(1, -1), (3,), (-3, 2), ()]).check_literals()
+    CnfFormula(0, []).check_literals()
+    CnfFormula(0, [()]).check_literals()
+
+
 # -- the table-driven parser against the per-token parser it replaced ---------
 
 DECIMAL = re.compile(r"[+-]?[0-9]+")  # a literal or count: an optional sign, ASCII digits
