@@ -50,10 +50,12 @@ def _open(path: str) -> Iterator[TextIO]:
 
     Bytes that do not decode raise NotUtf8Text wherever the reading stops.
     Stdin is switched to strict decoding, since in UTF-8 mode Python reads
-    it with ``surrogateescape`` and would pass bad bytes on as text.
+    it with ``surrogateescape`` and would pass bad bytes on as text, and to
+    universal newlines, so that it ends a line at a lone carriage return as a
+    file does.
     """
     if path == "-":
-        sys.stdin.reconfigure(errors="strict")
+        sys.stdin.reconfigure(errors="strict", newline=None)
         opened = contextlib.nullcontext(sys.stdin)
     else:
         opened = open(path, "r", encoding="utf-8")

@@ -20,6 +20,9 @@ Text formats, each of which states its own shape:
   `load_valuations` tells the two block forms apart by that header.
 * dyadic dump: 2^m lines ``<set-number> <non-negative decimal integer>``,
   read back as a validated `RealValuation`.
+
+An integer field is an optional sign and ASCII digits, as in DIMACS
+(`dimacs.read_integer`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from importlib import resources
 from operator import add
 
 from .bitset import bitstring, check_good_count, parse_bitstring
-from .dimacs import Assignment
+from .dimacs import Assignment, read_integer
 from .encoding import NUM_AGENTS, var_id
 from .errors import (
     BitstringMismatch,
@@ -121,7 +124,7 @@ def _parse_line(row: tuple[int, list[str]], m: int | None = None) -> tuple[int, 
     number = row[0]
     fields = _fields(row, 2 if m is None else 3)
     try:
-        first, last = int(fields[0]), int(fields[-1])
+        first, last = read_integer(fields[0]), read_integer(fields[-1])
     except ValueError:
         text = " ".join(fields)
         raise MalformedValuationLine(f"line {number}: a field of {text!r} is not an integer") from None

@@ -4,7 +4,8 @@
 line format per clause width; `write_dimacs` is its string form.
 `parse_dimacs` reads DIMACS back a batch of lines at a time.  `write_model`
 writes the `v` lines that `parse_model` reads.  A literal, a header count or
-a model literal is an optional sign and ASCII decimal digits, nothing else.
+a model literal is an optional sign and ASCII decimal digits, nothing else;
+`read_integer` is that rule, and the valuation files read their integers by it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _decimal(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _integer(token: str) -> int:
+def read_integer(token: str) -> int:
     """`token` as an int if it is an optional sign and ASCII digits, else ValueError."""
     if not _decimal(token):
         raise ValueError(token)
@@ -208,7 +209,7 @@ def _read_lines(
             lit = table.get(token)
             if lit is None:
                 try:
-                    lit = _integer(token)
+                    lit = read_integer(token)
                 except ValueError as exc:
                     raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
                 if lit == 0:
@@ -230,7 +231,7 @@ def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
         line = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
         raise HeaderMismatch(f"line {lineno}: malformed header {line!r}")
     try:
-        num_vars, num_clauses = _integer(parts[2]), _integer(parts[3])
+        num_vars, num_clauses = read_integer(parts[2]), read_integer(parts[3])
     except ValueError as exc:
         raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
     if num_vars < 0 or num_clauses < 0:
@@ -292,7 +293,7 @@ def iter_model_literals(text: str) -> Iterator[int]:
         line = raw.strip()
         if not line.startswith("v"):
             continue
-        read = int if _decimal(line) else _integer  # one check for a whole plain line
+        read = int if _decimal(line) else read_integer  # one check for a whole plain line
         for token in line[1:].split():
             try:
                 lit = read(token)

@@ -245,8 +245,7 @@ def _walk(
     left, the first one taken from `firsts` (descending).  It visits one
     allocation per orbit of bundle swaps within the classes, the one with
     the lowest owner code: a class member's bundle ranges over the submasks
-    of the goods below the top good of the member before it (`_below`), and
-    a level followed only by members of its class takes the top good left.
+    of the goods below the top good of the member before it (`_below`).
     Up to one bundle per null good may stay empty; two empty members of a
     class tie.
 
@@ -258,7 +257,7 @@ def _walk(
     the goods left between the last two bundles X_a and X_b, X_b = rest ^
     X_a, and reads the terms of every earlier bundle but the last with X_a
     and X_b from the tables `A` and `B` that the levels above built for the
-    submasks X_a and X_b may take.  The terms of the pair (a, b) itself
+    submasks of the goods they left.  The terms of the pair (a, b) itself
     depend on the split alone, not on the prefix above it, so they are
     computed once per distinct `rest` and kept in `splits`, with the split
     lists and the values of X_a and X_b, for every prefix that leaves the
@@ -291,20 +290,8 @@ def _walk(
         for before, agent in zip(members, members[1:]):
             prev[at[agent]] = at[before]
 
-    def guard(p: int, d: int) -> int:
-        """The last position up to d of p's class, or -1."""
-        g = prev[p]
-        while g > d:
-            g = prev[g]
-        return g
-
-    # the levels whose later positions are all members of their class: those
-    # take goods below the top good of X_d only, so X_d must take the top good left
-    closing = [all(guard(p, d) == d for p in range(d + 1, n)) for d in range(n)]
-
     a, b, last = n - 2, n - 1, n - 3
     pa, pb = prev[a], prev[b]
-    guard_a, guard_b = [guard(a, d) for d in range(n)], [guard(b, d) for d in range(n)]
     tab_a, tab_b, rows_a, rows_b = tables[a], tables[b], rows[a], rows[b]
     da, db = digits[a], digits[b]
     zero = [0] * (full + 1)  # the tables A and B before any level adds to them
@@ -321,8 +308,6 @@ def _walk(
         else:
             must_a = rest & ~_below(X[pb]) if pb >= 0 else 0
         if must_a & must_b:
-            return
-        if left < 2 and not rest:  # each empty bundle takes one of the `left` spares
             return
         terms = splits.get(rest)
         if terms is None:
@@ -381,11 +366,8 @@ def _walk(
     def level(d, rest, X, O, base, A, B, left, choices):
         """Fix X_d to each of `choices` in turn and walk the levels below."""
         table, own_rows, digit = tables[d], rows[d], digits[d]
-        floor = 1 << rest.bit_length() >> 1 if closing[d] else 0
         nxt = d + 1
         for sub in choices:
-            if sub < floor:
-                break
             if not (sub or left):
                 continue
             after = rest ^ sub
@@ -407,18 +389,15 @@ def _walk(
             avail = after & _below(X[p]) if p >= 0 else after
             if not (avail or spare):
                 continue
-            g = guard_a[d]
-            dom_a = after & _below(X[g]) if g >= 0 else after & _below(after) if pa >= 0 else after
-            g = guard_b[d]
-            dom_b = after & _below(X[g]) if g >= 0 else after & _below(after) if pb >= 0 else after
             ra, rb = rows_a[sub], rows_b[sub]
+            subs = submasks(after)
             A2 = {
                 y: A[y] + bisect_right(own_rows[y], own) * da + bisect_right(ra, tab_a[y]) * digit
-                for y in submasks(dom_a)
+                for y in subs
             }
             B2 = {
                 y: B[y] + bisect_right(own_rows[y], own) * db + bisect_right(rb, tab_b[y]) * digit
-                for y in submasks(dom_b)
+                for y in subs
             }
             level(nxt, after, X, O, packed, A2, B2, spare, submasks(avail)[::-1])
 

@@ -195,10 +195,11 @@ class DigestSolver(_Solver):
 
 
 def test_learning_search_on_efx_encoding_is_pinned(nolevel_m5):
-    # Both need learning and restarts, and the first also clause-database
-    # reduction.  Their counters and the hash of the learned-clause sequence
-    # pin the search: decision order, learned clauses, restart and reduction
-    # points.  The values come from the solver that kept clauses by index.
+    # Both need learning and restarts; neither reaches clause-database
+    # reduction (`test_search_with_db_reduction_is_pinned` does).  Their
+    # counters and the hash of the learned-clause sequence pin the search:
+    # decision order, learned clauses, restart points.  The values come from
+    # the solver that kept clauses by index.
     learn = preprocess(encode_formula(EncodeOptions(6, 3, True))).formula
     for formula, want in (
         (learn, (3588, 7220, 28, "41057963a583e706")),
@@ -209,6 +210,35 @@ def test_learning_search_on_efx_encoding_is_pinned(nolevel_m5):
         assert result.status is SolveStatus.UNSATISFIABLE
         got = (result.conflicts, result.decisions, result.restarts, solver.digest.hexdigest()[:16])
         assert got == want
+
+
+class CountingSolver(DigestSolver):
+    """Counts the clause-database reductions and activity rescales of a search."""
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula)
+        self.reductions = self.rescales = 0
+
+    def _reduce_db(self) -> None:
+        self.reductions += 1
+        super()._reduce_db()
+
+    def _rescale_activities(self) -> None:
+        self.rescales += 1
+        super()._rescale_activities()
+
+
+def test_search_with_db_reduction_is_pinned():
+    # preprocessed m=6 k=4 with item order passes the learned-clause ceiling
+    # once and the activity bound once, on the solver's own schedule; the
+    # values come from the solver that keeps clauses by reference
+    formula = preprocess(encode_formula(EncodeOptions(6, 4, True))).formula
+    solver = CountingSolver(formula)
+    result = solver.solve(None)
+    assert result.status is SolveStatus.UNSATISFIABLE
+    got = (result.conflicts, result.decisions, result.restarts, solver.digest.hexdigest()[:16])
+    assert got == (5062, 9608, 30, "807a2654a463cf79")
+    assert (solver.reductions, solver.rescales) == (1, 1)
 
 
 def test_sat_model_search_on_consistency_formula_is_pinned(tmp_path, capsys):

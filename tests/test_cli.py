@@ -124,6 +124,21 @@ def test_sat_and_preprocess_read_stdin(tmp_path, monkeypatch, capsys):
     assert payload["input_clauses"] == 3 and payload["output_clauses"] == 0
 
 
+@pytest.mark.parametrize(
+    "text", ["p cnf 2 2\rc note\r1 0\r2 0\r", "c mixed\r\np cnf 2 2\rc note\n1 0\r\n2 0\r"]
+)
+def test_stdin_ends_lines_as_a_file_does(tmp_path, monkeypatch, capsys, text):
+    """A lone carriage return ends a line read from stdin, as it does in a file."""
+    path = tmp_path / "line-ends.cnf"
+    path.write_bytes(text.encode())
+    assert main(["sat", "-i", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert from_file.startswith("s SATISFIABLE\n")
+    monkeypatch.setattr("sys.stdin", stdin_from(text.encode()))
+    assert main(["sat", "-i", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
 @pytest.mark.parametrize("command", ["sat", "preprocess"])
 @pytest.mark.parametrize("header", ["p cnf -3 0", "p cnf 3 -1"])
 def test_negative_header_counts_exit_one_with_one_error_line(tmp_path, capsys, command, header):

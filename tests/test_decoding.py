@@ -219,6 +219,30 @@ def test_dyadic_roundtrip():
     assert load_dyadic(dump_dyadic(dyadic)) == dyadic
 
 
+@pytest.mark.parametrize("token", ["0_1", "1_0", "١"])
+def test_valuation_integers_follow_the_dimacs_token_rule(token):
+    """`int()` alone reads 0_1 as 1, 1_0 as 10 and the Arabic-Indic digit one as 1;
+    each integer field of a valuation file refuses them, as DIMACS does, naming the line."""
+    rank = dump_rank_blocks([random_monotone_rank_valuation(3, 1)])
+    values = dump_value_blocks([as_real(random_monotone_rank_valuation(3, 4))])
+    dyadic = dump_dyadic(submodular_realize(random_monotone_rank_valuation(3, 9)))
+    cases = [  # (loader, text, line index, field index)
+        (load_rank_blocks, rank, 1, 0),
+        (load_rank_blocks, rank, 1, 2),
+        (load_value_blocks, values, 0, 0),
+        (load_value_blocks, values, 0, 1),
+        (load_value_blocks, values, 2, 0),
+        (load_value_blocks, values, 2, 2),
+        (load_dyadic, dyadic, 1, 0),
+        (load_dyadic, dyadic, 1, 1),
+    ]
+    for load, text, line, field in cases:
+        lines = [row.split() for row in text.splitlines()]
+        lines[line][field] = token
+        with pytest.raises(MalformedValuationLine, match=f"^line {line + 1}: .* is not an integer$"):
+            load("\n".join(map(" ".join, lines)))
+
+
 def test_assignment_covers_all_variables():
     assignment = numeric_assignment(3)
     assert len(assignment.values) == num_variables(3)

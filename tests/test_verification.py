@@ -424,6 +424,7 @@ CLASSED = [
     (4, 6, [(1, 3)]),
     (4, 7, [(2, 3)]),
     (5, 6, [(0, 2, 4), (1, 3)]),
+    (4, 5, [(0, 1, 2, 3)]),
 ]
 
 
@@ -513,6 +514,7 @@ WITH_EMPTY = [
     (5, 4, [(0, 2, 4), (1, 3)], 2),
     (3, 1, [], 2),
     (2, 0, [(0, 1)], 2),
+    (4, 3, [(0, 1, 2, 3)], 1),
 ]
 
 
