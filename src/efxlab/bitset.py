@@ -4,11 +4,13 @@ A set of goods is an ``m``-bit mask: bit ``i`` is set iff good ``g_i`` is in
 the set.  Set numbers therefore coincide with the binary value of the
 bitstring whose leftmost character is bit ``m-1``, and numeric order refines
 the subset order (``A`` a proper subset of ``B`` implies ``A < B``).
+`cover_table` holds the lattice's one-good steps, built once per m.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 
 from .errors import GoodCountOutOfRange
 
@@ -47,6 +49,22 @@ def singleton_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+@cache
+def cover_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(above, below): ``above[S]`` holds the sets S + g over the goods g not in S,
+    ``below[S]`` the sets S - g over the goods g in S, both by ascending g.
+
+    Each has m * 2^(m-1) entries, and ``len(below[S])`` is the cardinality of S.
+    Entries are read from one list of the set numbers, so that sets above 256
+    share one int object each (m=16: ~15 MB instead of ~48 MB).
+    """
+    sets = list(range(1 << m))
+    bits = [1 << g for g in range(m)]
+    above = tuple(tuple([sets[s | bit] for bit in bits if not s & bit]) for s in sets)
+    below = tuple(tuple([sets[s ^ bit] for bit in bits if s & bit]) for s in sets)
+    return above, below
 
 
 def submasks(mask: int) -> list[int]:

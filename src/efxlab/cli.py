@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     expect = verify.add_mutually_exclusive_group()
     expect.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
     expect.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
-    verify.add_argument("--jobs", type=int, default=verification.usable_cpus())
+    verify.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most one per usable CPU (default: 1, serial)")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 

@@ -6,7 +6,9 @@ non-degeneracy structural keeps every fairness predicate a pure rank
 comparison; no numeric values are needed anywhere downstream.  Real-valued
 tables may be degenerate; the extension instances use them.
 `monotonicity_violation` is the one monotonicity check: both `validate`
-methods raise on it, and `verification.verify` reports from it.
+methods raise on it, and `verification.verify` reports from it.  It and
+`random_monotone_rank_valuation` walk the subset lattice through the one
+neighbour table per m, `bitset.cover_table`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import cardinality, check_good_count, singleton_bits
+from .bitset import cardinality, check_good_count, cover_table
 from .errors import InvalidValues, LevelOutOfRange, MonotonicityViolated, NotAPermutation
 
 
@@ -26,11 +28,12 @@ def monotonicity_violation(values: Sequence, m: int) -> tuple[int, int] | None:
     Pairs come by ascending sub, then ascending added good; None when the
     table is monotone.  On a rank table, a bijection, ``>`` is ``>=``.
     """
-    n_sets = 1 << m
-    for sub in range(n_sets):
-        for bit in singleton_bits(~sub & (n_sets - 1)):
-            if values[sub] > values[sub | bit]:
-                return sub, sub | bit
+    above, _ = cover_table(m)
+    for sub, sups in enumerate(above):
+        value = values[sub]
+        for sup in sups:
+            if value > values[sup]:
+                return sub, sup
     return None
 
 
@@ -113,18 +116,17 @@ def random_monotone_rank_valuation(m: int, seed: int) -> RankValuation:
     """
     check_good_count(m)
     rng = random.Random(seed)
-    n_sets = 1 << m
-    missing = [cardinality(mask) for mask in range(n_sets)]
+    above, below = cover_table(m)
+    missing = list(map(len, below))
     available = [0]
-    rank = [-1] * n_sets
-    for position in range(n_sets):
+    rank = [-1] * len(above)
+    for position in range(len(above)):
         idx = rng.randrange(len(available))
         mask = available[idx]
         available[idx] = available[-1]
         available.pop()
         rank[mask] = position
-        for bit in singleton_bits(~mask & (n_sets - 1)):
-            sup = mask | bit
+        for sup in above[mask]:
             missing[sup] -= 1
             if missing[sup] == 0:
                 available.append(sup)

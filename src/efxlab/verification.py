@@ -16,10 +16,11 @@ goods: a cache local to the walk, of at most 3^m entries per list kept for
 m goods, one per pair of disjoint bundles.  The class order of
 identical agents is a restriction on the submasks, not a filter.  Violations
 are counted from value tables and sorted removal tables, built once per
-distinct valuation.  The first agent's bundles can be dealt into shares of
-about equal work for parallel workers, and partial reports merge as a
-commutative monoid, so serial and parallel runs produce identical reports,
-equal to a scan of every allocation.
+distinct valuation from the one neighbour table per m, `bitset.cover_table`.
+The first agent's bundles can be dealt into shares of about equal work for
+parallel workers, and partial reports merge as a commutative monoid, so
+serial and parallel runs produce identical reports, equal to a scan of every
+allocation.
 
 A null good changes no agent's value of any set, like the dummy goods of
 `submodular.add_dummy_goods`.  With z null goods the scan walks the
@@ -44,7 +45,7 @@ from math import comb, factorial, prod
 from multiprocessing import Pool
 
 from .allocations import count_allocations
-from .bitset import cardinality, goods, singleton_bits, submasks
+from .bitset import cardinality, cover_table, goods, submasks
 from .errors import JobCountOutOfRange
 from .fairness import Valuation
 from .valuations import RankValuation, monotonicity_violation
@@ -140,9 +141,8 @@ def null_goods(tables: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
 
 def _removal_table(table: list[int], m: int) -> list[list[int]]:
     """``removal[Y]``: the values v(Y - g) over the goods g in Y, sorted."""
-    return [
-        sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)
-    ]
+    _, below = cover_table(m)
+    return [sorted(map(table.__getitem__, subs)) for subs in below]
 
 
 def _envy_table(table: list[int], m: int, n: int, floor: int) -> list[list[int]]:

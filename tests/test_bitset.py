@@ -6,6 +6,7 @@ from efxlab.bitset import (
     bitstring,
     cardinality,
     check_good_count,
+    cover_table,
     goods,
     is_proper_subset,
     parse_bitstring,
@@ -33,6 +34,17 @@ def test_submasks_enumerates_all_subsets_ascending():
     rng = random.Random(15)
     for mask in [0, (1 << 10) - 1, *(rng.randrange(1 << 12) for _ in range(20))]:
         assert submasks(mask) == [s for s in range(mask + 1) if not s & ~mask], mask
+
+
+def test_cover_table_lists_one_good_steps_by_ascending_good():
+    for m in range(7):
+        above, below = cover_table(m)
+        assert len(above) == len(below) == 1 << m
+        for s in range(1 << m):
+            assert above[s] == tuple(s | (1 << g) for g in range(m) if not s >> g & 1)
+            assert below[s] == tuple(s ^ (1 << g) for g in goods(s))
+        assert sum(map(len, above)) == sum(map(len, below)) == m << m >> 1
+    assert cover_table(5) is cover_table(5)
 
 
 def test_bitstring_leftmost_is_high_bit():

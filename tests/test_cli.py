@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import efxlab
-from efxlab import acceptance
+from efxlab import acceptance, verification
 from efxlab.cli import build_parser, main
 from efxlab.decoding import (
     dump_dyadic,
@@ -210,6 +210,15 @@ def test_verify_expect_none_passes_on_counterexample(counterexample_file, capsys
         ["verify", "--vals", str(counterexample_file), "--expect-none", "--jobs", "1"]
     )
     assert code == 0
+    assert "EFX count: 0 / 5796" in capsys.readouterr().out
+
+
+def test_verify_scans_serially_by_default(counterexample_file, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a worker pool")
+
+    monkeypatch.setattr(verification, "Pool", no_pool)
+    assert main(["verify", "--vals", str(counterexample_file)]) == 0
     assert "EFX count: 0 / 5796" in capsys.readouterr().out
 
 

@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from efxlab.bitset import cardinality
+from efxlab.bitset import cardinality, full_set, singleton_bits
 from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
     RealValuation,
@@ -44,6 +47,50 @@ def test_real_tables_and_the_scan_share_the_monotonicity_check():
     assert (err.value.subset, err.value.superset) == (1, 5)
     fine = as_real(random_monotone_rank_valuation(3, 4))
     assert verify([fine, RealValuation(3, values), fine]).monotone == (True, False, True)
+
+
+def _first_violation(values, m):
+    """Reference: the first (sub, sup) pair, one singleton_bits walk per sub."""
+    for sub in range(1 << m):
+        for bit in singleton_bits(~sub & full_set(m)):
+            if values[sub] > values[sub | bit]:
+                return sub, sub | bit
+    return None
+
+
+def test_monotonicity_violation_matches_a_walk_over_single_goods():
+    """The first pair on random integer tables: rank tables with a few entries moved, and noise."""
+    rng = random.Random(21)
+    for m in range(3, 7):
+        for seed in range(40):
+            values = list(random_monotone_rank_valuation(m, seed).rank)
+            for _ in range(seed % 4):
+                values[rng.randrange(1 << m)] = rng.randrange(1 << m)
+            assert monotonicity_violation(values, m) == _first_violation(values, m), (m, seed)
+            noise = [rng.randrange(4) for _ in range(1 << m)]
+            assert monotonicity_violation(noise, m) == _first_violation(noise, m), (m, seed)
+
+
+def _certify_draws(bench_seed):
+    """The (m, seed) pairs of certify-m8's 150 random triples (perfbench/workloads.py)."""
+    rng = random.Random(bench_seed)
+    draws = []
+    for _ in range(150):
+        m = rng.choice((6, 7, 8))
+        base = rng.randrange(1 << 30)
+        draws += [(m, base + j) for j in range(3)]
+    return draws
+
+
+def test_random_valuations_are_pinned():
+    """sha256 of the rank tables: 20 seeds at each m=3..8, criterion 10's 600 seeds at
+    m=4..6, and the triples certify-m8 draws for benchmark seeds 1 and 2."""
+    draws = [(m, seed) for m in range(3, 9) for seed in range(20)]
+    draws += [(m, seed) for m in (4, 5, 6) for seed in range(600)]
+    draws += _certify_draws(1) + _certify_draws(2)
+    ranks = [random_monotone_rank_valuation(m, seed).rank for m, seed in draws]
+    digest = hashlib.sha256(repr(ranks).encode()).hexdigest()
+    assert digest == "b845e4c26ee8af91c42c3b05da9bc08f3afe607b25fd5ce706a843804aa99199"
 
 
 def test_order_roundtrip_is_identity():

@@ -14,7 +14,7 @@ from efxlab.allocations import (
     count_allocations,
     enumerate_allocations,
 )
-from efxlab.bitset import goods, submasks
+from efxlab.bitset import goods, singleton_bits, submasks
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import JobCountOutOfRange
 from efxlab.fairness import is_efx, violated_condition_count
@@ -699,6 +699,20 @@ def test_column_tables_read_every_tally_as_divmod_does():
         read = verification._reader(scan)
         assert all(read(sums) == _reading_by_divmod(scan, sums) for sums in tally)
     assert len(instances) > 2
+
+
+def test_removal_tables_match_a_walk_over_single_goods():
+    """Each row is v(Y - g) over the goods g in Y, sorted: on rank tables, on tables with
+    ties, on the counterexample and with no goods at all."""
+    rng = random.Random(22)
+    tables = [(v.m, list(v.rank)) for v in load_bundled_counterexample()]
+    tables += [(m, list(random_monotone_rank_valuation(m, m).rank)) for m in range(3, 9)]
+    tables += [(m, [rng.randrange(5) for _ in range(1 << m)]) for m in range(9)]
+    for m, table in tables:
+        reference = [
+            sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)
+        ]
+        assert verification._removal_table(table, m) == reference, m
 
 
 def _mms_tuples_by_definition(rank, m):
