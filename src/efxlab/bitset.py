@@ -28,7 +28,7 @@ def full_set(m: int) -> int:
 
 
 def cardinality(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def is_proper_subset(a: int, b: int) -> bool:

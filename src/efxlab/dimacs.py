@@ -58,15 +58,6 @@ class Assignment:
     num_vars: int
     values: dict[int, bool] = field(default_factory=dict)
 
-    def get(self, var: int) -> bool | None:
-        return self.values.get(var)
-
-    def value_of(self, lit: int) -> bool | None:
-        val = self.values.get(abs(lit))
-        if val is None:
-            return None
-        return val if lit > 0 else not val
-
     def satisfies(self, formula: CnfFormula) -> bool:
         """Whether every clause holds a true literal; unassigned ones are not true."""
         true_lits = {var if val else -var for var, val in self.values.items()}

@@ -4,12 +4,12 @@ Unit propagation runs to fixpoint: clauses containing a satisfied literal are
 removed (the propagated units themselves included; fixed variables are
 reported separately) and falsified literals are stripped, possibly producing
 further units or the empty clause (immediate UNSAT).  The unit clauses are
-assigned first, then one sweep over the other clauses applies them.  The
-units that sweep derives are assigned in turn, and a second sweep applies
-them to the clauses that hold one of their variables.  Only the units the
-second sweep derives go through a queue over occurrence lists of the clauses
-left, so the work stays linear in the formula size, and no per-literal index
-is built when two sweeps reach the fixpoint.
+assigned first, then one sweep over the other clauses applies them.  While
+a sweep derives units, they are assigned in turn, and the next sweep applies
+them to the clauses that hold one of their variables.  No per-literal index
+is built: each later sweep is one C-level pass over the residue, so units
+that chain d deep cost d passes.  The encodings the toolkit writes reach
+the fixpoint in at most two sweeps.
 
 Subsumption then keeps the first clause of each literal set, in clause order,
 and drops every clause whose literal set strictly contains another clause's.
@@ -71,7 +71,7 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
 
     # One sweep applies the unit clauses to every other clause.  Clauses
     # that hold no assigned literal and no repeated one are kept as they are.
-    residue: list[Clause | None] = []
+    residue: list[Clause] = []
     derived: list[int] = []  # units the sweep left, not yet assigned
     for clause in () if unsat else clauses:
         if len(clause) == 1 or not true_lits.isdisjoint(clause):
@@ -88,22 +88,25 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
             unsat = True
             break
 
-    # The units the sweep derived are assigned.  A second sweep applies them
-    # to the residue clauses that hold one of their variables, picked out at
-    # C level, since most clauses hold none.
-    units, derived = derived, []  # now the units the second sweep leaves
-    for lit in () if unsat else units:
-        if -lit in true_lits:
-            unsat = True
+    # While a sweep derives units, they are assigned, and the next sweep
+    # applies them to the residue clauses that hold one of their variables,
+    # picked out at C level, since most clauses hold none.  A clause a later
+    # sweep settles leaves () in its place, which no sweep picks again.
+    while derived and not unsat:
+        units, derived = derived, []  # now the units this sweep leaves
+        for lit in units:
+            if -lit in true_lits:
+                unsat = True
+                break
+            if lit not in true_lits:
+                true_lits.add(lit)
+                false_lits.add(-lit)
+                trail.append(lit)
+        if unsat:
             break
-        if lit not in true_lits:
-            true_lits.add(lit)
-            false_lits.add(-lit)
-            trail.append(lit)
-    if units and not unsat:
         touch = {lit for unit in units for lit in (unit, -unit)}
         for idx in compress(range(len(residue)), map(not_, map(touch.isdisjoint, residue))):
-            clause, residue[idx] = residue[idx], None
+            clause, residue[idx] = residue[idx], ()
             if not true_lits.isdisjoint(clause):
                 continue
             lits = tuple(filterfalse(false_lits.__contains__, clause))
@@ -115,36 +118,7 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
                 unsat = True
                 break
 
-    # Only the units of the second sweep, if any, go through a queue over
-    # occurrence lists, so the work stays linear however long the chain.
-    if derived and not unsat:
-        occur: dict[int, list[int]] = {}
-        for idx, clause in enumerate(residue):
-            for lit in clause or ():
-                occur.setdefault(lit, []).append(idx)
-        while derived:
-            lit = derived.pop()
-            if lit in true_lits:
-                continue
-            if -lit in true_lits:
-                unsat = True
-                break
-            true_lits.add(lit)
-            trail.append(lit)
-            for idx in occur.get(lit, ()):  # satisfied clauses
-                residue[idx] = None
-            for idx in occur.get(-lit, ()):  # falsified literals
-                clause = residue[idx]
-                if clause is None:
-                    continue
-                clause = tuple(other for other in clause if other != -lit)
-                if len(clause) == 1:
-                    derived.append(clause[0])
-                    residue[idx] = None
-                else:
-                    residue[idx] = clause
-
-    remaining = [clause for clause in residue if clause is not None]
+    remaining = list(filter(None, residue))
     fixed = {abs(lit): lit > 0 for lit in trail}
     stats = SimplifyStats(
         input_clauses=len(clauses),

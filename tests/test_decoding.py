@@ -67,7 +67,7 @@ def _reference_decode(assignment: Assignment, m: int) -> list[RankValuation]:
         for a in range(n_sets):
             for b in range(a + 1, n_sets):
                 var = var_id(agent, a, b, m)
-                value = assignment.get(var)
+                value = assignment.values.get(var)
                 if value is None:
                     raise IncompleteAssignment(var)
                 below[b][a] = value

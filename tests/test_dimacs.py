@@ -185,7 +185,7 @@ def test_assignment_satisfies_matches_per_literal_definition():
         formula = CnfFormula(num_vars, clauses)
         assigned = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
         assignment = Assignment(num_vars, {var: rng.random() < 0.5 for var in assigned})
-        want = all(any(assignment.value_of(lit) for lit in clause) for clause in clauses)
+        want = all(any(assignment.values.get(abs(lit)) == (lit > 0) for lit in clause) for clause in clauses)
         assert assignment.satisfies(formula) == want
         outcomes.add(want)
     assert outcomes == {True, False}

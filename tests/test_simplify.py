@@ -262,12 +262,30 @@ def test_units_that_stop_at_the_second_sweep():
     assert result.formula.clauses == [(3, 4), (3, 6), (-6, 3)]
 
 
-def test_units_of_the_second_sweep_go_through_the_queue():
-    # 2 comes from the first sweep, 3 from the second, then 4 and 5 from the queue
+def test_units_of_the_second_sweep_start_further_sweeps():
+    # 2 comes from the first sweep, 3 from the second, 4 from the third and 5 from the fourth
     formula = CnfFormula(7, [(1,), (-4, 5), (-3, 4), (-2, 3), (-1, 2), (-5, 6, 7), (-4, 6, -7)])
     result = assert_matches_reference(formula)
     assert result.fixed == {v: True for v in range(1, 6)}
     assert result.formula.clauses == [(6, 7), (6, -7)]
+
+
+def test_contradiction_reached_in_the_third_sweep_is_unsat():
+    # the first sweep derives 2 and -4, the second 3 and -3
+    formula = CnfFormula(4, [(1,), (-1, 2), (-2, 3), (-3, 4), (-4, -1)])
+    assert assert_matches_reference(formula).unsat
+
+
+def test_clauses_holding_no_assigned_variable_are_kept_as_the_input_objects():
+    # three sweeps derive 2, 3 and 4 in turn and a fourth applies 4; the
+    # untouched clauses hold none of their variables
+    untouched = [(5, 6), (-6, 7, 8), (5, -8)]
+    clauses = [(1,), untouched[0], (-3, 4), (-1, 2), untouched[1], (-2, 3), untouched[2], (-4, 5, 7)]
+    formula = CnfFormula(8, clauses)
+    result = assert_matches_reference(formula)
+    assert result.fixed == {1: True, 2: True, 3: True, 4: True}
+    assert result.formula.clauses == untouched + [(5, 7)]
+    assert all(got is want for got, want in zip(result.formula.clauses, untouched))
 
 
 def test_subsume_returns_the_first_input_clause_of_each_literal_set():
