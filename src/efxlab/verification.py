@@ -28,7 +28,8 @@ allocations of the other, core goods only, letting up to z core bundles stay
 empty.  Handing z_j null goods to agent j adds z_j violated conditions for
 each agent that envies j's core bundle, so each core allocation yields its
 share of the histogram in closed form, and the scan does n^z times less
-work.
+work.  Every part of a scan is counted this way (`_scan_part`); without
+null goods there is nothing to hand out, and a tally is the held total.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from multiprocessing import Pool
 
 from .allocations import count_allocations
 from .bitset import cardinality, cover_table, goods, submasks
-from .errors import JobCountOutOfRange
+from .errors import AgentCountOutOfRange, ArityMismatch, JobCountOutOfRange
 from .fairness import Valuation
 from .valuations import RankValuation, monotonicity_violation
 
@@ -282,7 +283,7 @@ def _walk(
     order = scan.order
     tables = [scan.tables[agent] for agent in order]
     rows = [scan.rows[agent] for agent in order]
-    radix = _radix(scan) if z else 1
+    radix = _radix(scan)
     digits = [radix**agent for agent in order]
     at = {agent: p for p, agent in enumerate(order)}
     prev = [-1] * n  # the position of the class member before each position
@@ -428,43 +429,24 @@ def _scan_part(
     replaces |X_j| comparisons.  The bundles partition the m goods, so the
     pairs j != i of agent i cover m - |X_i| conditions and all pairs cover
     (n - 1) * m; the violations are that total minus what `_walk` tallies.
-    Each walked allocation stands for its whole orbit, so every count is
-    taken `scan.weight` times; the witness is the lowest EFX code, which is
-    the lowest of its orbit.  Tests hold the scan to
-    `fairness.violated_condition_count` and to a scan of every code.  With
-    null goods `_scan_core_part` counts the allocations each walked one
-    stands for.
+    Walked allocations with equal tallies count alike, so each tally key is
+    read once (`_reader`), and `_hand_outs` counts the allocations it stands
+    for, orbits and hand-outs of null goods included.  The witness is the
+    least `_lowest_completion` of a walked allocation that stands for an EFX
+    one.  Without null goods the EFX key, the held total (n - 1) * m, is
+    known before the walk, so the tally walk finds the witness; with them,
+    only a part holding an EFX allocation walks again, for the keys that
+    read as one.  Tests hold the scan to `fairness.violated_condition_count`
+    and to a scan of every code.
     """
-    if scan.null:
-        return _scan_core_part(scan, firsts)
-    conditions = (scan.n - 1) * scan.m
-    tally, best = _walk(scan, firsts, {conditions}, partial(_coded, scan.n))
-    weight = scan.weight
-    hist = {conditions - held: count * weight for held, count in tally.items()}
-    witness_code, witness = best or (None, None)
-    return sum(tally.values()) * weight, tally[conditions] * weight, hist, witness, witness_code
-
-
-def _scan_core_part(
-    scan: _Scan, firsts: Sequence[int]
-) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
-    """`_scan_part` for an instance with null goods, over the core goods.
-
-    Walked allocations with equal column sums count alike, so the walk
-    tallies the sums.  They read as the core violations and an envy pattern
-    (`_reader`), and `_hand_outs` counts the allocations behind each
-    pattern once.  Only when the part holds an EFX allocation does a second
-    walk look at the allocations that have one; `_lowest_completion` gives
-    the lowest full code among them.
-    """
-    tally, _ = _walk(scan, firsts)
+    rank = partial(_lowest_completion, scan)
+    tally, best = _walk(scan, firsts, set() if scan.null else {(scan.n - 1) * scan.m}, rank)
     read = _reader(scan)
     patterns: dict[tuple[tuple[bool, ...], tuple[int, ...]], dict[int, int]] = {}
     for sums, count in tally.items():
         violations, pattern = read(sums)
         by_violations = patterns.setdefault(pattern, {})
         by_violations[violations] = by_violations.get(violations, 0) + count
-    total = efx_count = 0
     hist: dict[int, int] = {}
     efx_readings = set()
     for pattern, by_violations in patterns.items():
@@ -472,20 +454,19 @@ def _scan_core_part(
         for violations, count in by_violations.items():
             for extra, ways in added.items():
                 hist[violations + extra] = hist.get(violations + extra, 0) + count * ways
-                total += count * ways
         if 0 in by_violations and 0 in added:
-            efx_count += by_violations[0] * added[0]
             efx_readings.add((0, pattern))
-    if not efx_readings:
-        return total, efx_count, hist, None, None
-    efx_sums = {sums for sums in tally if read(sums) in efx_readings}
-    _, (witness_code, witness) = _walk(scan, firsts, efx_sums, partial(_lowest_completion, scan))
-    return total, efx_count, hist, witness, witness_code
+    if efx_readings and best is None:
+        efx_sums = {sums for sums in tally if read(sums) in efx_readings}
+        _, best = _walk(scan, firsts, efx_sums, rank)
+    witness_code, witness = best or (None, None)
+    return sum(hist.values()), hist.get(0, 0), hist, witness, witness_code
 
 
 def _radix(scan: _Scan) -> int:
-    """K * n^2 for K = (n-1)m + 1: a column is h + K*q with h < K and q < n^2."""
-    return ((scan.n - 1) * scan.m + 1) * scan.n**2
+    """K * n^2 for K = (n-1)m + 1: a column is h + K*q with h < K and q < n^2.  Without
+    null goods it is 1, and the packing is the held total."""
+    return ((scan.n - 1) * scan.m + 1) * scan.n**2 if scan.null else 1
 
 
 def _reader(scan: _Scan) -> Callable[[int], tuple[int, tuple[tuple[bool, ...], tuple[int, ...]]]]:
@@ -494,10 +475,13 @@ def _reader(scan: _Scan) -> Callable[[int], tuple[int, tuple[tuple[bool, ...], t
 
     A column h + K*q reads as h held conditions, an empty bundle when q >= n,
     and n - 1 - q mod n envious agents; those readings are tabled once over
-    every column value below the radix.
+    every column value below the radix.  Without null goods `sums` is the
+    held total, and the pattern has no empty bundle and counts no envy.
     """
-    n = scan.n
-    marks = (n - 1) * scan.m + 1
+    n, conditions = scan.n, (scan.n - 1) * scan.m
+    if not scan.null:
+        return lambda held: (conditions - held, ((False,) * n, (0,) * n))
+    marks = conditions + 1
     radix = _radix(scan)
     columns = [
         (h, q >= n, n - 1 - q % n) for q, h in map(divmod, range(radix), repeat(marks))
@@ -513,7 +497,7 @@ def _reader(scan: _Scan) -> Callable[[int], tuple[int, tuple[tuple[bool, ...], t
             held += h
             empty.append(is_empty)
             envied.append(envy)
-        return (n - 1) * scan.m - held, (tuple(empty), tuple(envied))
+        return conditions - held, (tuple(empty), tuple(envied))
 
     return read
 
@@ -527,6 +511,7 @@ def _hand_outs(scan: _Scan, empty: tuple[bool, ...], envied: tuple[int, ...]) ->
     empty core bundle needs z_j >= 1.  Each hand-out stands for z! / prod
     z_j! allocations, times the orbit size, prod k_c! / prod t_c! with t_c
     the members of class c whose core bundles are empty, since those tie.
+    Without null goods that is the orbit size, with no violation added.
     """
     z = len(scan.null)
     handed = {(0, 0): 1}  # (null goods handed out, added violations) -> ways
@@ -546,11 +531,15 @@ def _hand_outs(scan: _Scan, empty: tuple[bool, ...], envied: tuple[int, ...]) ->
 def _lowest_completion(scan: _Scan, bundles: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The lowest full owner code, with its bundles, of an EFX allocation a core code stands for.
 
-    Over each orbit image of the core bundles, the null goods may go only
-    to agents nobody envies and must fill the empty bundles; the lowest code
-    hands them out lowest owner first, from the highest null good down.
+    Without null goods that is the walked allocation itself, the lowest
+    code of its orbit.  Otherwise, over each orbit image of the core
+    bundles, the null goods may go only to agents nobody envies and must
+    fill the empty bundles; the lowest code hands them out lowest owner
+    first, from the highest null good down.
     """
     n = scan.n
+    if not scan.null:
+        return _coded(n, bundles)
     tables = scan.tables
     completions = []
     for perms in product(*(permutations(members) for members in scan.classes)):
@@ -641,10 +630,16 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     the first walked agent's bundles are dealt into shares of about equal
     work (`_shares`), one per worker process, with at most one worker per
     CPU this process may use (`usable_cpus`); the merged report is
-    identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`.
+    identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`;
+    no valuations raise `AgentCountOutOfRange`, and valuations over different
+    good counts `ArityMismatch`.
     """
     check_job_count(jobs)
+    if not valuations:
+        raise AgentCountOutOfRange("need at least one valuation")
     n, m = len(valuations), valuations[0].m
+    if any(v.m != m for v in valuations):
+        raise ArityMismatch(f"valuations disagree on the good count: {[v.m for v in valuations]}")
     expected = count_allocations(n, m)
     tables = value_tables(valuations)
     monotone = tuple(monotonicity_violation(table, m) is None for table in tables)

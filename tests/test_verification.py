@@ -16,7 +16,7 @@ from efxlab.allocations import (
 )
 from efxlab.bitset import goods, singleton_bits, submasks
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import JobCountOutOfRange
+from efxlab.errors import AgentCountOutOfRange, ArityMismatch, JobCountOutOfRange
 from efxlab.fairness import is_efx, violated_condition_count
 from efxlab.submodular import add_dummy_goods, extend_counterexample
 from efxlab.three_agent import equalize_for_valuation
@@ -115,6 +115,30 @@ def test_report_bytes_are_pinned(monkeypatch):
         for jobs in (1, 2, 3):
             report = verify(vals, jobs=jobs).to_json()
             assert hashlib.sha256(report.encode()).hexdigest() == digest, jobs
+
+
+def test_reports_with_a_witness_are_pinned(monkeypatch):
+    """sha256 of JSON reports that carry an EFX witness, serially and with 2 and 3 workers.
+
+    Instances: a random m=6 triple; the same plus two dummy goods, whose
+    witness holds null goods; and an n=4 instance in which three agents
+    share one valuation.
+    """
+    monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
+    triple = [random_monotone_rank_valuation(6, 960 + j) for j in range(3)]
+    u, v = (random_monotone_rank_valuation(6, 970 + j) for j in range(2))
+    digests = {
+        "5cc7659ba680e20c65c2fe57d41689185a496ab78b8fc54ac2c56846f9239b00": triple,
+        "420662b85d611466f5c5fde76559be66cb9e09d5a9a4839c2e614334b745c272": add_dummy_goods(
+            [as_real(x) for x in triple], 2
+        ),
+        "73e30f37c3a22565c9588c8f38edbd6c8e036b5bce82dc1b64b843329eff0b81": [u, v, v, v],
+    }
+    for digest, vals in digests.items():
+        for jobs in (1, 2, 3):
+            report = verify(vals, jobs=jobs)
+            assert report.first_efx_witness is not None
+            assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest, jobs
 
 
 def _full_scan(vals):
@@ -531,6 +555,14 @@ def test_jobs_below_one_are_refused():
     for jobs in (0, -3):
         with pytest.raises(JobCountOutOfRange):
             verify(vals, jobs=jobs)
+
+
+def test_verify_refuses_a_list_that_is_not_one_instance():
+    with pytest.raises(AgentCountOutOfRange):
+        verify([])
+    vals = [random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(3, 2)]
+    with pytest.raises(ArityMismatch, match=r"\[3, 3, 4\]"):
+        verify([*vals, random_monotone_rank_valuation(4, 3)])
 
 
 def test_every_good_null():
