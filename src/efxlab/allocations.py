@@ -3,9 +3,9 @@
 An allocation of ``m`` goods to ``n`` agents is identified with the base-n
 integer whose digit ``i`` is the owner of good ``g_i``; enumeration ascends
 through these codes, keeping only codes in which every agent owns something.
-The encoder, the SMT emission and the acceptance checks read it in code
-order; the exhaustive scan in `verification` walks allocations bundle by
-bundle instead.
+The encoder (and through its no-EFX clauses the SMT emission) and the
+acceptance checks read it in code order; the exhaustive scan in
+`verification` walks allocations bundle by bundle instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import product
 from math import comb
 
 from .bitset import full_set
-from .errors import AgentCountOutOfRange
+from .errors import AgentCountOutOfRange, BadPartitionInput, OverlappingBundles
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class Allocation:
         union = 0
         for bundle in self.bundles:
             if union & bundle:
-                raise ValueError("bundles overlap")
+                raise OverlappingBundles("bundles overlap")
             union |= bundle
         if union != full_set(self.m):
-            raise ValueError("bundles do not cover all goods")
+            raise BadPartitionInput("bundles do not cover all goods")
 
 
 def _check_agent_count(n: int, m: int) -> None:

@@ -105,10 +105,14 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
     the 1-based line.
 
     Literals come from a table from token text to literal, cleared at every
-    header (a header may lower the variable count), so equal tokens share
-    one int object.  A batch of clauses of one width after the header is
-    read at once (`_read_batch`); any other batch, or one with a token that
-    fails the checks, line by line (`_read_lines`), which raises the errors.
+    header (a header may lower the variable count).  A token met for the
+    first time also looks up its value's plain spelling, `str(value)`, and
+    takes that entry's int if there is one, so equal literals share one int
+    object however they are written ("300", "+300", "0300"), and the table
+    keeps str keys only.  A batch of clauses of one width after the header
+    is read at once (`_read_batch`); any other batch, or one with a token
+    that fails the checks, line by line (`_read_lines`), which raises the
+    errors.
     """
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
@@ -138,7 +142,8 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
 def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: dict[str, int]) -> bool:
     """Append the clauses of `batch` if its tokens are clauses of one width
     w >= 1, each closed by "0", and every token not in `table` is a literal
-    in range (then added to it).  Otherwise change nothing and return False.
+    in range (then added to it, with its plain spelling).  Otherwise change
+    nothing and return False.
     """
     tokens = " ".join(batch).split()
     if not tokens or tokens[-1] != "0":
@@ -164,7 +169,8 @@ def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: d
             return False
         if 0 in values or max(map(abs, values)) > num_vars:
             return False
-        table.update(zip(new, values))
+        shared = table.setdefault
+        table.update(zip(new, [shared(str(value), value) for value in values]))
         clauses.extend(zip(*[map(lookup, tokens)] * width))
     return True
 
@@ -211,7 +217,7 @@ def _read_lines(
                     raise LiteralOutOfRange(
                         f"line {lineno}: literal {lit} exceeds {header[0]} variables"
                     )
-                table[token] = lit
+                lit = table[token] = table.setdefault(str(lit), lit)
             pending.append(lit)
     return header
 

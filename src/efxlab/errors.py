@@ -53,7 +53,7 @@ class InvalidValues(EfxLabError, ValueError):
 
 # -- fairness -----------------------------------------------------------------
 
-class OverlappingBundles(EfxLabError):
+class OverlappingBundles(EfxLabError, ValueError):
     """Two bundles that must be disjoint share a good."""
 
 
@@ -65,8 +65,8 @@ class IndexOutOfRange(EfxLabError):
     """Bundle or agent index outside the allocation."""
 
 
-class BadPartitionInput(EfxLabError):
-    """Bundle/rest pair does not partition the full good set."""
+class BadPartitionInput(EfxLabError, ValueError):
+    """Bundles (an allocation's, or a bundle/rest pair) do not cover the full good set."""
 
 
 # -- input text ---------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Each condition is written once.  `efx_conditions` defines EFX, v_i(X_j - g)
 <= v_i(X_i) for every agent i, other bundle X_j and good g in X_j; the CNF
-and SMT encodings negate it and `violated_condition_count` counts its
-failures.  The allocation scan in `verification` counts the same failures
-from sorted per-agent tables of v_i(Y - g), one bisect per agent pair (see
-its `_scan_part` and `_walk`); tests hold its histogram to
-`violated_condition_count`.
+encoding's no-EFX clauses negate it, the SMT script renders those clauses
+(with the encoder's monotonicity and item-order units), and
+`violated_condition_count` counts its failures.  The allocation scan in
+`verification` counts the same failures from sorted per-agent tables of
+v_i(Y - g), one bisect per agent pair (see its `_scan_part` and `_walk`);
+tests hold its histogram to `violated_condition_count`.
 `strong_envy_witness` (a removal that still beats a value) and
 `transfer_witness` (the tEFX transfer test) back every other predicate here
 and the reallocation, transfer split and witness good of `three_agent`.

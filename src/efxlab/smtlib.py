@@ -1,23 +1,22 @@
 """Quantifier-free linear-real-arithmetic encoding, emitted as SMT-LIB 2 text.
 
-One real constant per (agent, set) pair carries the set's value; the script
-asserts positivity, monotonicity over all proper-subset pairs, agent 0's
-singleton order, and the negation of "some allocation is EFX" (a disjunction
-with one conjunct of 2m strict inequalities per complete non-empty-bundle
-allocation, the negations of the EFX conditions `fairness.efx_conditions`
-yields).  Unsatisfiability of the script is equivalent to EFX existence
-for the given m; no solver is invoked here.
+One real constant per (agent, set) pair carries the set's value.  The script
+asserts positivity, then renders the encoder's own clause families: each unit
+of `encoding.monotonicity_clauses` and `encoding.item_order_clauses` becomes
+one strict inequality, and the negation of "some allocation is EFX" is a
+disjunction with one conjunct per `encoding.not_efx_clauses` clause, the 2m
+negated literals of its EFX conditions.  Unsatisfiability of the script is
+equivalent to EFX existence for the given m; no solver is invoked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import check_good_count, submasks
-from .encoding import NUM_AGENTS
+from .allocations import count_allocations
+from .bitset import check_good_count
+from .encoding import NUM_AGENTS, item_order_clauses, monotonicity_clauses, not_efx_clauses
 from .errors import GoodCountOutOfRange
-from .fairness import efx_conditions
 
 
 @dataclass
@@ -41,58 +40,44 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     if m > 8:
         raise GoodCountOutOfRange(f"LRA emission supported for m <= 8, got m={m}")
     n_sets = 1 << m
-    lines: list[str] = ["(set-logic QF_LRA)"]
+    names = [[const_name(agent, mask) for mask in range(n_sets)] for agent in range(NUM_AGENTS)]
+    constants = [name for row in names for name in row]
+    # pairs[x] = the names of v_i(a) and v_i(b) for the variable x = x(i, a, b), a < b;
+    # variable ids follow the encoder's lexicographic pair indexing from 1.
+    pairs = [("", "")] + [
+        (row[a], row[b]) for row in names for a in range(n_sets) for b in range(a + 1, n_sets)
+    ]
 
-    for agent in range(NUM_AGENTS):
-        for mask in range(n_sets):
-            lines.append(f"(declare-const {const_name(agent, mask)} Real)")
+    def less(lit: int) -> str:
+        a, b = pairs[abs(lit)]
+        return f"(< {a} {b})" if lit > 0 else f"(< {b} {a})"
 
-    positivity = 0
-    for agent in range(NUM_AGENTS):
-        for mask in range(n_sets):
-            lines.append(f"(assert (>= {const_name(agent, mask)} 0))")
-            positivity += 1
+    monotonicity = [f"(assert {less(lit)})" for (lit,) in monotonicity_clauses(m)]
+    item_order = [f"(assert {less(lit)})" for (lit,) in item_order_clauses(m)]
+    disjuncts = [[less(-lit) for lit in clause] for clause in not_efx_clauses(m)]
+    if len(disjuncts) != count_allocations(NUM_AGENTS, m):
+        raise AssertionError("disjunct count disagrees with the allocation count")
 
-    monotonicity = 0
-    for agent in range(NUM_AGENTS):
-        for small in range(n_sets):
-            for extra in submasks(small ^ (n_sets - 1))[1:]:  # the proper supersets, ascending
-                lines.append(
-                    f"(assert (< {const_name(agent, small)} {const_name(agent, small | extra)}))"
-                )
-                monotonicity += 1
-
-    item_order = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            lines.append(f"(assert (< {const_name(0, 1 << i)} {const_name(0, 1 << j)}))")
-            item_order += 1
-
-    disjuncts = 0
-    inequalities = 0
-    lines.append("(assert (not (or")
-    for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
-        owns = [const_name(i, own) for i, own in enumerate(bundles)]
-        terms = [
-            f"(< {const_name(i, removed)} {owns[i]})" for i, removed, _ in efx_conditions(bundles)
-        ]
-        inequalities += len(terms)
-        lines.append("  (and " + " ".join(terms) + ")")
-        disjuncts += 1
-    lines.append(")))")
-    lines.append("(check-sat)")
-
+    lines = [
+        "(set-logic QF_LRA)",
+        *[f"(declare-const {name} Real)" for name in constants],
+        *[f"(assert (>= {name} 0))" for name in constants],
+        *monotonicity,
+        *item_order,
+        "(assert (not (or",
+        *["  (and " + " ".join(terms) + ")" for terms in disjuncts],
+        ")))",
+        "(check-sat)",
+    ]
     stats = SmtStats(
         m=m,
-        constants=NUM_AGENTS * n_sets,
-        positivity_assertions=positivity,
-        monotonicity_assertions=monotonicity,
-        item_order_assertions=item_order,
-        disjuncts=disjuncts,
-        inequalities=inequalities,
+        constants=len(constants),
+        positivity_assertions=len(constants),
+        monotonicity_assertions=len(monotonicity),
+        item_order_assertions=len(item_order),
+        disjuncts=len(disjuncts),
+        inequalities=sum(map(len, disjuncts)),
     )
-    if disjuncts != count_allocations(NUM_AGENTS, m):
-        raise AssertionError("disjunct count disagrees with the allocation count")
     return "\n".join(lines) + "\n", stats
 
 

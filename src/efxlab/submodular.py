@@ -14,6 +14,7 @@ from collections.abc import Sequence
 
 from .bitset import cardinality, check_good_count, full_set, singleton_bits, submasks
 from .errors import AgentCountOutOfRange, GoodCountOutOfRange
+from .fairness import Valuation
 from .valuations import RankValuation, RealValuation
 
 
@@ -81,16 +82,20 @@ def extend_counterexample(base: Sequence[RankValuation], n: int) -> list[RealVal
     return extended
 
 
-def add_dummy_goods(valuations: Sequence[RealValuation], extra: int) -> list[RealValuation]:
-    """Append `extra` goods of value zero to every agent: v'(S) = v(S & old)."""
+def add_dummy_goods(valuations: Sequence[Valuation], extra: int) -> list[RealValuation]:
+    """Append `extra` goods of value zero to every agent: v'(S) = v(S & old).
+
+    Any valuation with ``m`` and ``value(mask)`` is accepted; each agent's
+    table is read once.  The new good count must lie in the supported range.
+    """
     if extra < 0:
-        raise ValueError("extra must be non-negative")
-    if extra == 0:
-        return list(valuations)
+        raise GoodCountOutOfRange(f"extra goods must be non-negative, got {extra}")
     old_m = valuations[0].m
-    old_mask = full_set(old_m)
     m = old_m + extra
+    check_good_count(m)
+    old_mask = full_set(old_m)
+    tables = [[v.value(mask) for mask in range(1 << old_m)] for v in valuations]
     return [
-        RealValuation(m, tuple(v.values[mask & old_mask] for mask in range(1 << m)))
-        for v in valuations
+        RealValuation(m, tuple(table[mask & old_mask] for mask in range(1 << m)))
+        for table in tables
     ]

@@ -8,7 +8,7 @@ from efxlab.allocations import (
     enumerate_bundle_tuples,
     singleton_histogram,
 )
-from efxlab.errors import AgentCountOutOfRange
+from efxlab.errors import AgentCountOutOfRange, BadPartitionInput, OverlappingBundles
 
 
 def decoded_bundles(n, m):
@@ -78,3 +78,11 @@ def test_allocation_validate_rejects_bad_partitions():
         Allocation(3, (0b011, 0b110, 0b000)).validate()  # overlap
     with pytest.raises(ValueError):
         Allocation(3, (0b001, 0b010, 0b000)).validate()  # incomplete
+
+
+def test_allocation_validate_names_the_fault():
+    with pytest.raises(OverlappingBundles):
+        Allocation(3, (0b011, 0b110, 0b000)).validate()
+    with pytest.raises(BadPartitionInput):
+        Allocation(3, (0b001, 0b010, 0b000)).validate()
+    Allocation(3, (0b001, 0b110, 0b000)).validate()

@@ -528,6 +528,17 @@ def test_equal_literals_share_one_object(monkeypatch):
             assert max(first) > 256  # beyond the ints Python caches itself
 
 
+def test_equal_literals_spelled_differently_share_one_object(monkeypatch):
+    text = "p cnf 300 6\n300 0\n+300 0\n0300 0\n-300 0\n-0300 0\n-00300 0\n"
+    for batch in (2, dimacs.BATCH_LINES):  # later batches read at once, or all line by line
+        monkeypatch.setattr(dimacs, "BATCH_LINES", batch)
+        for source in (text, io.StringIO(text)):
+            literals = [lit for (lit,) in parse_dimacs(source).clauses]
+            assert literals == [300] * 3 + [-300] * 3
+            assert literals[0] is literals[1] is literals[2]
+            assert literals[3] is literals[4] is literals[5]
+
+
 def test_batches_of_one_clause_width_are_read_at_once(monkeypatch):
     out = io.StringIO()
     encoding.write_dimacs_stream(EncodeOptions(5, 4, True), out)

@@ -128,10 +128,12 @@ DIMACS_DIGESTS = {
     EncodeOptions(5, 3, True): "474dd6fc68a0eff3aa4da802e257b9f92219ae27fc5190569e47e87506e9e178",
 }
 SMT_DIGESTS = {
+    3: "b0f977e94fc38ca8723e7b9ee9a34057c74c3995161b2f59e728c3f062af4cbd",
     4: "f3bc3f97c914737380fb4662d9efa2f659c92874e8652939345afd962699f4a7",
     5: "1f63ca91ccca0fe958d6ebf090e3519d8607f62155edad5efc4feda3c3f1d440",
     6: "709d711cfe561e3feda0a5c462ae751e6269dc4e29ba1ba35dd070db8bde8533",
     7: "e25498a701650fe87d31a90f958784520f785222bdfa659476393f76d84775d3",
+    8: "fd5a5ccb46f33cc8d630f2e1fba45dfb8bc5237db9ef5bef7d17dfa234c970ba",
 }
 
 

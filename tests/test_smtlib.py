@@ -1,6 +1,6 @@
 import pytest
 
-from efxlab.smtlib import const_name, emit_smtlib, tokenize_balanced
+from efxlab.smtlib import SmtStats, const_name, emit_smtlib, tokenize_balanced
 
 
 def test_seven_good_script_statistics():
@@ -18,6 +18,24 @@ def test_four_good_script_statistics():
     assert stats.inequalities == 288
     assert stats.constants == 48
     tokenize_balanced(text)
+
+
+# Every statistic of the script for each supported m, frozen so that a change
+# to how the script is assembled must leave the counts unchanged.
+@pytest.mark.parametrize(
+    "stats",
+    [
+        SmtStats(3, 24, 24, 57, 3, 6, 36),
+        SmtStats(4, 48, 48, 195, 6, 36, 288),
+        SmtStats(5, 96, 96, 633, 10, 150, 1500),
+        SmtStats(6, 192, 192, 1995, 15, 540, 6480),
+        SmtStats(7, 384, 384, 6177, 21, 1806, 25_284),
+        SmtStats(8, 768, 768, 18_915, 28, 5796, 92_736),
+    ],
+    ids=lambda stats: f"m{stats.m}",
+)
+def test_script_statistics_for_every_m(stats):
+    assert emit_smtlib(stats.m)[1] == stats
 
 
 def test_script_structure():

@@ -1,7 +1,7 @@
 import pytest
 
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import GoodCountOutOfRange
+from efxlab.errors import EfxLabError, GoodCountOutOfRange
 from efxlab.submodular import add_dummy_goods, extend_counterexample, is_submodular, submodular_realize
 from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
 from efxlab.verification import verify
@@ -104,6 +104,30 @@ def test_dummy_goods_are_worthless_everywhere():
         assert wide.m == 5
         for mask in range(1 << 5):
             assert wide.values[mask] == original.values[mask & 0b111]
+
+
+def test_dummy_goods_read_any_valuation_through_value():
+    ranks = load_bundled_counterexample()
+    padded = add_dummy_goods(ranks, 1)
+    assert padded == add_dummy_goods([as_real(v) for v in ranks], 1)
+    assert add_dummy_goods(ranks, 0) == [as_real(v) for v in ranks]
+    for original, wide in zip(ranks, padded):
+        assert isinstance(wide, RealValuation) and wide.m == 9
+        assert wide.values[256 | 5] == original.value(5)
+
+
+def test_dummy_goods_keep_the_good_count_in_range():
+    base = [as_real(v) for v in load_bundled_counterexample()]
+    assert add_dummy_goods(base, 8)[0].m == 16
+    with pytest.raises(GoodCountOutOfRange, match="m=17"):
+        add_dummy_goods(base, 9)
+
+
+def test_negative_dummy_good_count_is_a_library_error():
+    base = [as_real(random_monotone_rank_valuation(3, 0))]
+    with pytest.raises(EfxLabError) as caught:
+        add_dummy_goods(base, -1)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_dummy_good_preserves_efx_absence_on_small_instance():
