@@ -5,8 +5,8 @@ under the assignment's comparison variables.  An agent's variables are
 consecutive ids in pair order, so they are read in one pass and each set's
 comparisons with the later sets are one slice of them, counted for both
 sides at once.  A rank collision certifies that the comparison relation is
-not a total order; only then is the comparison matrix built, to extract a
-witnessing 3-cycle for the error.
+not a total order; only then are single comparisons read through
+`encoding.var_id`, to extract a witnessing 3-cycle for the error.
 
 Text formats, each of which states its own shape:
 
@@ -32,7 +32,7 @@ from operator import add
 
 from .bitset import bitstring, check_good_count, parse_bitstring
 from .dimacs import Assignment, read_integer
-from .encoding import NUM_AGENTS, var_id
+from .encoding import NUM_AGENTS, num_variables, var_id
 from .errors import (
     BitstringMismatch,
     IncompleteAssignment,
@@ -57,7 +57,7 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
     """
     check_good_count(m)
     n_sets = 1 << m
-    pairs = n_sets * (n_sets - 1) // 2
+    pairs = num_variables(m) // NUM_AGENTS
     valuations = []
     for agent in range(NUM_AGENTS):
         first = var_id(agent, 0, 1, m)
@@ -74,8 +74,7 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
         seen = [-1] * n_sets
         for mask, r in enumerate(rank):
             if seen[r] != -1:
-                below = _below_matrix(values, n_sets)
-                raise NotATotalOrder(_find_three_cycle(below, seen[r], mask))
+                raise NotATotalOrder(_find_three_cycle(values, agent, m, seen[r], mask))
             seen[r] = mask
         val = RankValuation(m, tuple(rank))
         val.validate()
@@ -83,24 +82,20 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
     return valuations
 
 
-def _below_matrix(values: list[bool], n_sets: int) -> list[list[bool]]:
-    """below[a][b]: v(b) < v(a), from one agent's variables in pair order."""
-    below = [[False] * n_sets for _ in range(n_sets)]
-    pairs = iter(values)
-    for a in range(n_sets):
-        for b in range(a + 1, n_sets):
-            value = next(pairs)
-            below[b][a] = value
-            below[a][b] = not value
-    return below
+def _find_three_cycle(
+    values: list[bool], agent: int, m: int, a: int, b: int
+) -> tuple[int, int, int]:
+    """Given equal-rank sets a and b, find x < y < z < x in the agent's relation."""
+    first = var_id(agent, 0, 1, m)
 
+    def less(x: int, y: int) -> bool:  # v(x) < v(y), read through var_id
+        var = var_id(agent, x, y, m)
+        return values[var - first] if var > 0 else not values[-var - first]
 
-def _find_three_cycle(below: list[list[bool]], a: int, b: int) -> tuple[int, int, int]:
-    """Given equal-rank sets a and b, find x < y < z < x in the relation."""
-    first, second = (a, b) if below[b][a] else (b, a)  # first < second
-    for c in range(len(below)):
-        if c not in (a, b) and below[c][second] and below[first][c]:
-            return (second, c, first)  # second < c < first < second
+    low, high = (a, b) if less(a, b) else (b, a)
+    for c in range(1 << m):
+        if c not in (a, b) and less(high, c) and less(c, low):
+            return (high, c, low)  # high < c < low < high
     raise AssertionError("rank collision without a 3-cycle")
 
 

@@ -326,12 +326,11 @@ def parse_model(text: str, num_vars: int | None = None) -> Assignment:
 def assignment_from_ranks(
     rank_tables: list[tuple[int, ...]], var_of: Callable[[int, int, int], int]
 ) -> Assignment:
-    """Full assignment encoding `v_i(A) < v_i(B)` comparisons of rank tables."""
+    """Every comparison `v_i(A) < v_i(B)`, numbered 1 .. len(values) as by `encoding.var_id`."""
     values: dict[int, bool] = {}
     n_sets = len(rank_tables[0])
     for agent, rank in enumerate(rank_tables):
         for a in range(n_sets):
             for b in range(a + 1, n_sets):
                 values[var_of(agent, a, b)] = rank[a] < rank[b]
-    num_vars = len(rank_tables) * n_sets * (n_sets - 1) // 2
-    return Assignment(num_vars, values)
+    return Assignment(len(values), values)

@@ -1,10 +1,9 @@
 """CNF encoding of "no EFX allocation exists" for three agents and m goods.
 
 Variables: for each agent i and pair of set numbers A < B, the variable
-x(i, A, B) holds iff v_i(A) < v_i(B).  Variable ids use the dense pair
-indexing (lexicographic over pairs), so ids run 1 .. 3*P*(P-1)/2 with
-P = 2^m.  Where a comparison with A > B is needed, the negated variable of
-the swapped pair is used; x(i, A, A) does not exist.
+x(i, A, B) holds iff v_i(A) < v_i(B); `var_id` states their one order.
+Where a comparison with A > B is needed, the negated variable of the
+swapped pair is used; x(i, A, A) does not exist.
 
 Clause families, emitted in this order with ascending loops inside each:
 
@@ -19,7 +18,8 @@ Clause families, emitted in this order with ascending loops inside each:
                      singleton order (symmetry breaking)
 * leveled          - units making every set of size >= k beat every smaller
                      set, with equal-size sets at levels >= k ordered by set
-                     number
+                     number.  At k >= m - 2 no counterexample is lost, item
+                     order included (`valuations.leveled` gives the argument)
 * no-EFX           - one clause per complete non-empty-bundle allocation,
                      2m literals each (two per good, duplicates kept): the
                      negation -x(i, X_j - g, X_i) of every EFX condition
@@ -87,23 +87,23 @@ def good_count(num_vars: int) -> int:
     return m
 
 
-def pair_index(a: int, b: int, n_sets: int) -> int:
-    """1-based position of (a, b) in the lexicographic order of pairs a < b."""
-    if not 0 <= a < b < n_sets:
-        raise ValueError(f"need 0 <= a < b < {n_sets}, got ({a}, {b})")
-    return n_sets * a - a * (a + 1) // 2 + b - a
-
-
 def var_id(agent: int, a: int, b: int, m: int) -> int:
-    """Signed id of x(agent, a, b); for a > b the negation of the swapped pair."""
+    """Signed id of x(agent, a, b); for a > b the negation of x(agent, b, a).
+
+    The one variable order, which other modules may read: ids from 1,
+    agent-major, then the pairs lo < hi of set numbers in lexicographic
+    order, so x(i, a, a+1) .. x(i, a, P-1) are consecutive ids, P = 2^m.
+    """
     if a == b:
         raise ValueError("comparison variables require two distinct sets")
     if not 0 <= agent < NUM_AGENTS:
         raise ValueError(f"agent {agent} out of range")
     p = 1 << m
-    if a < b:
-        return agent * (p * (p - 1) // 2) + pair_index(a, b, p)
-    return -var_id(agent, b, a, m)
+    lo, hi = (a, b) if a < b else (b, a)
+    if lo < 0 or hi >= p:
+        raise ValueError(f"need sets in 0..{p - 1}, got ({a}, {b})")
+    var = agent * (p * (p - 1) // 2) + p * lo - lo * (lo + 1) // 2 + hi - lo
+    return var if a < b else -var
 
 
 # -- clause family streams ----------------------------------------------------

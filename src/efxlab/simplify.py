@@ -6,10 +6,12 @@ reported separately) and falsified literals are stripped, possibly producing
 further units or the empty clause (immediate UNSAT).  The unit clauses are
 assigned first, then one sweep over the other clauses applies them.  While
 a sweep derives units, they are assigned in turn, and the next sweep applies
-them to the clauses that hold one of their variables.  No per-literal index
-is built: each later sweep is one C-level pass over the residue, so units
-that chain d deep cost d passes.  The encodings the toolkit writes reach
-the fixpoint in at most two sweeps.
+them to the clauses that hold one of their variables.  The second sweep
+finds those clauses in one C-level pass over the residue, and the encodings
+the toolkit writes reach the fixpoint there.  A third sweep first maps each
+variable to its residue positions, once; from then on each sweep visits
+only the positions of its units' variables, so a chain of d units costs one
+map, not d passes over the residue.
 
 Subsumption then keeps the first clause of each literal set, in clause order,
 and drops every clause whose literal set strictly contains another clause's.
@@ -89,10 +91,14 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
             break
 
     # While a sweep derives units, they are assigned, and the next sweep
-    # applies them to the residue clauses that hold one of their variables,
-    # picked out at C level, since most clauses hold none.  A clause a later
-    # sweep settles leaves () in its place, which no sweep picks again.
+    # applies them to the residue clauses that hold one of their variables:
+    # picked out at C level in the second sweep, since most clauses hold
+    # none, and through `occurs` from the third on.  A clause a later sweep
+    # settles leaves () in its place, which every later sweep skips.
+    occurs: dict[int, list[int]] = {}  # variable -> ascending residue positions
+    sweep = 1  # the sweeps made
     while derived and not unsat:
+        sweep += 1
         units, derived = derived, []  # now the units this sweep leaves
         for lit in units:
             if -lit in true_lits:
@@ -104,10 +110,18 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
                 trail.append(lit)
         if unsat:
             break
-        touch = {lit for unit in units for lit in (unit, -unit)}
-        for idx in compress(range(len(residue)), map(not_, map(touch.isdisjoint, residue))):
+        if sweep == 2:
+            touch = {lit for unit in units for lit in (unit, -unit)}
+            picked = compress(range(len(residue)), map(not_, map(touch.isdisjoint, residue)))
+        else:
+            if sweep == 3:
+                for idx, clause in enumerate(residue):
+                    for lit in clause:
+                        occurs.setdefault(abs(lit), []).append(idx)
+            picked = sorted({idx for unit in units for idx in occurs.get(abs(unit), ())})
+        for idx in picked:
             clause, residue[idx] = residue[idx], ()
-            if not true_lits.isdisjoint(clause):
+            if not clause or not true_lits.isdisjoint(clause):
                 continue
             lits = tuple(filterfalse(false_lits.__contains__, clause))
             if len(lits) > 1:

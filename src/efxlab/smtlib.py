@@ -43,7 +43,7 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     names = [[const_name(agent, mask) for mask in range(n_sets)] for agent in range(NUM_AGENTS)]
     constants = [name for row in names for name in row]
     # pairs[x] = the names of v_i(a) and v_i(b) for the variable x = x(i, a, b), a < b;
-    # variable ids follow the encoder's lexicographic pair indexing from 1.
+    # variable ids follow the one order that the `encoding.var_id` docstring states.
     pairs = [("", "")] + [
         (row[a], row[b]) for row in names for a in range(n_sets) for b in range(a + 1, n_sets)
     ]

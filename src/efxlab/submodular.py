@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from .bitset import cardinality, check_good_count, full_set, singleton_bits, submasks
 from .errors import AgentCountOutOfRange, GoodCountOutOfRange
 from .fairness import Valuation
-from .valuations import RankValuation, RealValuation
+from .valuations import RankValuation, RealValuation, shared_good_count
 
 
 def submodular_realize(v: RankValuation) -> RealValuation:
@@ -86,11 +86,13 @@ def add_dummy_goods(valuations: Sequence[Valuation], extra: int) -> list[RealVal
     """Append `extra` goods of value zero to every agent: v'(S) = v(S & old).
 
     Any valuation with ``m`` and ``value(mask)`` is accepted; each agent's
-    table is read once.  The new good count must lie in the supported range.
+    table is read once.  The valuations must form one instance, as
+    `shared_good_count` checks, and the new good count must lie in the
+    supported range.
     """
     if extra < 0:
         raise GoodCountOutOfRange(f"extra goods must be non-negative, got {extra}")
-    old_m = valuations[0].m
+    old_m = shared_good_count(valuations)
     m = old_m + extra
     check_good_count(m)
     old_mask = full_set(old_m)

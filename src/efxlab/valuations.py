@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import cardinality, check_good_count, cover_table
-from .errors import InvalidValues, LevelOutOfRange, MonotonicityViolated, NotAPermutation
+from .errors import (
+    AgentCountOutOfRange,
+    ArityMismatch,
+    InvalidValues,
+    LevelOutOfRange,
+    MonotonicityViolated,
+    NotAPermutation,
+)
+from .fairness import Valuation
 
 
 def monotonicity_violation(values: Sequence, m: int) -> tuple[int, int] | None:
@@ -35,6 +43,20 @@ def monotonicity_violation(values: Sequence, m: int) -> tuple[int, int] | None:
             if value > values[sup]:
                 return sub, sup
     return None
+
+
+def shared_good_count(valuations: Sequence[Valuation]) -> int:
+    """The good count m of an instance, read before any value table.
+
+    No valuations raise `AgentCountOutOfRange`, and valuations over different
+    good counts `ArityMismatch`.
+    """
+    if not valuations:
+        raise AgentCountOutOfRange("need at least one valuation")
+    m = valuations[0].m
+    if any(v.m != m for v in valuations):
+        raise ArityMismatch(f"valuations disagree on the good count: {[v.m for v in valuations]}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -139,6 +161,17 @@ def leveled(v: RankValuation, k: int) -> RankValuation:
     Sets of size below k keep their original relative order; sets of size at
     least k are ordered by (cardinality, set number) ascending, above every
     smaller set.  k = m + 1 leaves the order unchanged.
+
+    For n agents, any k >= m - n + 1 loses nothing: every allocation of the
+    m goods into n non-empty bundles keeps its EFX verdict.  A bundle holds
+    at most m - n + 1 goods, and a set X_j - g at most m - n.  A bundle of
+    m - n + 1 goods leaves one good to each other bundle, so its owner's
+    conditions compare it with the empty set, which monotonicity settles.
+    Every other condition compares two sets of fewer than k goods, whose
+    order leveling keeps.  So sets of k or more goods meet only in settled
+    conditions, and their order by set number is free.  For three agents
+    that level is k = m - 2.  Any k >= 2 keeps the singletons' order, so a
+    valuation that meets item order still meets it leveled.
     """
     if not 0 <= k <= v.m + 1:
         raise LevelOutOfRange(f"level threshold k={k} outside 0..{v.m + 1}")

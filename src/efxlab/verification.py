@@ -47,9 +47,9 @@ from multiprocessing import Pool
 
 from .allocations import count_allocations
 from .bitset import cardinality, cover_table, goods, submasks
-from .errors import AgentCountOutOfRange, ArityMismatch, JobCountOutOfRange
+from .errors import JobCountOutOfRange
 from .fairness import Valuation
-from .valuations import RankValuation, monotonicity_violation
+from .valuations import RankValuation, monotonicity_violation, shared_good_count
 
 
 @dataclass
@@ -630,16 +630,11 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     the first walked agent's bundles are dealt into shares of about equal
     work (`_shares`), one per worker process, with at most one worker per
     CPU this process may use (`usable_cpus`); the merged report is
-    identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`;
-    no valuations raise `AgentCountOutOfRange`, and valuations over different
-    good counts `ArityMismatch`.
+    identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`,
+    and `shared_good_count` refuses an empty list or mixed good counts.
     """
     check_job_count(jobs)
-    if not valuations:
-        raise AgentCountOutOfRange("need at least one valuation")
-    n, m = len(valuations), valuations[0].m
-    if any(v.m != m for v in valuations):
-        raise ArityMismatch(f"valuations disagree on the good count: {[v.m for v in valuations]}")
+    n, m = len(valuations), shared_good_count(valuations)
     expected = count_allocations(n, m)
     tables = value_tables(valuations)
     monotone = tuple(monotonicity_violation(table, m) is None for table in tables)

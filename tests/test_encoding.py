@@ -16,7 +16,6 @@ from efxlab.encoding import (
     monotonicity_clauses,
     not_efx_clauses,
     num_variables,
-    pair_index,
     transitivity_clauses,
     var_id,
 )
@@ -33,20 +32,20 @@ def decode_var(var: int, m: int) -> tuple[int, int, int]:
     agent, index = divmod(var - 1, per_agent)
     index += 1
     a = 0
-    while pair_index(a, p - 1, p) < index:
+    while var_id(0, a, p - 1, m) < index:
         a += 1
     b = a + (index - (p * a - a * (a + 1) // 2))
     return agent, a, b
 
 
-def test_pair_index_lexicographic_positions():
-    assert pair_index(0, 1, 128) == 1
-    assert pair_index(0, 127, 128) == 127
-    assert pair_index(1, 2, 128) == 128
+def test_var_id_lexicographic_positions():
+    assert var_id(0, 0, 1, 7) == 1
+    assert var_id(0, 0, 127, 7) == 127
+    assert var_id(0, 1, 2, 7) == 128
     # brute-force the lexicographic position for a small universe
     pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
     for position, (a, b) in enumerate(pairs, start=1):
-        assert pair_index(a, b, 16) == position
+        assert var_id(0, a, b, 4) == position
 
 
 def test_var_id_range_and_swap_convention():
@@ -55,6 +54,9 @@ def test_var_id_range_and_swap_convention():
     assert var_id(0, 1, 0, 7) == -1
     with pytest.raises(ValueError):
         var_id(0, 3, 3, 7)
+    for agent, a, b in ((3, 0, 1), (0, -1, 1), (0, 1, 128), (0, 128, 1)):
+        with pytest.raises(ValueError):
+            var_id(agent, a, b, 7)
 
 
 def test_var_id_is_a_bijection():

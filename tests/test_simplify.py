@@ -288,6 +288,21 @@ def test_clauses_holding_no_assigned_variable_are_kept_as_the_input_objects():
     assert all(got is want for got, want in zip(result.formula.clauses, untouched))
 
 
+def test_deep_chain_beside_many_untouched_clauses():
+    # 1,200 links derive one unit per sweep; 5,000 clauses over other
+    # variables must come back untouched, as the input objects, in order
+    rng = random.Random(26)
+    untouched = [tuple(rng.sample(range(1, 301), 3)) for _ in range(5000)]
+    first, last = 301, 1501
+    clauses = untouched + [(first,)] + [(-v, v + 1) for v in range(first, last)]
+    rng.shuffle(clauses)
+    result = assert_matches_reference(CnfFormula(last, clauses))
+    assert result.fixed == {v: True for v in range(first, last + 1)}
+    kept = [clause for clause in clauses if len(clause) == 3]
+    assert len(result.formula.clauses) == len(kept) == len(untouched)
+    assert all(got is want for got, want in zip(result.formula.clauses, kept))
+
+
 def test_subsume_returns_the_first_input_clause_of_each_literal_set():
     clauses = [tuple(lits) for lits in ([2, 1], [3, -1], [1, 2], [-1, 3, 3], [4, 5, 6], [2, 1, 2], [6, 5, 4, 1])]
     reduced, removed = subsume(CnfFormula(6, clauses))

@@ -1,7 +1,7 @@
 import pytest
 
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import EfxLabError, GoodCountOutOfRange
+from efxlab.errors import AgentCountOutOfRange, ArityMismatch, EfxLabError, GoodCountOutOfRange
 from efxlab.submodular import add_dummy_goods, extend_counterexample, is_submodular, submodular_realize
 from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
 from efxlab.verification import verify
@@ -128,6 +128,15 @@ def test_negative_dummy_good_count_is_a_library_error():
     with pytest.raises(EfxLabError) as caught:
         add_dummy_goods(base, -1)
     assert isinstance(caught.value, ValueError)
+
+
+def test_dummy_goods_refuse_a_list_that_is_not_one_instance():
+    r3, r4 = random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 2)
+    with pytest.raises(AgentCountOutOfRange):
+        add_dummy_goods([], 1)
+    for mixed, counts in (([r3, r4], r"\[3, 4\]"), ([r4, r3], r"\[4, 3\]")):
+        with pytest.raises(ArityMismatch, match=counts):
+            add_dummy_goods(mixed, 1)
 
 
 def test_dummy_good_preserves_efx_absence_on_small_instance():
