@@ -82,24 +82,26 @@ def _parse_dimacs_file(path: str) -> CnfFormula:
 def _create(path: str) -> Iterator[TextIO]:
     """Stdout for "-" (left open), else UTF-8 text that becomes the file at `path`.
 
-    A regular file is written beside its target under a temporary name, with
-    the target's permissions, and moved onto it when the block ends; on an
-    exception the temporary file is removed and `path` is left as it was.
-    Anything else that exists at `path`, such as /dev/null or a named pipe,
-    is written in place.
+    A path that names the file stdout writes to, as /dev/stdout does, is
+    taken as "-", so the artifact goes where stdout goes, pipe or appended
+    file included.  A regular file is written beside its target under a
+    temporary name, with the target's permissions, and moved onto it when
+    the block ends; on an exception the temporary file is removed and
+    `path` is left as it was.  Anything else that exists at `path`, such as
+    /dev/null or a named pipe, is written in place.
     """
-    if path == "-":
+    try:
+        found = None if path == "-" else os.stat(path)
+    except FileNotFoundError:
+        found = None
+    if path == "-" or found is not None and _is_stdout(found):
         yield sys.stdout
         return
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as out:
+    if found is not None and not stat.S_ISREG(found.st_mode):
+        with open(path, "w", encoding="utf-8") as out:
             yield out
         return
+    target = os.path.realpath(path)
     temp = f"{target}.{os.getpid()}.tmp"
     try:
         out = open(temp, "x", encoding="utf-8")
@@ -108,13 +110,22 @@ def _create(path: str) -> Iterator[TextIO]:
         raise
     try:
         with out:
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
+            if found is not None:
+                os.chmod(temp, stat.S_IMODE(found.st_mode))
             yield out
         os.replace(temp, target)
     except BaseException:
         os.remove(temp)
         raise
+
+
+def _is_stdout(found: os.stat_result) -> bool:
+    """Whether `found` is the file behind stdout's descriptor; a stdout without one, such
+    as a test's capture, is no file."""
+    try:
+        return os.path.samestat(found, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
 
 
 def _report_to(out: TextIO | None) -> TextIO:

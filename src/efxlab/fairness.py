@@ -25,7 +25,13 @@ from typing import Protocol
 
 from .allocations import Allocation
 from .bitset import full_set, singleton_bits, submasks
-from .errors import ArityMismatch, BadPartitionInput, IndexOutOfRange, OverlappingBundles
+from .errors import (
+    AgentCountOutOfRange,
+    ArityMismatch,
+    BadPartitionInput,
+    IndexOutOfRange,
+    OverlappingBundles,
+)
 
 
 class Valuation(Protocol):
@@ -153,8 +159,11 @@ def eefx_certificate(
     `rest` split into n-1 labeled parts, such that `bundle` beats every
     single-good removal of every part.  Parts of `rest` are enumerated by
     ascending bitmask of the earlier parts; the first certificate found is
-    returned (bundle first), or None if none exists.
+    returned (bundle first), or None if none exists.  Fewer than two agents
+    raise `AgentCountOutOfRange`: `rest` needs at least one part.
     """
+    if n < 2:
+        raise AgentCountOutOfRange(f"need n >= 2 agents, got n={n}")
     if bundle & rest or bundle | rest != full_set(v.m):
         raise BadPartitionInput("bundle and rest must partition the full good set")
     own_value = v.value(bundle)

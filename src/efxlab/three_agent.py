@@ -30,7 +30,7 @@ from .errors import (
     PredicateFailsOnPool,
     SetupViolated,
 )
-from .valuations import RankValuation
+from .valuations import RankValuation, shared_good_count
 
 TAG_TEFX = "tEFX"
 TAG_EF1_EEFX = "EF1&EEFX"
@@ -145,13 +145,16 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
 
     The returned tag is confirmed by the independent fairness predicates
     before the result is handed back; the certificates on an EF1&EEFX result
-    come from that confirmation (exhaustive search, one per agent).
+    come from that confirmation (exhaustive search, one per agent).  Other
+    than three valuations raise `AgentCountOutOfRange`, mixed good counts
+    `ArityMismatch` (`shared_good_count`) and fewer than 3 goods
+    `GoodCountOutOfRange`.
     """
     if len(valuations) != 3:
         raise AgentCountOutOfRange("exactly three valuations required")
-    m = valuations[0].m
-    if any(v.m != m for v in valuations) or m < 3:
-        raise GoodCountOutOfRange("valuations must share a good count m >= 3")
+    m = shared_good_count(valuations)
+    if m < 3:
+        raise GoodCountOutOfRange(f"need m >= 3 goods, got m={m}")
     v0 = valuations[0]
 
     round_robin = [0, 0, 0]

@@ -1,8 +1,8 @@
 """Exhaustive verification of EFX (non-)existence and valuation analytics.
 
-The verifier scans every complete allocation with non-empty bundles, counting
-EFX allocations and building a histogram of how many (good, non-owner)
-conditions each allocation violates.  Agents with equal value tables are
+The verifier scans every complete allocation with non-empty bundles, building
+a histogram of how many (good, non-owner) conditions each allocation
+violates; the EFX allocations are its bucket 0.  Agents with equal value tables are
 interchangeable: swapping their bundles changes neither EFX status nor the
 violation count.  The scan therefore visits one allocation per orbit of such
 swaps, the one with the lowest owner code, and weights it by the orbit size.
@@ -18,9 +18,9 @@ identical agents is a restriction on the submasks, not a filter.  Violations
 are counted from value tables and sorted removal tables, built once per
 distinct valuation from the one neighbour table per m, `bitset.cover_table`.
 The first agent's bundles can be dealt into shares of about equal work for
-parallel workers, and partial reports merge as a commutative monoid, so
-serial and parallel runs produce identical reports, equal to a scan of every
-allocation.
+parallel workers; the shares' histograms add up, and the lowest-coded of
+their witnesses is kept (`_summed`), so serial and parallel runs produce
+identical reports, equal to a scan of every allocation.
 
 A null good changes no agent's value of any set, like the dummy goods of
 `submodular.add_dummy_goods`.  With z null goods the scan walks the
@@ -39,7 +39,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress, permutations, product, repeat
 from math import comb, factorial, prod
@@ -54,32 +54,22 @@ from .valuations import RankValuation, monotonicity_violation, shared_good_count
 
 @dataclass
 class VerifyReport:
+    """A scan's histogram of violated conditions, from which its counts are read, and its
+    lowest-coded EFX allocation."""
+
     n: int
     m: int
     monotone: tuple[bool, ...]
-    total_allocations: int = 0
-    efx_count: int = 0
-    violation_histogram: dict[int, int] = field(default_factory=dict)
-    first_efx_witness: tuple[int, ...] | None = None
-    first_witness_code: int | None = None
+    violation_histogram: dict[int, int]
+    first_efx_witness: tuple[int, ...] | None
 
-    def merge(self, other: VerifyReport) -> VerifyReport:
-        hist = dict(self.violation_histogram)
-        for bucket, count in other.violation_histogram.items():
-            hist[bucket] = hist.get(bucket, 0) + count
-        witness, code = self.first_efx_witness, self.first_witness_code
-        if other.first_witness_code is not None and (code is None or other.first_witness_code < code):
-            witness, code = other.first_efx_witness, other.first_witness_code
-        return VerifyReport(
-            self.n,
-            self.m,
-            self.monotone,
-            self.total_allocations + other.total_allocations,
-            self.efx_count + other.efx_count,
-            hist,
-            witness,
-            code,
-        )
+    @property
+    def total_allocations(self) -> int:
+        return sum(self.violation_histogram.values())
+
+    @property
+    def efx_count(self) -> int:
+        return self.violation_histogram.get(0, 0)
 
     def to_text(self) -> str:
         lines = [f"agents: {self.n}", f"goods: {self.m}"]
@@ -416,11 +406,9 @@ def _coded(n: int, bundles: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sum(j * n**g for j, bundle in enumerate(bundles) for g in goods(bundle)), bundles
 
 
-def _scan_part(
-    scan: _Scan, firsts: Sequence[int]
-) -> tuple[int, int, dict[int, int], tuple[int, ...] | None, int | None]:
-    """Count EFX allocations and violated conditions over the orbits whose first walked
-    bundle is in `firsts`.
+def _scan_part(scan: _Scan, firsts: Sequence[int]) -> tuple[dict[int, int], tuple | None]:
+    """The histogram of violated conditions over the orbits whose first walked bundle is
+    in `firsts`, and the lowest (owner code, bundles) of an EFX allocation there, or None.
 
     A violated condition is a triple (i, j, g), j != i and g in X_j, with
     v_i(X_j - g) > v_i(X_i), as in `fairness.efx_conditions`.  With the
@@ -459,8 +447,7 @@ def _scan_part(
     if efx_readings and best is None:
         efx_sums = {sums for sums in tally if read(sums) in efx_readings}
         _, best = _walk(scan, firsts, efx_sums, rank)
-    witness_code, witness = best or (None, None)
-    return sum(hist.values()), hist.get(0, 0), hist, witness, witness_code
+    return hist, best
 
 
 def _radix(scan: _Scan) -> int:
@@ -638,7 +625,6 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     expected = count_allocations(n, m)
     tables = value_tables(valuations)
     monotone = tuple(monotonicity_violation(table, m) is None for table in tables)
-    report = VerifyReport(n, m, monotone)
     classes = identical_classes(tables)
     scan = _scan_plan(tables, m, classes)
 
@@ -649,15 +635,20 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
         with Pool(processes=len(shares)) as pool:
             parts = pool.starmap(_scan_part, [(scan, share) for share in shares])
 
-    for total, efx_count, hist, witness, code in parts:
-        report = report.merge(
-            VerifyReport(n, m, monotone, total, efx_count, hist, witness, code)
-        )
+    report = VerifyReport(n, m, monotone, *_summed(parts))
     if report.total_allocations != expected:
-        raise AssertionError(
-            f"scanned {report.total_allocations} allocations, expected {expected}"
-        )
+        raise AssertionError(f"scanned {report.total_allocations} allocations, expected {expected}")
     return report
+
+
+def _summed(parts: Sequence[tuple]) -> tuple[dict[int, int], tuple[int, ...] | None]:
+    """The histogram of a scan from its parts' (`_scan_part`), and the bundles of the
+    lowest-coded EFX allocation among theirs."""
+    hist: Counter[int] = Counter()
+    for part, _ in parts:
+        hist.update(part)
+    found = [best for _, best in parts if best is not None]
+    return dict(hist), min(found)[1] if found else None
 
 
 def usable_cpus() -> int:

@@ -435,19 +435,45 @@ def test_output_into_a_missing_directory_exits_two_naming_the_path(tmp_path, cap
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
-def test_closed_stdout_pipe_ends_quietly_with_exit_zero():
+def _efxlab(*argv):
+    """The command line that runs the CLI of this checkout in a fresh interpreter."""
     src = str(Path(efxlab.__file__).resolve().parents[1])
     run = f"import sys; sys.path.insert(0, {src!r}); from efxlab.cli import main; sys.exit(main())"
+    return [sys.executable, "-c", run, *argv]
+
+
+def test_closed_stdout_pipe_ends_quietly_with_exit_zero():
     # m=5 writes megabytes, far more than a pipe buffers, so the writer is
     # still writing when the reader closes the pipe after one line
-    proc = subprocess.Popen(
-        [sys.executable, "-c", run, "encode", "-m", "5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
+    proc = subprocess.Popen(_efxlab("encode", "-m", "5"), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"c no-EFX encoding: m=5 level_k=None item_order=False\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (0, b"")
+
+
+def test_output_to_dev_stdout_goes_down_a_pipe():
+    piped = subprocess.run(_efxlab("encode", "-m", "3", "-o", "/dev/stdout"), capture_output=True)
+    dashed = subprocess.run(_efxlab("encode", "-m", "3", "-o", "-"), capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, dashed.stdout, dashed.stderr)
+    assert piped.stdout.startswith(b"c no-EFX encoding: m=3") and b"total clauses: 729" in piped.stderr
+
+
+@pytest.mark.parametrize("mode", ["w", "a"], ids=[">", ">>"])
+def test_output_to_dev_stdout_goes_to_the_file_stdout_is_redirected_to(tmp_path, mode):
+    """`> f` truncates f and `>> f` appends to it; the report goes to stderr either way."""
+    dashed = subprocess.run(_efxlab("smt", "-m", "3", "-o", "-"), capture_output=True, check=True)
+    path = tmp_path / "out.smt2"
+    path.write_bytes(b"; an earlier line\n")
+    with open(path, mode + "b") as stdout:
+        proc = subprocess.run(
+            _efxlab("smt", "-m", "3", "-o", "/dev/stdout"), stdout=stdout, stderr=subprocess.PIPE
+        )
+    kept = b"; an earlier line\n" if mode == "a" else b""
+    assert (proc.returncode, proc.stderr) == (0, dashed.stderr)
+    assert path.read_bytes() == kept + dashed.stdout
+    assert [child.name for child in tmp_path.iterdir()] == ["out.smt2"]
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from efxlab.allocations import Allocation, enumerate_allocations
 from efxlab.bitset import full_set
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import ArityMismatch, OverlappingBundles
+from efxlab.errors import AgentCountOutOfRange, ArityMismatch, OverlappingBundles
 from efxlab.fairness import (
     eefx_certificate,
     is_ef1_feasible,
@@ -149,6 +149,14 @@ def test_eefx_certificate_input_validation():
     v = random_monotone_rank_valuation(4, 13)
     with pytest.raises(BadPartitionInput):
         eefx_certificate(v, 0b0011, 0b0110, 3)
+
+
+@pytest.mark.parametrize("bundle,rest,n", [(7, 0, 1), (1, 6, 0)])
+def test_eefx_certificate_needs_two_agents(bundle, rest, n):
+    """`rest` is split into n - 1 parts, so n < 2 leaves no part to split it into."""
+    v = random_monotone_rank_valuation(3, 13)
+    with pytest.raises(AgentCountOutOfRange, match=f"n={n}"):
+        eefx_certificate(v, bundle, rest, n)
 
 
 def test_nondegenerate_efx_allocations_have_no_empty_bundles():

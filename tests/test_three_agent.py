@@ -9,6 +9,7 @@ one traversing the witnessed-transfer branch to the certificate exit.
 """
 
 import hashlib
+import re
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -17,7 +18,13 @@ from efxlab import fairness
 from efxlab.allocations import Allocation, count_allocations
 from efxlab.bitset import singleton_bits
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import PredicateFailsOnPool, SetupViolated
+from efxlab.errors import (
+    AgentCountOutOfRange,
+    ArityMismatch,
+    GoodCountOutOfRange,
+    PredicateFailsOnPool,
+    SetupViolated,
+)
 from efxlab.three_agent import (
     TAG_EF1_EEFX,
     TAG_TEFX,
@@ -29,7 +36,7 @@ from efxlab.three_agent import (
     solve_three,
     transfer_split,
 )
-from efxlab.valuations import random_monotone_rank_valuation, rank_valuation_from_order
+from efxlab.valuations import RankValuation, random_monotone_rank_valuation, rank_valuation_from_order
 
 from conftest import numeric_order_valuation
 
@@ -240,10 +247,19 @@ def test_dispatch_path_seeds(m, seed):
 
 def test_rejects_wrong_arity_and_tiny_m():
     v = numeric_order_valuation(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(AgentCountOutOfRange):
         solve_three([v, v])
-    with pytest.raises(ValueError):
-        solve_three([v, v, random_monotone_rank_valuation(4, 0)])
+    tiny = RankValuation(2, (0, 1, 2, 3))
+    with pytest.raises(GoodCountOutOfRange, match="m=2"):
+        solve_three([tiny, tiny, tiny])
+
+
+def test_mixed_good_counts_are_an_arity_mismatch():
+    """The instance shape is read as `verify` and `add_dummy_goods` read it."""
+    v, w = numeric_order_valuation(3), random_monotone_rank_valuation(4, 0)
+    for vals in ([v, v, w], [w, v, v], [v, w, w]):
+        with pytest.raises(ArityMismatch, match=re.escape(str([x.m for x in vals]))):
+            solve_three(vals)
 
 
 # -- hand-built final-case states -------------------------------------------------

@@ -33,6 +33,7 @@ from efxlab.verification import (
     _scan_part,
     _scan_plan,
     _shares,
+    _summed,
     _walk,
     count_mms_violation_tuples,
     find_mms_violations,
@@ -151,24 +152,20 @@ def _full_scan(vals):
     ]
     agents = [(i, tables[i], removal[i], tuple(j for j in range(n) if j != i)) for i in range(n)]
     conditions = (n - 1) * m
-    total = efx_count = 0
     hist: dict[int, int] = {}
-    witness = witness_code = None
-    for code, bundles in coded_bundles(n, m):
+    witness = None
+    for _, bundles in coded_bundles(n, m):
         held = 0
         for i, table, rows, others in agents:
             own = table[bundles[i]]
             for j in others:
                 held += bisect_right(rows[bundles[j]], own)
         violations = conditions - held
-        total += 1
         hist[violations] = hist.get(violations, 0) + 1
-        if violations == 0:
-            efx_count += 1
-            if witness_code is None:
-                witness, witness_code = bundles, code
+        if violations == 0 and witness is None:
+            witness = bundles
     monotone = tuple(monotonicity_violation(table, m) is None for table in tables)
-    return VerifyReport(n, m, monotone, total, efx_count, hist, witness, witness_code)
+    return VerifyReport(n, m, monotone, hist, witness)
 
 
 def _instances_with_identical_agents():
@@ -191,7 +188,6 @@ def test_orbit_scan_matches_the_full_scan(monkeypatch, jobs):
         report = verify(vals, jobs=jobs)
         reference = _full_scan(vals)
         assert report.to_json() == reference.to_json()
-        assert report.first_witness_code == reference.first_witness_code
         assert report == reference
 
 
@@ -216,10 +212,7 @@ def test_witness_is_first_efx_allocation_in_code_order(monkeypatch, jobs):
 
 
 def _merged(parts, n, m):
-    report = VerifyReport(n, m, ())
-    for part in parts:
-        report = report.merge(VerifyReport(n, m, (), *part))
-    return report
+    return VerifyReport(n, m, (), *_summed(parts))
 
 
 def _orbit(bundles, classes, n):
@@ -254,7 +247,7 @@ def test_scan_shares_of_first_bundles_merge_to_the_full_scan():
         # allocation-by-allocation count.
         first = scan.order[0]
         share = set(shares[0] + shares[1])
-        total, efx_count, hist, witness, code = _scan_part(scan, share)
+        hist, best = _scan_part(scan, share)
         expected: dict[int, int] = {}
         efx_codes = []
         efx_weight = 0
@@ -269,8 +262,8 @@ def test_scan_shares_of_first_bundles_merge_to_the_full_scan():
                 efx_codes.append((c, bundles))
                 efx_weight += len(orbit)
         assert classes or efx_weight == len(efx_codes)
-        assert (total, efx_count, hist) == (sum(expected.values()), efx_weight, expected)
-        assert (code, witness) == (efx_codes[0] if efx_codes else (None, None))
+        assert (sum(hist.values()), hist.get(0, 0), hist) == (sum(expected.values()), efx_weight, expected)
+        assert best == (efx_codes[0] if efx_codes else None)
 
 
 class _RecordingPool:
@@ -378,7 +371,6 @@ def test_factored_scan_matches_the_full_scan(monkeypatch, jobs):
         reference = _full_scan(vals)
         assert reference.efx_count > 0
         assert report.to_json() == reference.to_json()
-        assert report.first_witness_code == reference.first_witness_code
         assert report == reference
     assert seen == {(1, False), (2, False), (1, True), (2, True)}
 
@@ -421,7 +413,7 @@ def _walk_shapes():
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 5000])
 def test_walk_matches_the_full_scan(monkeypatch, jobs):
-    """Whole reports, witness code included, against a scan of every code, for every share count."""
+    """Whole reports, witness included, against a scan of every code, for every share count."""
     monkeypatch.setattr(verification, "Pool", _RecordingPool)
     monkeypatch.setattr(verification, "usable_cpus", lambda: 5000)
     monkeypatch.setattr(_RecordingPool, "calls", [])
@@ -431,7 +423,6 @@ def test_walk_matches_the_full_scan(monkeypatch, jobs):
         report = verify(vals, jobs=jobs)
         reference = _full_scan(vals)
         assert report.to_json() == reference.to_json(), shape
-        assert report.first_witness_code == reference.first_witness_code, shape
         assert report == reference, shape
         efx_rich += reference.efx_count > reference.total_allocations // 10
     assert efx_rich >= 4
@@ -653,7 +644,7 @@ def _brute_force_report(vals):
         if count == 0 and witness is None:
             witness = allocation.bundles
     monotone = tuple(monotonicity_violation(table, m) is None for table in value_tables(vals))
-    return VerifyReport(n, m, monotone, sum(hist.values()), hist.get(0, 0), hist, witness)
+    return VerifyReport(n, m, monotone, hist, witness)
 
 
 def _random_instances(seed, count):
