@@ -172,7 +172,7 @@ def reduced_clause_count(opts: EncodeOptions) -> int | None:
     for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
         residue = []
         # The no-EFX literal of (agent, removed, own) says v(own) < v(removed).
-        for agent, removed, own in dict.fromkeys(efx_conditions(bundles)):
+        for agent, removed, own in dict.fromkeys(efx_conditions(bundles, m)):
             if fixed(agent, own, removed):
                 break
             if not fixed(agent, removed, own):

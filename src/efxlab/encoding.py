@@ -168,7 +168,7 @@ def leveled_clauses(m: int, k: int) -> Iterator[Clause]:
 
 def not_efx_clauses(m: int) -> Iterator[Clause]:
     for bundles in enumerate_bundle_tuples(NUM_AGENTS, m):
-        yield tuple(-var_id(i, removed, own, m) for i, removed, own in efx_conditions(bundles))
+        yield tuple(-var_id(i, removed, own, m) for i, removed, own in efx_conditions(bundles, m))
 
 
 def encode(opts: EncodeOptions) -> Iterator[Clause]:

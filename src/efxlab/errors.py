@@ -57,11 +57,11 @@ class OverlappingBundles(EfxLabError, ValueError):
     """Two bundles that must be disjoint share a good."""
 
 
-class ArityMismatch(EfxLabError):
+class ArityMismatch(EfxLabError, ValueError):
     """Number of valuations does not match the allocation's agent count."""
 
 
-class IndexOutOfRange(EfxLabError):
+class IndexOutOfRange(EfxLabError, ValueError):
     """Bundle or agent index outside the allocation."""
 
 

@@ -1,16 +1,15 @@
 """Fairness predicates: EFX, its per-bundle variants and the EEFX certificate.
 
-Each condition is written once.  `efx_conditions` defines EFX, v_i(X_j - g)
-<= v_i(X_i) for every agent i, other bundle X_j and good g in X_j; the CNF
-encoding's no-EFX clauses negate it, the SMT script renders those clauses
-(with the encoder's monotonicity and item-order units), and
-`violated_condition_count` counts its failures.  The allocation scan in
-`verification` counts the same failures from sorted per-agent tables of
-v_i(Y - g), one bisect per agent pair (see its `_scan_part` and `_walk`);
-tests hold its histogram to `violated_condition_count`.
-`strong_envy_witness` (a removal that still beats a value) and
-`transfer_witness` (the tEFX transfer test) back every other predicate here
-and the reallocation, transfer split and witness good of `three_agent`.
+The EFX condition is one rule, v_i(X_j - g) <= v_i(X_i) for every agent i,
+other bundle X_j and good g in X_j, read over one list of the removals
+X_j - g, ``bitset.cover_table(m)[1]``, in three forms.  Triples: those of
+`efx_conditions`, which the CNF encoding's no-EFX clauses negate, the SMT
+script renders and `violated_condition_count` (and so `is_efx`) counts
+when they fail.  Witness: the lowest g with v(X_j - g) above a value,
+`strong_envy_witness`; with `transfer_witness` (the tEFX transfer test) it
+backs every other predicate here and the reallocation, transfer split and
+witness good of `three_agent`.  Sorted table: `removal_table`, whose rows
+the allocation scan in `verification` bisects to count failures.
 
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate
@@ -24,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from typing import Protocol
 
 from .allocations import Allocation
-from .bitset import full_set, singleton_bits, submasks
+from .bitset import cover_table, full_set, goods, submasks
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
@@ -42,9 +41,9 @@ class Valuation(Protocol):
 
 def strong_envy_witness(v: Valuation, value: object, other: int) -> int:
     """The lowest good g of `other` with v(other - g) > value, else 0."""
-    for bit in singleton_bits(other):
-        if v.value(other ^ bit) > value:
-            return bit
+    for removed in cover_table(v.m)[1][other]:
+        if v.value(removed) > value:
+            return other ^ removed
     return 0
 
 
@@ -54,8 +53,9 @@ def transfer_witness(v: Valuation, own: int, other: int) -> int:
     Zero means that moving any single good of `other` to `own` leaves `own`
     at least as valuable as what remains of `other`.
     """
-    for bit in singleton_bits(other):
-        if v.value(own | bit) < v.value(other ^ bit):
+    for removed in cover_table(v.m)[1][other]:
+        bit = other ^ removed
+        if v.value(own | bit) < v.value(removed):
             return bit
     return 0
 
@@ -72,34 +72,30 @@ def _check_arity(allocation: Allocation, valuations: Sequence[Valuation]) -> Non
         raise ArityMismatch(f"{len(valuations)} valuations for {allocation.n} bundles")
     if any(v.m != allocation.m for v in valuations):
         raise ArityMismatch("valuations disagree with the allocation's good count")
+    held = [g for bundle in allocation.bundles for g in goods(bundle)]
+    if len(set(held)) != len(held):
+        raise OverlappingBundles(f"bundles {allocation.bundles} share goods")
 
 
-def is_efx(allocation: Allocation, valuations: Sequence[Valuation]) -> bool:
-    """No agent strongly envies any other agent's bundle."""
-    _check_arity(allocation, valuations)
-    for i, v in enumerate(valuations):
-        own = allocation.bundles[i]
-        for j, other in enumerate(allocation.bundles):
-            if i != j and strongly_envies(v, own, other):
-                return False
-    return True
-
-
-def efx_conditions(bundles: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """The EFX conditions of an allocation as (i, X_j - g, X_i) triples.
+def efx_conditions(bundles: Sequence[int], m: int) -> Iterator[tuple[int, int, int]]:
+    """The EFX conditions of an allocation of m goods as (i, X_j - g, X_i) triples.
 
     Each triple (i, removed, own) stands for v_i(removed) <= v_i(own).  They
     come in agent, then bundle, then ascending-good order, which fixes the
     literal order of the no-EFX clauses and the SMT conjuncts.
     """
+    below = cover_table(m)[1]
     for i, own in enumerate(bundles):
         for j, other in enumerate(bundles):
             if j != i:
-                rest = other
-                while rest:  # singleton_bits(other), inlined: this runs per literal
-                    bit = rest & -rest
-                    rest ^= bit
-                    yield i, other ^ bit, own
+                for removed in below[other]:
+                    yield i, removed, own
+
+
+def removal_table(table: Sequence[int], m: int) -> list[list[int]]:
+    """``removal[Y]``: the values v(Y - g) over the goods g in Y, sorted, so that
+    ``bisect_right(removal[X_j], v_i(X_i))`` counts the conditions of i and X_j that hold."""
+    return [sorted(map(table.__getitem__, removed)) for removed in cover_table(m)[1]]
 
 
 def violated_condition_count(allocation: Allocation, valuations: Sequence[Valuation]) -> int:
@@ -107,8 +103,13 @@ def violated_condition_count(allocation: Allocation, valuations: Sequence[Valuat
     _check_arity(allocation, valuations)
     return sum(
         valuations[i].value(removed) > valuations[i].value(own)
-        for i, removed, own in efx_conditions(allocation.bundles)
+        for i, removed, own in efx_conditions(allocation.bundles, allocation.m)
     )
+
+
+def is_efx(allocation: Allocation, valuations: Sequence[Valuation]) -> bool:
+    """No EFX condition is violated: no agent strongly envies another's bundle."""
+    return violated_condition_count(allocation, valuations) == 0
 
 
 def is_efx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:
@@ -142,10 +143,11 @@ def is_ef1_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> 
     if not 0 <= bundle_index < allocation.n:
         raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
     own_value = v.value(allocation.bundles[bundle_index])
+    below = cover_table(v.m)[1]
     for j, other in enumerate(allocation.bundles):
         if j == bundle_index or other == 0:
             continue
-        if all(own_value < v.value(other ^ bit) for bit in singleton_bits(other)):
+        if all(own_value < v.value(removed) for removed in below[other]):
             return False
     return True
 

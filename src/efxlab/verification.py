@@ -15,8 +15,8 @@ set of goods left and keeps them for every prefix that leaves the same
 goods: a cache local to the walk, of at most 3^m entries per list kept for
 m goods, one per pair of disjoint bundles.  The class order of
 identical agents is a restriction on the submasks, not a filter.  Violations
-are counted from value tables and sorted removal tables, built once per
-distinct valuation from the one neighbour table per m, `bitset.cover_table`.
+are counted from value tables and `fairness.removal_table`, built once per
+distinct valuation.
 The first agent's bundles can be dealt into shares of about equal work for
 parallel workers; the shares' histograms add up, and the lowest-coded of
 their witnesses is kept (`_summed`), so serial and parallel runs produce
@@ -38,7 +38,7 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence, Set
+from collections.abc import Callable, Sequence, Set
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress, permutations, product, repeat
@@ -46,9 +46,9 @@ from math import comb, factorial, prod
 from multiprocessing import Pool
 
 from .allocations import count_allocations
-from .bitset import cardinality, cover_table, goods, submasks
+from .bitset import cardinality, goods, submasks
 from .errors import JobCountOutOfRange
-from .fairness import Valuation
+from .fairness import Valuation, removal_table
 from .valuations import RankValuation, monotonicity_violation, shared_good_count
 
 
@@ -130,12 +130,6 @@ def null_goods(tables: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
     )
 
 
-def _removal_table(table: list[int], m: int) -> list[list[int]]:
-    """``removal[Y]``: the values v(Y - g) over the goods g in Y, sorted."""
-    _, below = cover_table(m)
-    return [sorted(map(table.__getitem__, subs)) for subs in below]
-
-
 def _envy_table(table: list[int], m: int, n: int, floor: int) -> list[list[int]]:
     """The removal table with v(Y) added K = (n-1)m + 1 times to each row.
 
@@ -148,7 +142,7 @@ def _envy_table(table: list[int], m: int, n: int, floor: int) -> list[list[int]]
     marks = (n - 1) * m + 1
     rows = [
         sorted(removed + [table[bundle]] * marks)
-        for bundle, removed in enumerate(_removal_table(table, m))
+        for bundle, removed in enumerate(removal_table(table, m))
     ]
     rows[0] += [floor] * (n * marks)
     rows[0].sort()
@@ -197,7 +191,7 @@ def _scan_plan(tables: list[list[int]], m: int, classes: list[tuple[int, ...]]) 
         floor = min(min(table) for table in tables) - 1
         removal = {i: _envy_table(tables[i], len(core), n, floor) for i in set(shared)}
     else:
-        removal = {i: _removal_table(tables[i], m) for i in set(shared)}
+        removal = {i: removal_table(tables[i], m) for i in set(shared)}
     in_class = [agent for members in classes for agent in members]
     order = (*in_class, *(agent for agent in range(n) if agent not in in_class))
     weight = prod(factorial(len(members)) for members in classes)
@@ -410,13 +404,11 @@ def _scan_part(scan: _Scan, firsts: Sequence[int]) -> tuple[dict[int, int], tupl
     """The histogram of violated conditions over the orbits whose first walked bundle is
     in `firsts`, and the lowest (owner code, bundles) of an EFX allocation there, or None.
 
-    A violated condition is a triple (i, j, g), j != i and g in X_j, with
-    v_i(X_j - g) > v_i(X_i), as in `fairness.efx_conditions`.  With the
-    sorted removal tables, bisect_right(removal_i[X_j], v_i(X_i)) counts
-    the goods of X_j whose condition holds for i, so one C-level bisect
-    replaces |X_j| comparisons.  The bundles partition the m goods, so the
-    pairs j != i of agent i cover m - |X_i| conditions and all pairs cover
-    (n - 1) * m; the violations are that total minus what `_walk` tallies.
+    The conditions are those of `fairness.efx_conditions`; one C-level
+    bisect into a row of `fairness.removal_table` counts those of an agent
+    pair that hold.  The bundles partition the m goods, so the pairs j != i
+    of agent i cover m - |X_i| conditions and all pairs cover (n - 1) * m;
+    the violations are that total minus what `_walk` tallies.
     Walked allocations with equal tallies count alike, so each tally key is
     read once (`_reader`), and `_hand_outs` counts the allocations it stands
     for, orbits and hand-outs of null goods included.  The witness is the
@@ -701,27 +693,24 @@ def _split_ranks(rank: Sequence[int], ground: int) -> list[tuple[int, int, int, 
     return splits
 
 
-def iter_mms_violations(v: RankValuation) -> Iterator[tuple[int, int, int, int]]:
-    """Canonical witnesses that v is not MMS-feasible.
+def find_mms_violations(v: RankValuation) -> list[tuple[int, int, int, int]]:
+    """The canonical witnesses that v is not MMS-feasible.
 
-    Yields (a, b, c, d) with a|b == c|d, a&b == 0 == c&d, and
+    Lists (a, b, c, d) with a|b == c|d, a&b == 0 == c&d, and
     min(v(a), v(b)) > max(v(c), v(d)); within each pair the smaller set
     number comes first, and each unordered pair of splits is visited once
     (ground sets ascending, splits by ascending first part).
     """
+    found = []
     for ground in range(1 << v.m):
         splits = _split_ranks(v.rank, ground)
         for i, (a, b, low_ab, high_ab) in enumerate(splits):
             for c, d, low_cd, high_cd in splits[i + 1 :]:
                 if low_ab > high_cd:
-                    yield (a, b, c, d)
+                    found.append((a, b, c, d))
                 elif low_cd > high_ab:
-                    yield (c, d, a, b)
-
-
-def find_mms_violations(v: RankValuation) -> list[tuple[int, int, int, int]]:
-    """All canonical MMS violations, in `iter_mms_violations` order."""
-    return list(iter_mms_violations(v))
+                    found.append((c, d, a, b))
+    return found
 
 
 def count_mms_violation_tuples(v: RankValuation) -> int:

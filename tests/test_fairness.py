@@ -1,21 +1,29 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from efxlab.allocations import Allocation, enumerate_allocations
-from efxlab.bitset import full_set
+from efxlab.bitset import full_set, singleton_bits
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import AgentCountOutOfRange, ArityMismatch, OverlappingBundles
 from efxlab.fairness import (
     eefx_certificate,
+    efx_conditions,
     is_ef1_feasible,
     is_efx,
     is_efx_feasible,
     is_tefx_feasible,
+    removal_table,
     strong_envy_witness,
     strongly_envies,
     transfer_witness,
     violated_condition_count,
 )
+from efxlab.submodular import add_dummy_goods
+from efxlab.three_agent import solve_three
 from efxlab.valuations import random_monotone_rank_valuation
+from efxlab.verification import verify
 
 from conftest import numeric_order_valuation
 
@@ -58,17 +66,83 @@ def test_singleton_allocation_is_efx_for_identical_agents():
 
 
 def test_violation_count_zero_iff_efx():
+    """Both agree with a reference kept here: no agent strongly envies another's bundle."""
     vals = [random_monotone_rank_valuation(4, 40 + j) for j in range(3)]
     for allocation in enumerate_allocations(3, 4):
         count = violated_condition_count(allocation, vals)
-        assert (count == 0) == is_efx(allocation, vals)
+        bundles = allocation.bundles
+        envy_free = not any(
+            strongly_envies(v, bundles[i], other)
+            for i, v in enumerate(vals)
+            for j, other in enumerate(bundles)
+            if i != j
+        )
+        assert (count == 0) == envy_free == is_efx(allocation, vals)
         assert 0 <= count <= 2 * 4
+
+
+def test_removal_tables_match_a_walk_over_single_goods():
+    """The removals Y - g of every form of the EFX condition are those of a walk over the
+    goods g of Y: the removed sets of `efx_conditions`, the witness of
+    `strong_envy_witness` and the sorted rows of `removal_table`; on rank tables, on
+    tables with ties, on the counterexample and with no goods at all."""
+    rng = random.Random(22)
+    tables = [(v.m, list(v.rank)) for v in load_bundled_counterexample()]
+    tables += [(m, list(random_monotone_rank_valuation(m, m).rank)) for m in range(3, 9)]
+    tables += [(m, [rng.randrange(5) for _ in range(1 << m)]) for m in range(9)]
+    for m, table in tables:
+        walk = [[bundle ^ bit for bit in singleton_bits(bundle)] for bundle in range(1 << m)]
+        assert removal_table(table, m) == [sorted(map(table.__getitem__, row)) for row in walk]
+        v = SimpleNamespace(m=m, value=table.__getitem__)
+        for bundle, row in enumerate(walk):
+            for value in {-1, *map(table.__getitem__, row)}:
+                beaten = [bundle ^ removed for removed in row if table[removed] > value]
+                assert strong_envy_witness(v, value, bundle) == min(beaten, default=0)
+        owners = [rng.randrange(3) for _ in range(m)]
+        bundles = tuple(sum(1 << g for g in range(m) if owners[g] == j) for j in range(3))
+        triples = [
+            (i, removed, own)
+            for i, own in enumerate(bundles)
+            for j, other in enumerate(bundles)
+            if j != i
+            for removed in walk[other]
+        ]
+        assert list(efx_conditions(bundles, m)) == triples, (m, bundles)
 
 
 def test_arity_mismatch_is_rejected():
     v = random_monotone_rank_valuation(3, 1)
     with pytest.raises(ArityMismatch):
         is_efx(Allocation(3, (1, 2, 4)), [v, v])
+
+
+@pytest.mark.parametrize("bundles", [(1, 6, 6), (1, 2, 3), (3, 4, 2), (7, 0, 7)])
+def test_overlapping_bundles_are_refused_wherever_they_overlap(bundles):
+    """However early an envy shows, an overlap anywhere in the allocation is refused."""
+    v = numeric_order_valuation(3)
+    for check in (is_efx, violated_condition_count):
+        with pytest.raises(OverlappingBundles):
+            check(Allocation(3, bundles), [v, v, v])
+
+
+R3, R4 = random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 1)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (verify, ([R3, R4],)),
+        (add_dummy_goods, ([R3, R4], 1)),
+        (solve_three, ([R3, R3, R4],)),
+        (is_efx, (Allocation(3, (1, 2, 4)), [R3, R3])),
+        (is_efx_feasible, (R3, 5, Allocation(3, (1, 2, 4)))),
+    ],
+    ids=["verify", "add_dummy_goods", "solve_three", "is_efx", "is_efx_feasible"],
+)
+def test_shape_errors_are_value_errors(call, args):
+    """Mixed good counts, too few valuations and an index out of range are bad arguments."""
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 def test_favorite_bundle_is_tefx_and_efx_feasible():

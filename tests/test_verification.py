@@ -14,7 +14,7 @@ from efxlab.allocations import (
     count_allocations,
     enumerate_allocations,
 )
-from efxlab.bitset import goods, singleton_bits, submasks
+from efxlab.bitset import goods, submasks
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import AgentCountOutOfRange, ArityMismatch, JobCountOutOfRange
 from efxlab.fairness import is_efx, violated_condition_count
@@ -38,7 +38,6 @@ from efxlab.verification import (
     count_mms_violation_tuples,
     find_mms_violations,
     identical_classes,
-    iter_mms_violations,
     marginal_values,
     null_goods,
     value_tables,
@@ -620,7 +619,7 @@ def test_mms_violation_totals():
 
 def test_mms_violations_respect_limit_and_shape():
     v0 = load_bundled_counterexample()[0]
-    quads = list(itertools.islice(iter_mms_violations(v0), 25))
+    quads = find_mms_violations(v0)[:25]
     assert len(quads) == 25
     for a, b, c, d in quads:
         assert a | b == c | d and a & b == 0 and c & d == 0
@@ -629,8 +628,8 @@ def test_mms_violations_respect_limit_and_shape():
 
 
 def test_numeric_orderable_valuation_has_no_mms_violations():
-    assert list(iter_mms_violations(numeric_order_valuation(3))) == []
-    assert list(iter_mms_violations(numeric_order_valuation(4))) == []
+    assert find_mms_violations(numeric_order_valuation(3)) == []
+    assert find_mms_violations(numeric_order_valuation(4)) == []
 
 
 def _brute_force_report(vals):
@@ -722,20 +721,6 @@ def test_column_tables_read_every_tally_as_divmod_does():
         read = verification._reader(scan)
         assert all(read(sums) == _reading_by_divmod(scan, sums) for sums in tally)
     assert len(instances) > 2
-
-
-def test_removal_tables_match_a_walk_over_single_goods():
-    """Each row is v(Y - g) over the goods g in Y, sorted: on rank tables, on tables with
-    ties, on the counterexample and with no goods at all."""
-    rng = random.Random(22)
-    tables = [(v.m, list(v.rank)) for v in load_bundled_counterexample()]
-    tables += [(m, list(random_monotone_rank_valuation(m, m).rank)) for m in range(3, 9)]
-    tables += [(m, [rng.randrange(5) for _ in range(1 << m)]) for m in range(9)]
-    for m, table in tables:
-        reference = [
-            sorted(table[bundle ^ bit] for bit in singleton_bits(bundle)) for bundle in range(1 << m)
-        ]
-        assert verification._removal_table(table, m) == reference, m
 
 
 def _mms_tuples_by_definition(rank, m):
