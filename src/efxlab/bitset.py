@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 
-from .errors import GoodCountOutOfRange
+from .errors import GoodCountOutOfRange, LevelOutOfRange
 
 MIN_GOODS = 3
 MAX_GOODS = 16
@@ -21,6 +21,12 @@ MAX_GOODS = 16
 def check_good_count(m: int) -> None:
     if not MIN_GOODS <= m <= MAX_GOODS:
         raise GoodCountOutOfRange(f"good count m={m} outside supported range [{MIN_GOODS}, {MAX_GOODS}]")
+
+
+def check_level(k: int, m: int) -> None:
+    """A level threshold k of m goods lies in 0 .. m + 1 (see `valuations.leveled`)."""
+    if not 0 <= k <= m + 1:
+        raise LevelOutOfRange(f"level threshold k={k} outside 0..{m + 1}")
 
 
 def full_set(m: int) -> int:

@@ -37,9 +37,9 @@ from math import comb
 from typing import IO
 
 from .allocations import count_allocations, enumerate_bundle_tuples
-from .bitset import cardinality, check_good_count, full_set, is_proper_subset, submasks
+from .bitset import cardinality, check_good_count, check_level, full_set, is_proper_subset, submasks
 from .dimacs import Clause, CnfFormula, stream_dimacs
-from .errors import GoodCountOutOfRange, LevelOutOfRange
+from .errors import GoodCountOutOfRange
 from .fairness import efx_conditions
 from . import reference
 
@@ -54,8 +54,8 @@ class EncodeOptions:
 
     def validate(self) -> None:
         check_good_count(self.m)
-        if self.level_k is not None and not 0 <= self.level_k <= self.m + 1:
-            raise LevelOutOfRange(f"level_k={self.level_k} outside 0..{self.m + 1}")
+        if self.level_k is not None:
+            check_level(self.level_k, self.m)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from typing import Protocol
 
 from .allocations import Allocation
-from .bitset import cover_table, full_set, goods, submasks
+from .bitset import cover_table, full_set, submasks
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
@@ -72,9 +72,19 @@ def _check_arity(allocation: Allocation, valuations: Sequence[Valuation]) -> Non
         raise ArityMismatch(f"{len(valuations)} valuations for {allocation.n} bundles")
     if any(v.m != allocation.m for v in valuations):
         raise ArityMismatch("valuations disagree with the allocation's good count")
-    held = [g for bundle in allocation.bundles for g in goods(bundle)]
-    if len(set(held)) != len(held):
-        raise OverlappingBundles(f"bundles {allocation.bundles} share goods")
+    union = 0
+    for bundle in allocation.bundles:
+        if union & bundle:
+            raise OverlappingBundles(f"bundles {allocation.bundles} share goods")
+        union |= bundle
+
+
+def _check_bundle(v: Valuation, bundle_index: int, allocation: Allocation) -> None:
+    """The per-bundle predicates' argument check: the index, then `_check_arity` with
+    `v` as every agent's valuation."""
+    if not 0 <= bundle_index < allocation.n:
+        raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
+    _check_arity(allocation, [v] * allocation.n)
 
 
 def efx_conditions(bundles: Sequence[int], m: int) -> Iterator[tuple[int, int, int]]:
@@ -114,8 +124,7 @@ def is_efx(allocation: Allocation, valuations: Sequence[Valuation]) -> bool:
 
 def is_efx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:
     """The indexed bundle beats every single-good removal of every bundle."""
-    if not 0 <= bundle_index < allocation.n:
-        raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
+    _check_bundle(v, bundle_index, allocation)
     own_value = v.value(allocation.bundles[bundle_index])
     return not any(strong_envy_witness(v, own_value, bundle) for bundle in allocation.bundles)
 
@@ -127,8 +136,7 @@ def is_tefx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) ->
     single good g from X_l to the owner flips the comparison:
     v(own + g) >= v(X_l - g).
     """
-    if not 0 <= bundle_index < allocation.n:
-        raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
+    _check_bundle(v, bundle_index, allocation)
     own = allocation.bundles[bundle_index]
     own_value = v.value(own)
     return not any(
@@ -140,8 +148,7 @@ def is_tefx_feasible(v: Valuation, bundle_index: int, allocation: Allocation) ->
 
 def is_ef1_feasible(v: Valuation, bundle_index: int, allocation: Allocation) -> bool:
     """Envy toward any bundle is curable by removing some single good."""
-    if not 0 <= bundle_index < allocation.n:
-        raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
+    _check_bundle(v, bundle_index, allocation)
     own_value = v.value(allocation.bundles[bundle_index])
     below = cover_table(v.m)[1]
     for j, other in enumerate(allocation.bundles):

@@ -4,11 +4,15 @@ or an EF1-and-EEFX allocation.
 The loop state is a partition (X0, X1, X2) satisfying: X0 and X1 beat every
 single-good removal of every bundle under agent 0's valuation (EFX-feasible
 for agent 0), sorted so v0(X0) < v0(X1), while X2 is the unique bundle that
-agents 1 and 2 both consider tEFX-feasible.  Each iteration either returns
-an allocation (whose tag is re-verified by the independent fairness
-predicates before being handed back) or produces a partition with strictly
-larger potential min(v0(X0), v0(X1)); the potential ranges over ranks, so
-the loop is bounded.
+agents 1 and 2 both consider tEFX-feasible.  Each iteration either exits
+with an allocation or produces a partition with strictly larger potential
+min(v0(X0), v0(X1)); the potential ranges over ranks, so the loop is bounded.
+
+Every step returns (tag, bundles): `TAG_TEFX` or `TAG_EF1_EEFX` exits with
+that allocation, None goes on from that partition.  Every exit passes one
+confirmation, `_confirmed`, which re-derives the tag with the independent
+fairness predicates, collects an EF1&EEFX result's certificates and builds
+the result.
 
 Inputs are restricted to rank valuations: every comparison below is strict,
 and degenerate ties would make the case analysis unsound.
@@ -20,11 +24,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .allocations import Allocation, count_allocations
-from .bitset import singleton_bits
+from .bitset import check_good_count, full_set, singleton_bits
 from . import fairness
 from .errors import (
     AgentCountOutOfRange,
-    GoodCountOutOfRange,
     InvariantBroken,
     NonTermination,
     PredicateFailsOnPool,
@@ -111,50 +114,20 @@ def transfer_split(v: RankValuation, first: int, third: int) -> tuple[int, int]:
     return first, third
 
 
-def _confirm_tefx(valuations: Sequence[RankValuation], bundles: tuple[int, int, int]) -> None:
-    """Re-derive a tEFX tag with the fairness predicates, independently of the loop."""
-    allocation = Allocation(valuations[0].m, bundles)
-    allocation.validate()
-    for agent, v in enumerate(valuations):
-        if not fairness.is_tefx_feasible(v, agent, allocation):
-            raise InvariantBroken(f"claimed tEFX fails for agent {agent}")
-
-
-def _confirm_ef1_eefx(
-    valuations: Sequence[RankValuation], bundles: tuple[int, int, int]
-) -> dict[int, tuple[int, ...]]:
-    """Re-derive an EF1&EEFX tag; returns each agent's EEFX certificate."""
-    m = valuations[0].m
-    allocation = Allocation(m, bundles)
-    allocation.validate()
-    certificates: dict[int, tuple[int, ...]] = {}
-    for agent, v in enumerate(valuations):
-        if not fairness.is_ef1_feasible(v, agent, allocation):
-            raise InvariantBroken(f"claimed EF1 fails for agent {agent}")
-        own = bundles[agent]
-        rest = ((1 << m) - 1) ^ own
-        certificate = fairness.eefx_certificate(v, own, rest, 3)
-        if certificate is None:
-            raise InvariantBroken(f"claimed EEFX fails for agent {agent}")
-        certificates[agent] = certificate
-    return certificates
-
-
 def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     """A tEFX or EF1-and-EEFX allocation for any three rank valuations.
 
-    The returned tag is confirmed by the independent fairness predicates
-    before the result is handed back; the certificates on an EF1&EEFX result
-    come from that confirmation (exhaustive search, one per agent).  Other
-    than three valuations raise `AgentCountOutOfRange`, mixed good counts
-    `ArityMismatch` (`shared_good_count`) and fewer than 3 goods
-    `GoodCountOutOfRange`.
+    The returned tag is confirmed by `_confirmed` before the result is handed
+    back; the certificates on an EF1&EEFX result come from that confirmation
+    (exhaustive search, one per agent).  Other than three valuations raise
+    `AgentCountOutOfRange`, mixed good counts `ArityMismatch`
+    (`shared_good_count`) and a good count outside the supported range
+    `GoodCountOutOfRange` (`check_good_count`).
     """
     if len(valuations) != 3:
         raise AgentCountOutOfRange("exactly three valuations required")
     m = shared_good_count(valuations)
-    if m < 3:
-        raise GoodCountOutOfRange(f"need m >= 3 goods, got m={m}")
+    check_good_count(m)
     v0 = valuations[0]
 
     round_robin = [0, 0, 0]
@@ -166,26 +139,42 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     potential: int | None = None
     for iteration in range(1, bound + 1):
         feasible = _feasible_sets(partition, valuations)
-        exit_bundles = _try_direct_tefx(partition, feasible)
-        if exit_bundles is not None:
-            _confirm_tefx(valuations, exit_bundles)
-            return TriSolveResult(m, exit_bundles, TAG_TEFX, iteration)
-
-        partition = _relabel(partition, feasible, v0)
-        new_potential = v0.rank[partition[0]]
-        if potential is not None and new_potential <= potential:
-            raise InvariantBroken("potential failed to increase")
-        potential = new_potential
-
-        outcome, payload = _dispatch(partition, valuations)
-        if outcome == "tefx":
-            _confirm_tefx(valuations, payload)
-            return TriSolveResult(m, payload, TAG_TEFX, iteration)
-        if outcome == "ef1_eefx":
-            certificates = _confirm_ef1_eefx(valuations, payload)
-            return TriSolveResult(m, payload, TAG_EF1_EEFX, iteration, certificates)
-        partition = payload
+        tag, bundles = _try_direct_tefx(partition, feasible)
+        if tag is None:
+            partition = _relabel(partition, feasible, v0)
+            new_potential = v0.rank[partition[0]]
+            if potential is not None and new_potential <= potential:
+                raise InvariantBroken("potential failed to increase")
+            potential = new_potential
+            tag, bundles = _dispatch(partition, valuations)
+        if tag is not None:
+            return _confirmed(valuations, tag, bundles, iteration)
+        partition = bundles
     raise NonTermination(f"no result within {bound} iterations")
+
+
+def _confirmed(
+    valuations: Sequence[RankValuation], tag: str, bundles: tuple[int, int, int], iteration: int
+) -> TriSolveResult:
+    """An exit's result, its tag re-derived with the fairness predicates independently of
+    the loop; an EF1&EEFX result carries each agent's EEFX certificate (exhaustive search)."""
+    m = valuations[0].m
+    allocation = Allocation(m, bundles)
+    allocation.validate()
+    certificates: dict[int, tuple[int, ...]] = {}
+    for agent, v in enumerate(valuations):
+        if tag == TAG_TEFX:
+            if not fairness.is_tefx_feasible(v, agent, allocation):
+                raise InvariantBroken(f"claimed tEFX fails for agent {agent}")
+            continue
+        if not fairness.is_ef1_feasible(v, agent, allocation):
+            raise InvariantBroken(f"claimed EF1 fails for agent {agent}")
+        own = bundles[agent]
+        certificate = fairness.eefx_certificate(v, own, full_set(m) ^ own, 3)
+        if certificate is None:
+            raise InvariantBroken(f"claimed EEFX fails for agent {agent}")
+        certificates[agent] = certificate
+    return TriSolveResult(m, bundles, tag, iteration, certificates or None)
 
 
 # -- loop internals -------------------------------------------------------------
@@ -203,12 +192,12 @@ def _feasible_sets(
 
 def _try_direct_tefx(
     partition: tuple[int, int, int], feasible: tuple[list[int], ...]
-) -> tuple[int, int, int] | None:
+) -> tuple[str | None, tuple[int, int, int]]:
     """Assign distinct acceptable bundles to agents 1 and 2 when possible.
 
-    Succeeds iff agents 1 and 2 can take different tEFX-feasible bundles
-    while the leftover is tEFX-feasible for agent 0; failure certifies that
-    both agents accept exactly one common bundle.
+    Exits iff agents 1 and 2 can take different tEFX-feasible bundles while
+    the leftover is tEFX-feasible for agent 0; going on certifies that both
+    agents accept exactly one common bundle.
     """
     tefx0, tefx1, tefx2 = feasible
     for b1 in tefx1:
@@ -217,8 +206,8 @@ def _try_direct_tefx(
                 continue
             leftover = 3 - b1 - b2
             if leftover in tefx0:
-                return (partition[leftover], partition[b1], partition[b2])
-    return None
+                return TAG_TEFX, (partition[leftover], partition[b1], partition[b2])
+    return None, partition
 
 
 def _relabel(
@@ -231,11 +220,7 @@ def _relabel(
     common = tefx1[0]
     rest = sorted((j for j in range(3) if j != common), key=lambda j: v0.rank[partition[j]])
     relabeled = (partition[rest[0]], partition[rest[1]], partition[common])
-    allocation = Allocation(v0.m, relabeled)
-    if not (
-        fairness.is_efx_feasible(v0, 0, allocation)
-        and fairness.is_efx_feasible(v0, 1, allocation)
-    ):
+    if not (_efx_feasible(v0, 0, relabeled) and _efx_feasible(v0, 1, relabeled)):
         raise InvariantBroken("first two bundles not EFX-feasible for agent 0")
     return relabeled
 
@@ -255,7 +240,7 @@ def _hand_out(
 
 def _dispatch(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
-) -> tuple[str, tuple[int, int, int]]:
+) -> tuple[str | None, tuple[int, int, int]]:
     v0, v1, v2 = valuations
     x0, x1, x2 = partition
 
@@ -268,7 +253,7 @@ def _dispatch(
     # Case 2: some non-zero agent prefers X0 over X1.
     for agent, v in ((1, v1), (2, v2)):
         if v.rank[x0] > v.rank[x1]:
-            return _hand_out("tefx", x1, agent, x0, x2)
+            return _hand_out(TAG_TEFX, x1, agent, x0, x2)
 
     # Case 3: a reduced X2 beats X1 for both non-zero agents.  Agent 1 splits;
     # agent 0 takes X1 if it can, and agent 2 its favorite side.
@@ -277,7 +262,7 @@ def _dispatch(
             rebuilt = _split_sides(partition, v1, bit)
             if _efx_feasible(v0, 1, rebuilt):
                 favored = max((0, 2), key=lambda j: v2.rank[rebuilt[j]])
-                return _hand_out("tefx", x1, 2, rebuilt[favored], rebuilt[2 - favored])
+                return _hand_out(TAG_TEFX, x1, 2, rebuilt[favored], rebuilt[2 - favored])
             return _repair_middle(rebuilt, v0)
 
     return _remaining_case(partition, valuations)
@@ -285,14 +270,14 @@ def _dispatch(
 
 def _case_shift(
     partition: tuple[int, int, int], v0: RankValuation, bit: int
-) -> tuple[str, tuple[int, int, int]]:
+) -> tuple[None, tuple[int, int, int]]:
     """Case 1: move the witnessing good from X2 into X0 and repair."""
     x0, x1, x2 = partition
     shifted = (x0 | bit, x1, x2 ^ bit)
     if _efx_feasible(v0, 1, shifted):
         if not _efx_feasible(v0, 0, shifted):
             raise InvariantBroken("grown first bundle lost EFX-feasibility for agent 0")
-        return "continue", shifted
+        return None, shifted
     # X1's violation can only come from the grown bundle, so the threshold
     # subset below exists.
     minimal = minimal_satisfying_subset(
@@ -300,8 +285,8 @@ def _case_shift(
     )
     repaired = (minimal, x1, (x2 ^ bit) | ((x0 | bit) ^ minimal))
     if _efx_feasible(v0, 0, repaired) and _efx_feasible(v0, 1, repaired):
-        return "continue", repaired
-    return "continue", equalize_for_valuation(repaired, v0)
+        return None, repaired
+    return None, equalize_for_valuation(repaired, v0)
 
 
 def _split_sides(
@@ -319,7 +304,7 @@ def _split_sides(
 
 def _repair_middle(
     rebuilt: tuple[int, int, int], v0: RankValuation
-) -> tuple[str, tuple[int, int, int]]:
+) -> tuple[None, tuple[int, int, int]]:
     """X1 = rebuilt[1] is not EFX-feasible for agent 0: regroup around X1.
 
     Agent 0 strongly envies a side part Z.  The next partition is X1, the
@@ -336,13 +321,13 @@ def _repair_middle(
     if _efx_feasible(v0, 0, candidate):
         if not _efx_feasible(v0, 1, candidate):
             raise InvariantBroken("minimal subset lost EFX-feasibility for agent 0")
-        return "continue", candidate
-    return "continue", equalize_for_valuation(candidate, v0)
+        return None, candidate
+    return None, equalize_for_valuation(candidate, v0)
 
 
 def _remaining_case(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
-) -> tuple[str, tuple[int, int, int]]:
+) -> tuple[str | None, tuple[int, int, int]]:
     v0 = valuations[0]
     x0, x1, x2 = partition
     m = v0.m
@@ -355,9 +340,9 @@ def _remaining_case(
     other = 3 - keeper
     v_keep, v_other = valuations[keeper], valuations[other]
 
-    rest = ((1 << m) - 1) ^ x1
+    rest = full_set(m) ^ x1
     if fairness.eefx_certificate(v_keep, x1, rest, 3) is not None:
-        return _hand_out("ef1_eefx", x0, keeper, x1, x2)
+        return _hand_out(TAG_EF1_EEFX, x0, keeper, x1, x2)
 
     # X1 is neither tEFX- nor EEFX-feasible for the keeper, so a good in X2
     # witnesses the transfer failure.
@@ -373,7 +358,7 @@ def _remaining_case(
     favorite = max(range(3), key=lambda j: v_other.rank[rebuilt[j]])
     if favorite == 1:
         # `rebuilt` certifies X1 is EEFX-feasible for the other agent.
-        return _hand_out("ef1_eefx", x0, keeper, x2, x1)
+        return _hand_out(TAG_EF1_EEFX, x0, keeper, x2, x1)
     if _efx_feasible(v0, 1, rebuilt):
-        return _hand_out("tefx", x1, other, rebuilt[favorite], rebuilt[2 - favorite])
+        return _hand_out(TAG_TEFX, x1, other, rebuilt[favorite], rebuilt[2 - favorite])
     return _repair_middle(rebuilt, v0)

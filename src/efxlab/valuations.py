@@ -18,12 +18,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import cardinality, check_good_count, cover_table
+from .bitset import cardinality, check_good_count, check_level, cover_table
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
     InvalidValues,
-    LevelOutOfRange,
     MonotonicityViolated,
     NotAPermutation,
 )
@@ -173,8 +172,7 @@ def leveled(v: RankValuation, k: int) -> RankValuation:
     that level is k = m - 2.  Any k >= 2 keeps the singletons' order, so a
     valuation that meets item order still meets it leveled.
     """
-    if not 0 <= k <= v.m + 1:
-        raise LevelOutOfRange(f"level threshold k={k} outside 0..{v.m + 1}")
+    check_level(k, v.m)
     low = [mask for mask in v.order() if cardinality(mask) < k]
     high = sorted(
         (mask for mask in range(1 << v.m) if cardinality(mask) >= k),

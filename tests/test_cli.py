@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import efxlab
-from efxlab import acceptance, verification
+from efxlab import acceptance, cli, verification
 from efxlab.cli import build_parser, main
 from efxlab.decoding import (
     dump_dyadic,
@@ -25,7 +25,10 @@ from efxlab.dimacs import assignment_from_ranks, parse_dimacs, parse_model, writ
 from efxlab.encoding import EncodeOptions, encode_formula, var_id
 from efxlab.simplify import preprocess
 from efxlab.smtlib import emit_smtlib
+from efxlab.three_agent import _confirmed, _dispatch
 from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
+
+from test_three_agent import final_case_state_with_certificate
 
 THREE_GOODS = random_monotone_rank_valuation(3, 8)
 
@@ -303,6 +306,45 @@ def test_solve3_text_lists_each_bundle_and_its_goods(counterexample_file, capsys
     )
 
 
+@pytest.fixture()
+def ef1_eefx_result(tmp_path, monkeypatch):
+    """A valuation file whose solve3 run returns the confirmed EF1&EEFX exit of a final-case state.
+
+    Every instance `solve_three` meets in the tests exits tEFX, so the exit is
+    taken from `_dispatch` on the hand-built state and put in its place.
+    """
+    partition, vals = final_case_state_with_certificate()
+    result = _confirmed(vals, *_dispatch(partition, vals), 1)
+    monkeypatch.setattr(cli.three_agent, "solve_three", lambda valuations: result)
+    path = tmp_path / "final_case.txt"
+    path.write_text(dump_rank_blocks(vals))
+    return path
+
+
+def test_solve3_text_lists_each_ef1_eefx_certificate(ef1_eefx_result, capsys):
+    assert main(["solve3", "--vals", str(ef1_eefx_result)]) == 0
+    assert capsys.readouterr().out == (
+        "tag: EF1&EEFX\n"
+        "agent 0: bundle 1 (goods [0])\n"
+        "agent 1: bundle 6 (goods [1, 2])\n"
+        "agent 2: bundle 24 (goods [3, 4])\n"
+        "iterations: 1\n"
+        "certificate agent 0: parts [1, 6, 24]\n"
+        "certificate agent 1: parts [6, 9, 16]\n"
+        "certificate agent 2: parts [24, 0, 7]\n"
+    )
+
+
+def test_solve3_json_keys_ef1_eefx_certificates_by_agent(ef1_eefx_result, capsys):
+    assert main(["solve3", "--vals", str(ef1_eefx_result), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "tag": "EF1&EEFX",
+        "bundles": [1, 6, 24],
+        "iterations": 1,
+        "certificates": {"0": [1, 6, 24], "1": [6, 9, 16], "2": [24, 0, 7]},
+    }
+
+
 def test_smt_subcommand(tmp_path, capsys):
     out = tmp_path / "efx4.smt2"
     assert main(["smt", "-m", "4", "-o", str(out), "--json"]) == 0
@@ -510,6 +552,13 @@ def test_rank_file_with_a_short_first_line_exits_one_naming_it(tmp_path, capsys)
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--vals", str(path)]) == 1
     assert capsys.readouterr().err == "error: line 1: need 3 fields, got 2\n"
+
+
+def test_encode_with_a_level_out_of_range_exits_one_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "out.cnf"
+    assert main(["encode", "-m", "4", "-k", "6", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == "error: level threshold k=6 outside 0..5\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_errors_exit_two(tmp_path, capsys):

@@ -125,7 +125,19 @@ def test_overlapping_bundles_are_refused_wherever_they_overlap(bundles):
             check(Allocation(3, bundles), [v, v, v])
 
 
-R3, R4 = random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 1)
+@pytest.mark.parametrize("predicate", [is_efx_feasible, is_tefx_feasible, is_ef1_feasible])
+@pytest.mark.parametrize(
+    "allocation, error",
+    [(Allocation(4, (1, 2, 12)), ArityMismatch), (Allocation(3, (1, 3, 6)), OverlappingBundles)],
+    ids=["four-goods", "overlap"],
+)
+def test_per_bundle_predicates_check_their_allocation(predicate, allocation, error):
+    """A valuation over other goods than the allocation's, or overlapping bundles, is refused."""
+    with pytest.raises(error):
+        predicate(numeric_order_valuation(3), 0, allocation)
+
+
+R3, R4 =random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 1)
 
 
 @pytest.mark.parametrize(

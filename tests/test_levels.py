@@ -13,6 +13,7 @@ from efxlab.cdcl import SolveStatus, solve
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.dimacs import assignment_from_ranks
 from efxlab.encoding import EncodeOptions, encode, encode_formula, var_id
+from efxlab.errors import LevelOutOfRange
 from efxlab.simplify import preprocess
 from efxlab.valuations import leveled, random_monotone_rank_valuation
 from efxlab.verification import verify
@@ -20,6 +21,23 @@ from efxlab.verification import verify
 
 def seeded_instance(n: int, m: int, j: int):
     return [random_monotone_rank_valuation(m, 100 * n + 10 * m + j + 7 * a) for a in range(n)]
+
+
+@pytest.mark.parametrize("k", [-1, 6, 9])
+def test_levels_outside_zero_to_m_plus_one_are_refused_alike(k):
+    """Leveling a valuation and encoding with a level read the one range check."""
+    message = f"level threshold k={k} outside 0..5"
+    with pytest.raises(LevelOutOfRange, match=message):
+        leveled(random_monotone_rank_valuation(4, 0), k)
+    with pytest.raises(LevelOutOfRange, match=message):
+        EncodeOptions(4, k).validate()
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_levels_zero_and_m_plus_one_are_accepted(k):
+    v = random_monotone_rank_valuation(4, 0)
+    assert leveled(v, k).m == 4
+    EncodeOptions(4, k).validate()
 
 
 @pytest.mark.parametrize("n,m", [(3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 7)])

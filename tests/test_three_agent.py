@@ -28,7 +28,7 @@ from efxlab.errors import (
 from efxlab.three_agent import (
     TAG_EF1_EEFX,
     TAG_TEFX,
-    _confirm_ef1_eefx,
+    _confirmed,
     _dispatch,
     _repair_middle,
     equalize_for_valuation,
@@ -172,7 +172,7 @@ def test_repair_tail_regroups_around_the_middle_bundle():
             if fairness.is_efx_feasible(v0, 1, Allocation(5, rebuilt)):
                 continue
             tag, out = _repair_middle(rebuilt, v0)
-            assert tag == "continue"
+            assert tag is None
             assert Allocation(5, out).validate() is None
             assert all(fairness.is_efx_feasible(v0, j, Allocation(5, out)) for j in (0, 1))
             if out[0] == rebuilt[1]:
@@ -254,6 +254,13 @@ def test_rejects_wrong_arity_and_tiny_m():
         solve_three([tiny, tiny, tiny])
 
 
+def test_more_goods_than_supported_are_refused():
+    """m=17 is refused before any value table is read, as every other entry point refuses it."""
+    big = RankValuation(17, ())
+    with pytest.raises(GoodCountOutOfRange, match="m=17"):
+        solve_three([big, big, big])
+
+
 def test_mixed_good_counts_are_an_arity_mismatch():
     """The instance shape is read as `verify` and `add_dummy_goods` read it."""
     v, w = numeric_order_valuation(3), random_monotone_rank_valuation(4, 0)
@@ -327,11 +334,12 @@ def assert_final_case_preconditions(partition, vals):
 def test_final_case_direct_certificate_exit():
     partition, vals = final_case_state_with_certificate()
     assert_final_case_preconditions(partition, vals)
-    outcome, payload = _dispatch(partition, vals)
-    assert outcome == "ef1_eefx"
+    tag, payload = _dispatch(partition, vals)
+    assert tag == TAG_EF1_EEFX
     assert payload == partition  # agent 1 keeps the middle bundle
-    certificates = _confirm_ef1_eefx(vals, payload)
-    assert set(certificates) == {0, 1, 2}
+    result = _confirmed(vals, tag, payload, 1)
+    assert (result.tag, result.bundles) == (TAG_EF1_EEFX, payload)
+    assert set(result.certificates) == {0, 1, 2}
 
 
 def test_final_case_witnessed_transfer_exit():
@@ -340,11 +348,11 @@ def test_final_case_witnessed_transfer_exit():
     x1 = partition[1]
     full = (1 << vals[0].m) - 1
     assert fairness.eefx_certificate(vals[1], x1, full ^ x1, 3) is None
-    outcome, payload = _dispatch(partition, vals)
-    assert outcome == "ef1_eefx"
+    tag, payload = _dispatch(partition, vals)
+    assert tag == TAG_EF1_EEFX
     # agent 1 takes the common bundle, agent 2 the middle one
     assert payload == (partition[0], partition[2], partition[1])
-    _confirm_ef1_eefx(vals, payload)
+    _confirmed(vals, tag, payload, 1)
 
 
 def test_final_case_states_solve_end_to_end():
