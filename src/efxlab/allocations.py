@@ -21,7 +21,8 @@ from .errors import AgentCountOutOfRange, BadPartitionInput, OverlappingBundles
 
 @dataclass(frozen=True)
 class Allocation:
-    """Ordered partition of the m goods into n pairwise-disjoint bundles."""
+    """Ordered partition of the m goods into n disjoint bundles, checked when made: a
+    shared good raises `OverlappingBundles`, any union but the m goods `BadPartitionInput`."""
 
     m: int
     bundles: tuple[int, ...]
@@ -30,14 +31,14 @@ class Allocation:
     def n(self) -> int:
         return len(self.bundles)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         union = 0
         for bundle in self.bundles:
             if union & bundle:
-                raise OverlappingBundles("bundles overlap")
+                raise OverlappingBundles(f"bundles {self.bundles} share goods")
             union |= bundle
         if union != full_set(self.m):
-            raise BadPartitionInput("bundles do not cover all goods")
+            raise BadPartitionInput(f"bundles {self.bundles} do not partition the {self.m} goods")
 
 
 def _check_agent_count(n: int, m: int) -> None:

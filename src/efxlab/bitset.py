@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 
-from .errors import GoodCountOutOfRange, LevelOutOfRange
+from .errors import BadPartitionInput, GoodCountOutOfRange, LevelOutOfRange
 
 MIN_GOODS = 3
 MAX_GOODS = 16
@@ -27,6 +27,12 @@ def check_level(k: int, m: int) -> None:
     """A level threshold k of m goods lies in 0 .. m + 1 (see `valuations.leveled`)."""
     if not 0 <= k <= m + 1:
         raise LevelOutOfRange(f"level threshold k={k} outside 0..{m + 1}")
+
+
+def check_goods(mask: int, m: int) -> None:
+    """A set of goods, or a union of sets, holds only goods among the m goods."""
+    if not 0 <= mask <= full_set(m):
+        raise BadPartitionInput(f"set {mask} holds goods outside the {m} goods")
 
 
 def full_set(m: int) -> int:

@@ -66,7 +66,7 @@ class IndexOutOfRange(EfxLabError, ValueError):
 
 
 class BadPartitionInput(EfxLabError, ValueError):
-    """Bundles (an allocation's, or a bundle/rest pair) do not cover the full good set."""
+    """Goods outside the m goods, or bundles that miss one (an allocation, a bundle/rest pair)."""
 
 
 # -- input text ---------------------------------------------------------------

@@ -11,6 +11,8 @@ backs every other predicate here and the reallocation, transfer split and
 witness good of `three_agent`.  Sorted table: `removal_table`, whose rows
 the allocation scan in `verification` bisects to count failures.
 
+An `Allocation` is a partition checked when made, so predicates check only that
+the valuations fit it; `strongly_envies` checks its sets (`bitset.check_goods`).
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate
 valuations are handled by the strictness of the inequalities themselves
@@ -23,7 +25,7 @@ from collections.abc import Iterator, Sequence
 from typing import Protocol
 
 from .allocations import Allocation
-from .bitset import cover_table, full_set, submasks
+from .bitset import check_goods, cover_table, full_set, submasks
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
@@ -62,29 +64,18 @@ def transfer_witness(v: Valuation, own: int, other: int) -> int:
 
 def strongly_envies(v: Valuation, own: int, other: int) -> bool:
     """True iff some single-good removal from `other` still beats `own`."""
+    check_goods(own | other, v.m)
     if own & other:
         raise OverlappingBundles(f"bundles {own} and {other} share goods")
     return bool(strong_envy_witness(v, v.value(own), other))
 
 
-def _check_arity(allocation: Allocation, valuations: Sequence[Valuation]) -> None:
-    if len(valuations) != allocation.n:
-        raise ArityMismatch(f"{len(valuations)} valuations for {allocation.n} bundles")
-    if any(v.m != allocation.m for v in valuations):
-        raise ArityMismatch("valuations disagree with the allocation's good count")
-    union = 0
-    for bundle in allocation.bundles:
-        if union & bundle:
-            raise OverlappingBundles(f"bundles {allocation.bundles} share goods")
-        union |= bundle
-
-
 def _check_bundle(v: Valuation, bundle_index: int, allocation: Allocation) -> None:
-    """The per-bundle predicates' argument check: the index, then `_check_arity` with
-    `v` as every agent's valuation."""
+    """The per-bundle predicates' argument check: the index, then `v`'s good count."""
     if not 0 <= bundle_index < allocation.n:
         raise IndexOutOfRange(f"bundle index {bundle_index} out of range")
-    _check_arity(allocation, [v] * allocation.n)
+    if v.m != allocation.m:
+        raise ArityMismatch(f"a valuation of {v.m} goods for an allocation of {allocation.m}")
 
 
 def efx_conditions(bundles: Sequence[int], m: int) -> Iterator[tuple[int, int, int]]:
@@ -110,7 +101,10 @@ def removal_table(table: Sequence[int], m: int) -> list[list[int]]:
 
 def violated_condition_count(allocation: Allocation, valuations: Sequence[Valuation]) -> int:
     """Number of violated EFX conditions (see `efx_conditions`), in 0 .. m*(n-1)."""
-    _check_arity(allocation, valuations)
+    if len(valuations) != allocation.n:
+        raise ArityMismatch(f"{len(valuations)} valuations for {allocation.n} bundles")
+    if any(v.m != allocation.m for v in valuations):
+        raise ArityMismatch("valuations disagree with the allocation's good count")
     return sum(
         valuations[i].value(removed) > valuations[i].value(own)
         for i, removed, own in efx_conditions(allocation.bundles, allocation.m)

@@ -8,7 +8,8 @@ them; two published figures are arithmetically inconsistent with the stated
 formulas and are annotated as such.
 
 `CLAUSE_ROWS` and `PUBLISHED_VARIABLE_COUNTS` are the one table of these
-figures: the stats notes and acceptance criteria 2 and 3 all read them.
+figures, and `variable_count_disagrees` and `clause_total_verdict` the one
+judgement of a count: the stats notes and acceptance criteria 2 and 3 read it.
 
 The m=8 row was published under k=8 and is counted at k=6, the level that
 reproduces it.  The k=6 formula reduces to exactly the published
@@ -33,8 +34,8 @@ class ClauseRow:
     `level_k` is the level the row was published under, and `counted_k` the
     level that reproduces it where that differs.  `generated` is set where
     the published total is inconsistent with the clause structure: the row
-    then asks for that exact total and for the inconsistency to be flagged
-    in the stats notes.
+    then asks for that exact total and for `clause_total_verdict`
+    "inconsistent", which the stats notes flag.
     """
 
     m: int
@@ -61,43 +62,48 @@ CLAUSE_ROWS = (
 # (m, level_k, item_order) as counted -> the published row it reproduces.
 _ROW_COUNTED_AS = {(row.m, row.counted_level, row.item_order): row for row in CLAUSE_ROWS}
 
-# m -> published variable count.
-PUBLISHED_VARIABLE_COUNTS: dict[int, int] = {
-    6: 6_084,
-    7: 24_384,
-    8: 97_920,
-}
+PUBLISHED_VARIABLE_COUNTS: dict[int, int] = {6: 6_084, 7: 24_384, 8: 97_920}
 
 # Tolerance for calling a generated-clause total a match.
 CLAUSE_TOTAL_TOLERANCE = 0.0002
 
 
+def variable_count_disagrees(m: int, computed: int) -> bool:
+    return PUBLISHED_VARIABLE_COUNTS.get(m, computed) != computed
+
+
 def variable_count_notes(m: int, computed: int) -> list[str]:
-    published = PUBLISHED_VARIABLE_COUNTS.get(m)
-    if published is None or published == computed:
+    if not variable_count_disagrees(m, computed):
         return []
     return [
         f"variable count {computed} = 3*P*(P-1)/2 with P=2^{m} disagrees with the "
-        f"previously reported {published}; the formula value is used"
+        f"previously reported {PUBLISHED_VARIABLE_COUNTS[m]}; the formula value is used"
     ]
+
+
+def clause_total_verdict(row: ClauseRow, counts: dict[str, int]) -> str:
+    """The verdict on `row`: "match", "within" or "OUTSIDE" the tolerance, or "inconsistent"."""
+    total = sum(counts.values())
+    if total == row.total:
+        return "match"
+    if (row.total - counts["item_order"]) % 3:
+        return "inconsistent"
+    return "within" if abs(total - row.total) / row.total <= CLAUSE_TOTAL_TOLERANCE else "OUTSIDE"
 
 
 def clause_total_notes(
     m: int, level_k: int | None, item_order: bool, counts: dict[str, int]
 ) -> list[str]:
-    if level_k is None:
-        return []
     row = _ROW_COUNTED_AS.get((m, level_k, item_order))
     if row is None:
         return []
-    published = row.total
-    total = sum(counts.values())
-    if total == published:
+    verdict = clause_total_verdict(row, counts)
+    published, total = row.total, sum(counts.values())
+    if verdict == "match":
         return [f"generated-clause total matches the previously reported {published}"]
     delta = total - published
-    rel = abs(delta) / published
     families = ", ".join(f"{name}={counts[name]}" for name in sorted(counts))
-    if (published - counts["item_order"]) % 3:
+    if verdict == "inconsistent":
         ours, theirs = str(total), str(published)
         one_digit = len(ours) == len(theirs) and sum(a != b for a, b in zip(ours, theirs)) == 1
         return [
@@ -109,9 +115,8 @@ def clause_total_notes(
             + (", in one digit" if one_digit else "")
             + f"; per-family counts: {families}"
         ]
-    verdict = "within" if rel <= CLAUSE_TOTAL_TOLERANCE else "OUTSIDE"
     return [
         f"generated-clause total {total} differs from the previously reported "
-        f"{published} by {delta:+d} ({rel:.4%}, {verdict} the {CLAUSE_TOTAL_TOLERANCE:.2%} "
-        f"tolerance); per-family counts: {families}"
+        f"{published} by {delta:+d} ({abs(delta) / published:.4%}, {verdict} the "
+        f"{CLAUSE_TOTAL_TOLERANCE:.2%} tolerance); per-family counts: {families}"
     ]

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .allocations import Allocation, count_allocations
-from .bitset import check_good_count, full_set, singleton_bits
+from .bitset import check_good_count, check_goods, full_set, singleton_bits
 from . import fairness
 from .errors import (
     AgentCountOutOfRange,
@@ -60,9 +60,9 @@ def equalize_for_valuation(partition: Sequence[int], v: RankValuation) -> tuple[
     lexicographically with every move, so this terminates; the result makes
     every bundle EFX-feasible for an agent holding `v`, and the minimum
     bundle value never decreases (strictly increases unless the input was
-    already that way).
+    already that way).  The partition is checked as an `Allocation`.
     """
-    bundles = list(partition)
+    bundles = list(Allocation(v.m, tuple(partition)).bundles)
     n = len(bundles)
     guard = n ** v.m + 1
     for _ in range(guard):
@@ -104,6 +104,7 @@ def transfer_split(v: RankValuation, first: int, third: int) -> tuple[int, int]:
     further move preserves it, which is exactly the condition making both
     parts tEFX-feasible against each other for an agent holding `v`.
     """
+    check_goods(first | third, v.m)
     if first & third:
         raise SetupViolated("bundles overlap")
     if v.rank[first] <= v.rank[third]:
@@ -160,7 +161,6 @@ def _confirmed(
     the loop; an EF1&EEFX result carries each agent's EEFX certificate (exhaustive search)."""
     m = valuations[0].m
     allocation = Allocation(m, bundles)
-    allocation.validate()
     certificates: dict[int, tuple[int, ...]] = {}
     for agent, v in enumerate(valuations):
         if tag == TAG_TEFX:

@@ -180,7 +180,3 @@ def leveled(v: RankValuation, k: int) -> RankValuation:
     )
     return rank_valuation_from_order(v.m, low + high)
 
-
-def as_real(v: RankValuation) -> RealValuation:
-    """Rank valuation reinterpreted as integer values (rank = value)."""
-    return RealValuation(v.m, tuple(v.rank))

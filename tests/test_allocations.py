@@ -40,14 +40,14 @@ def test_three_goods_yields_all_singleton_assignments():
     allocations = list(enumerate_allocations(3, 3))
     assert len(allocations) == 6
     for allocation in allocations:
-        allocation.validate()
+        Allocation(3, allocation.bundles)
         assert sorted(allocation.bundles) == [1, 2, 4]
 
 
 def test_yields_are_valid_and_unique():
     seen = set()
     for allocation in enumerate_allocations(3, 5):
-        allocation.validate()
+        Allocation(5, allocation.bundles)
         assert all(allocation.bundles)
         assert allocation.bundles not in seen
         seen.add(allocation.bundles)
@@ -75,14 +75,18 @@ def test_coded_bundles_match_digit_by_digit_decode(n):
 
 def test_allocation_validate_rejects_bad_partitions():
     with pytest.raises(ValueError):
-        Allocation(3, (0b011, 0b110, 0b000)).validate()  # overlap
+        Allocation(3, (0b011, 0b110, 0b000))  # overlap
     with pytest.raises(ValueError):
-        Allocation(3, (0b001, 0b010, 0b000)).validate()  # incomplete
+        Allocation(3, (0b001, 0b010, 0b000))  # incomplete
 
 
 def test_allocation_validate_names_the_fault():
     with pytest.raises(OverlappingBundles):
-        Allocation(3, (0b011, 0b110, 0b000)).validate()
+        Allocation(3, (0b011, 0b110, 0b000))
     with pytest.raises(BadPartitionInput):
-        Allocation(3, (0b001, 0b010, 0b000)).validate()
-    Allocation(3, (0b001, 0b110, 0b000)).validate()
+        Allocation(3, (0b001, 0b010, 0b000))
+    with pytest.raises(BadPartitionInput):
+        Allocation(3, (0b001, 0b010, 0b1100))  # a good at m
+    with pytest.raises(BadPartitionInput):
+        Allocation(3, (0b001, 0b010, -4))  # a negative bundle
+    Allocation(3, (0b001, 0b110, 0b000))

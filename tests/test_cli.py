@@ -26,8 +26,9 @@ from efxlab.encoding import EncodeOptions, encode_formula, var_id
 from efxlab.simplify import preprocess
 from efxlab.smtlib import emit_smtlib
 from efxlab.three_agent import _confirmed, _dispatch
-from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
+from efxlab.valuations import RealValuation, random_monotone_rank_valuation
 
+from conftest import as_real
 from test_three_agent import final_case_state_with_certificate
 
 THREE_GOODS = random_monotone_rank_valuation(3, 8)

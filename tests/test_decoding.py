@@ -26,7 +26,9 @@ from efxlab.errors import (
     RankNotIncreasing,
 )
 from efxlab.submodular import submodular_realize
-from efxlab.valuations import RankValuation, as_real, random_monotone_rank_valuation
+from efxlab.valuations import RankValuation, random_monotone_rank_valuation
+
+from conftest import as_real
 
 
 def numeric_assignment(m: int) -> Assignment:

@@ -6,7 +6,13 @@ import pytest
 from efxlab.allocations import Allocation, enumerate_allocations
 from efxlab.bitset import full_set, singleton_bits
 from efxlab.decoding import load_bundled_counterexample
-from efxlab.errors import AgentCountOutOfRange, ArityMismatch, OverlappingBundles
+from efxlab.errors import (
+    AgentCountOutOfRange,
+    ArityMismatch,
+    BadPartitionInput,
+    EfxLabError,
+    OverlappingBundles,
+)
 from efxlab.fairness import (
     eefx_certificate,
     efx_conditions,
@@ -21,7 +27,7 @@ from efxlab.fairness import (
     violated_condition_count,
 )
 from efxlab.submodular import add_dummy_goods
-from efxlab.three_agent import solve_three
+from efxlab.three_agent import equalize_for_valuation, solve_three, transfer_split
 from efxlab.valuations import random_monotone_rank_valuation
 from efxlab.verification import verify
 
@@ -127,17 +133,54 @@ def test_overlapping_bundles_are_refused_wherever_they_overlap(bundles):
 
 @pytest.mark.parametrize("predicate", [is_efx_feasible, is_tefx_feasible, is_ef1_feasible])
 @pytest.mark.parametrize(
-    "allocation, error",
-    [(Allocation(4, (1, 2, 12)), ArityMismatch), (Allocation(3, (1, 3, 6)), OverlappingBundles)],
+    "m, bundles, error",
+    [(4, (1, 2, 12), ArityMismatch), (3, (1, 3, 6), OverlappingBundles)],
     ids=["four-goods", "overlap"],
 )
-def test_per_bundle_predicates_check_their_allocation(predicate, allocation, error):
+def test_per_bundle_predicates_check_their_allocation(predicate, m, bundles, error):
     """A valuation over other goods than the allocation's, or overlapping bundles, is refused."""
     with pytest.raises(error):
-        predicate(numeric_order_valuation(3), 0, allocation)
+        predicate(numeric_order_valuation(3), 0, Allocation(m, bundles))
 
 
-R3, R4 =random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 1)
+R3, R4 = random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 1)
+
+# Three bundles of m=3 goods that are not a partition, one fault each.
+NOT_PARTITIONS = {
+    "overlap": (3, 4, 2),
+    "good-at-m": (1, 2, 12),
+    "negative": (1, 2, -4),
+    "missing-good": (1, 2, 0),
+}
+PARTITION_CALLS = {
+    "is_efx": lambda b: is_efx(Allocation(3, b), [R3] * 3),
+    "violated_condition_count": lambda b: violated_condition_count(Allocation(3, b), [R3] * 3),
+    "is_efx_feasible": lambda b: is_efx_feasible(R3, 0, Allocation(3, b)),
+    "is_tefx_feasible": lambda b: is_tefx_feasible(R3, 0, Allocation(3, b)),
+    "is_ef1_feasible": lambda b: is_ef1_feasible(R3, 0, Allocation(3, b)),
+    "equalize_for_valuation": lambda b: equalize_for_valuation(b, R3),
+}
+# Functions of two raw sets, given the first and last bundle of a case.
+PAIR_CALLS = {
+    "strongly_envies": lambda b: strongly_envies(R3, b[0], b[2]),
+    "transfer_split": lambda b: transfer_split(R3, b[0], b[2]),
+}
+
+
+@pytest.mark.parametrize(
+    "call, case",
+    [pytest.param(call, case, id=f"{name}-{case}")
+     for name, call in PARTITION_CALLS.items() for case in NOT_PARTITIONS]
+    + [pytest.param(call, case, id=f"{name}-{case}")
+       for name, call in PAIR_CALLS.items() for case in NOT_PARTITIONS if case != "missing-good"],
+)
+def test_bundles_outside_a_partition_are_refused(call, case):
+    """Every public function that takes bundles refuses bad ones with a typed error: goods
+    outside the m goods, and a missing good where the bundles must partition the goods
+    (two raw sets need not cover them), with `BadPartitionInput`; a shared good with
+    `OverlappingBundles`, or `SetupViolated` in `transfer_split`."""
+    with pytest.raises(EfxLabError if case == "overlap" else BadPartitionInput):
+        call(NOT_PARTITIONS[case])
 
 
 @pytest.mark.parametrize(

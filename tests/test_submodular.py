@@ -3,8 +3,10 @@ import pytest
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import AgentCountOutOfRange, ArityMismatch, EfxLabError, GoodCountOutOfRange
 from efxlab.submodular import add_dummy_goods, extend_counterexample, is_submodular, submodular_realize
-from efxlab.valuations import RealValuation, as_real, random_monotone_rank_valuation
+from efxlab.valuations import RealValuation, random_monotone_rank_valuation
 from efxlab.verification import verify
+
+from conftest import as_real
 
 
 def is_submodular_four_point(f: RealValuation) -> bool:

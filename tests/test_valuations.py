@@ -7,7 +7,6 @@ from efxlab.bitset import cardinality, full_set, singleton_bits
 from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
     RealValuation,
-    as_real,
     leveled,
     monotonicity_violation,
     random_monotone_rank_valuation,
@@ -15,7 +14,7 @@ from efxlab.valuations import (
 )
 from efxlab.verification import verify
 
-from conftest import numeric_order_valuation
+from conftest import as_real, numeric_order_valuation
 
 
 def test_from_order_binary_numbering_is_identity():

@@ -23,7 +23,6 @@ from efxlab.three_agent import equalize_for_valuation
 from efxlab.valuations import (
     RankValuation,
     RealValuation,
-    as_real,
     monotonicity_violation,
     random_monotone_rank_valuation,
 )
@@ -44,7 +43,7 @@ from efxlab.verification import (
     verify,
 )
 
-from conftest import numeric_order_valuation
+from conftest import as_real, numeric_order_valuation
 
 FEATURED_QUAD = (0b00000110, 0b10010001, 0b00010100, 0b10000011)
 
