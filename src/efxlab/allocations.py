@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .bitset import full_set
-from .errors import AgentCountOutOfRange, BadPartitionInput, OverlappingBundles
+from .bitset import disjoint_union, full_set
+from .errors import AgentCountOutOfRange, BadPartitionInput
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """Ordered partition of the m goods into n disjoint bundles, checked when made: a
-    shared good raises `OverlappingBundles`, any union but the m goods `BadPartitionInput`."""
+    """Ordered partition of the m goods into n disjoint bundles, checked when made by
+    `bitset.disjoint_union`; a union short of the m goods raises `BadPartitionInput`."""
 
     m: int
     bundles: tuple[int, ...]
@@ -32,12 +32,7 @@ class Allocation:
         return len(self.bundles)
 
     def __post_init__(self) -> None:
-        union = 0
-        for bundle in self.bundles:
-            if union & bundle:
-                raise OverlappingBundles(f"bundles {self.bundles} share goods")
-            union |= bundle
-        if union != full_set(self.m):
+        if disjoint_union(self.m, self.bundles) != full_set(self.m):
             raise BadPartitionInput(f"bundles {self.bundles} do not partition the {self.m} goods")
 
 

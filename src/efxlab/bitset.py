@@ -9,10 +9,10 @@ the subset order (``A`` a proper subset of ``B`` implies ``A < B``).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cache
 
-from .errors import BadPartitionInput, GoodCountOutOfRange, LevelOutOfRange
+from .errors import BadPartitionInput, GoodCountOutOfRange, LevelOutOfRange, OverlappingBundles
 
 MIN_GOODS = 3
 MAX_GOODS = 16
@@ -29,13 +29,24 @@ def check_level(k: int, m: int) -> None:
         raise LevelOutOfRange(f"level threshold k={k} outside 0..{m + 1}")
 
 
-def check_goods(mask: int, m: int) -> None:
-    """A set of goods, or a union of sets, holds only goods among the m goods."""
-    if not 0 <= mask <= full_set(m):
-        raise BadPartitionInput(f"set {mask} holds goods outside the {m} goods")
+def disjoint_union(m: int, sets: Sequence[int]) -> int:
+    """The union of disjoint sets of the m goods, checked in turn: m < 0 raises `GoodCountOutOfRange`
+    (`full_set`), a set outside the m goods `BadPartitionInput`, a good in two `OverlappingBundles`."""
+    full, union, shared = full_set(m), 0, 0
+    for mask in sets:
+        if not 0 <= mask <= full:
+            raise BadPartitionInput(f"set {mask} holds goods outside the {m} goods")
+        shared |= union & mask
+        union |= mask
+    if shared:
+        raise OverlappingBundles(f"sets {tuple(sets)} share goods")
+    return union
 
 
 def full_set(m: int) -> int:
+    """The set of all m goods; a negative m raises `GoodCountOutOfRange`."""
+    if m < 0:
+        raise GoodCountOutOfRange(f"good count m={m} is negative")
     return (1 << m) - 1
 
 

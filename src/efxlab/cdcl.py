@@ -39,6 +39,7 @@ dropping learned clauses renumbers nothing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -78,6 +79,8 @@ class _Solver:
     def __init__(self, formula: CnfFormula) -> None:
         formula.check_literals()  # an out-of-range literal would alias another's slot
         n = self.num_vars = formula.num_vars
+        if 2 * n + 1 > sys.maxsize:  # CPython would raise OverflowError making the tables
+            raise MemoryError(f"{n} variables are more than a list can index")
         self.clauses: list[list[int]] = []
         self.learned_from = 0
         # indexed by literal (value[-v] at the negative end): 1 true, -1 false, 0 unset
@@ -455,6 +458,8 @@ def solve(formula: CnfFormula, conflict_budget: int | None = None) -> SolveResul
 
     `conflict_budget` bounds the number of conflicts; exceeding it yields
     UNKNOWN rather than an answer.  A negative budget raises BudgetOutOfRange.
+    The tables hold a slot per declared variable, so a count beyond memory
+    raises MemoryError.
     """
     if conflict_budget is not None and conflict_budget < 0:
         raise BudgetOutOfRange(f"conflict budget must be >= 0, got {conflict_budget}")

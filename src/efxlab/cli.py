@@ -8,7 +8,8 @@ written under a temporary name and takes the artifact only when the command
 succeeds, so a failing command leaves it as it was.  Exit codes: 0 on
 success, also when the reader of stdout closes it early (as `head` does);
 1 on a domain failure (for example an EFX allocation found under
---expect-none, or a solver that ran out of budget); 2 on usage or I/O errors.
+--expect-none, or a solver that ran out of budget); 2 on usage, I/O or
+memory errors.
 """
 
 from __future__ import annotations
@@ -420,6 +421,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

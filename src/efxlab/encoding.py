@@ -39,7 +39,7 @@ from typing import IO
 from .allocations import count_allocations, enumerate_bundle_tuples
 from .bitset import cardinality, check_good_count, check_level, full_set, is_proper_subset, submasks
 from .dimacs import Clause, CnfFormula, stream_dimacs
-from .errors import GoodCountOutOfRange
+from .errors import BadPartitionInput, GoodCountOutOfRange, IndexOutOfRange
 from .fairness import efx_conditions
 from . import reference
 
@@ -73,7 +73,7 @@ class EncodeStats:
 
 
 def num_variables(m: int) -> int:
-    p = 1 << m
+    p = full_set(m) + 1
     return NUM_AGENTS * p * (p - 1) // 2
 
 
@@ -93,15 +93,17 @@ def var_id(agent: int, a: int, b: int, m: int) -> int:
     The one variable order, which other modules may read: ids from 1,
     agent-major, then the pairs lo < hi of set numbers in lexicographic
     order, so x(i, a, a+1) .. x(i, a, P-1) are consecutive ids, P = 2^m.
+    An agent outside 0..2 or a == b raises `IndexOutOfRange`, a set outside
+    0..P-1 `BadPartitionInput`, a negative m `GoodCountOutOfRange`.
     """
     if a == b:
-        raise ValueError("comparison variables require two distinct sets")
+        raise IndexOutOfRange("comparison variables require two distinct sets")
     if not 0 <= agent < NUM_AGENTS:
-        raise ValueError(f"agent {agent} out of range")
-    p = 1 << m
+        raise IndexOutOfRange(f"agent {agent} out of range")
+    p = full_set(m) + 1
     lo, hi = (a, b) if a < b else (b, a)
     if lo < 0 or hi >= p:
-        raise ValueError(f"need sets in 0..{p - 1}, got ({a}, {b})")
+        raise BadPartitionInput(f"need sets in 0..{p - 1}, got ({a}, {b})")
     var = agent * (p * (p - 1) // 2) + p * lo - lo * (lo + 1) // 2 + hi - lo
     return var if a < b else -var
 

@@ -10,7 +10,12 @@ class EfxLabError(Exception):
 # -- arguments -----------------------------------------------------------------
 
 class GoodCountOutOfRange(EfxLabError, ValueError):
-    """The number of goods m lies outside the supported range."""
+    """A number of goods lies outside the range an operation supports.
+
+    The good count m is negative, or outside the supported range where an operation
+    needs one (`bitset.check_good_count`); or a set size, such as the result size of
+    `verification.marginal_values`, lies outside 1..m.
+    """
 
 
 class AgentCountOutOfRange(EfxLabError, ValueError):
@@ -54,7 +59,7 @@ class InvalidValues(EfxLabError, ValueError):
 # -- fairness -----------------------------------------------------------------
 
 class OverlappingBundles(EfxLabError, ValueError):
-    """Two bundles that must be disjoint share a good."""
+    """Two sets that must be disjoint share a good (`bitset.disjoint_union`)."""
 
 
 class ArityMismatch(EfxLabError, ValueError):
@@ -62,11 +67,13 @@ class ArityMismatch(EfxLabError, ValueError):
 
 
 class IndexOutOfRange(EfxLabError, ValueError):
-    """Bundle or agent index outside the allocation."""
+    """An index outside its range: a bundle or agent of an allocation, an agent of a
+    comparison variable or the same set twice in one (`encoding.var_id`), or a good."""
 
 
 class BadPartitionInput(EfxLabError, ValueError):
-    """Goods outside the m goods, or bundles that miss one (an allocation, a bundle/rest pair)."""
+    """A set that holds goods outside the m goods, a negative set included
+    (`bitset.disjoint_union`), or an allocation's bundles that miss a good."""
 
 
 # -- input text ---------------------------------------------------------------
@@ -146,7 +153,7 @@ class PredicateFailsOnPool(EfxLabError):
 
 
 class SetupViolated(EfxLabError):
-    """A split subroutine was entered without its required inequalities."""
+    """`three_agent.transfer_split` was entered without v(first) > v(third)."""
 
 
 class InvariantBroken(EfxLabError):

@@ -12,7 +12,7 @@ witness good of `three_agent`.  Sorted table: `removal_table`, whose rows
 the allocation scan in `verification` bisects to count failures.
 
 An `Allocation` is a partition checked when made, so predicates check only that
-the valuations fit it; `strongly_envies` checks its sets (`bitset.check_goods`).
+the valuations fit it; `strongly_envies` checks its two sets (`bitset.disjoint_union`).
 All predicates work for any valuation object exposing ``m`` and
 ``value(mask)``; comparisons follow the definitions exactly, so degenerate
 valuations are handled by the strictness of the inequalities themselves
@@ -25,14 +25,8 @@ from collections.abc import Iterator, Sequence
 from typing import Protocol
 
 from .allocations import Allocation
-from .bitset import check_goods, cover_table, full_set, submasks
-from .errors import (
-    AgentCountOutOfRange,
-    ArityMismatch,
-    BadPartitionInput,
-    IndexOutOfRange,
-    OverlappingBundles,
-)
+from .bitset import cover_table, disjoint_union, submasks
+from .errors import AgentCountOutOfRange, ArityMismatch, IndexOutOfRange
 
 
 class Valuation(Protocol):
@@ -64,9 +58,7 @@ def transfer_witness(v: Valuation, own: int, other: int) -> int:
 
 def strongly_envies(v: Valuation, own: int, other: int) -> bool:
     """True iff some single-good removal from `other` still beats `own`."""
-    check_goods(own | other, v.m)
-    if own & other:
-        raise OverlappingBundles(f"bundles {own} and {other} share goods")
+    disjoint_union(v.m, (own, other))
     return bool(strong_envy_witness(v, v.value(own), other))
 
 
@@ -162,13 +154,12 @@ def eefx_certificate(
     `rest` split into n-1 labeled parts, such that `bundle` beats every
     single-good removal of every part.  Parts of `rest` are enumerated by
     ascending bitmask of the earlier parts; the first certificate found is
-    returned (bundle first), or None if none exists.  Fewer than two agents
-    raise `AgentCountOutOfRange`: `rest` needs at least one part.
+    returned (bundle first), or None if none exists.  Bundle and rest must
+    make an `Allocation`; fewer than two agents raise `AgentCountOutOfRange`.
     """
     if n < 2:
         raise AgentCountOutOfRange(f"need n >= 2 agents, got n={n}")
-    if bundle & rest or bundle | rest != full_set(v.m):
-        raise BadPartitionInput("bundle and rest must partition the full good set")
+    Allocation(v.m, (bundle, rest))
     own_value = v.value(bundle)
     if strong_envy_witness(v, own_value, bundle):
         return None

@@ -24,10 +24,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .allocations import Allocation, count_allocations
-from .bitset import check_good_count, check_goods, full_set, singleton_bits
+from .bitset import check_good_count, disjoint_union, full_set, singleton_bits
 from . import fairness
 from .errors import (
     AgentCountOutOfRange,
+    BadPartitionInput,
     InvariantBroken,
     NonTermination,
     PredicateFailsOnPool,
@@ -85,7 +86,10 @@ def minimal_satisfying_subset(
 
     Single greedy pass dropping goods in ascending index; correctness rests
     on upward closure (supersets of a satisfying set satisfy the predicate).
+    A negative pool, which holds no set of goods, raises `BadPartitionInput`.
     """
+    if pool < 0:
+        raise BadPartitionInput(f"pool {pool} is negative")
     if not predicate(pool):
         raise PredicateFailsOnPool("predicate does not hold on the pool")
     subset = pool
@@ -104,9 +108,7 @@ def transfer_split(v: RankValuation, first: int, third: int) -> tuple[int, int]:
     further move preserves it, which is exactly the condition making both
     parts tEFX-feasible against each other for an agent holding `v`.
     """
-    check_goods(first | third, v.m)
-    if first & third:
-        raise SetupViolated("bundles overlap")
+    disjoint_union(v.m, (first, third))
     if v.rank[first] <= v.rank[third]:
         raise SetupViolated("donor bundle does not beat the receiver")
     while bit := fairness.transfer_witness(v, third, first):

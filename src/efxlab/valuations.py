@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import cardinality, check_good_count, check_level, cover_table
+from .bitset import cardinality, check_good_count, check_level, cover_table, full_set
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
@@ -76,7 +76,7 @@ class RankValuation:
         return by_rank
 
     def validate(self) -> None:
-        n_sets = 1 << self.m
+        n_sets = full_set(self.m) + 1
         if len(self.rank) != n_sets or sorted(self.rank) != list(range(n_sets)):
             raise NotAPermutation(f"rank table is not a bijection on 0..{n_sets - 1}")
         violation = monotonicity_violation(self.rank, self.m)
@@ -95,7 +95,7 @@ class RealValuation:
         return self.values[mask]
 
     def validate(self) -> None:
-        n_sets = 1 << self.m
+        n_sets = full_set(self.m) + 1
         if len(self.values) != n_sets:
             raise InvalidValues(f"expected {n_sets} values, got {len(self.values)}")
         if self.values[0] != 0:

@@ -47,7 +47,7 @@ from multiprocessing import Pool
 
 from .allocations import count_allocations
 from .bitset import cardinality, goods, submasks
-from .errors import JobCountOutOfRange
+from .errors import GoodCountOutOfRange, IndexOutOfRange, JobCountOutOfRange
 from .fairness import Valuation, removal_table
 from .valuations import RankValuation, monotonicity_violation, shared_good_count
 
@@ -664,11 +664,12 @@ def marginal_values(v: RankValuation, good: int, result_size: int) -> list[int]:
 
     S ranges over the sets of size result_size - 1 that do not contain the
     good, so the multiset has C(m-1, result_size-1) entries, sorted ascending.
+    A good outside 0..m-1 raises `IndexOutOfRange`, a size outside 1..m `GoodCountOutOfRange`.
     """
     if not 0 <= good < v.m:
-        raise ValueError(f"good {good} out of range")
+        raise IndexOutOfRange(f"good {good} out of range")
     if not 1 <= result_size <= v.m:
-        raise ValueError(f"result size {result_size} out of range")
+        raise GoodCountOutOfRange(f"result size {result_size} out of range")
     bit = 1 << good
     values = sorted(
         v.rank[mask | bit] - v.rank[mask]

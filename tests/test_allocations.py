@@ -8,7 +8,12 @@ from efxlab.allocations import (
     enumerate_bundle_tuples,
     singleton_histogram,
 )
-from efxlab.errors import AgentCountOutOfRange, BadPartitionInput, OverlappingBundles
+from efxlab.errors import (
+    AgentCountOutOfRange,
+    BadPartitionInput,
+    GoodCountOutOfRange,
+    OverlappingBundles,
+)
 
 
 def decoded_bundles(n, m):
@@ -89,4 +94,7 @@ def test_allocation_validate_names_the_fault():
         Allocation(3, (0b001, 0b010, 0b1100))  # a good at m
     with pytest.raises(BadPartitionInput):
         Allocation(3, (0b001, 0b010, -4))  # a negative bundle
+    with pytest.raises(GoodCountOutOfRange):
+        Allocation(-1, ())
     Allocation(3, (0b001, 0b110, 0b000))
+    Allocation(0, ())

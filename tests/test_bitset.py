@@ -7,13 +7,15 @@ from efxlab.bitset import (
     cardinality,
     check_good_count,
     cover_table,
+    disjoint_union,
+    full_set,
     goods,
     is_proper_subset,
     parse_bitstring,
     singleton_bits,
     submasks,
 )
-from efxlab.errors import EfxLabError, GoodCountOutOfRange
+from efxlab.errors import BadPartitionInput, EfxLabError, GoodCountOutOfRange, OverlappingBundles
 
 
 def test_cardinality_and_membership():
@@ -60,3 +62,32 @@ def test_good_count_range_error_is_typed():
         with pytest.raises(GoodCountOutOfRange) as exc:
             check_good_count(m)
         assert isinstance(exc.value, EfxLabError) and isinstance(exc.value, ValueError)
+
+
+def test_disjoint_union_returns_the_union_of_disjoint_sets():
+    assert disjoint_union(3, (0b001, 0b100)) == 0b101
+    assert disjoint_union(3, ()) == 0
+    assert disjoint_union(0, (0, 0)) == 0
+
+
+@pytest.mark.parametrize(
+    "m, sets, error",
+    [
+        (-1, (), GoodCountOutOfRange),
+        (-1, (0b1,), GoodCountOutOfRange),
+        (3, (0b001, 0b1000), BadPartitionInput),
+        (3, (0b001, -4), BadPartitionInput),
+        (3, (0b011, 0b011, 0b1000), BadPartitionInput),  # the range is checked before overlap
+        (3, (0b011, 0b110), OverlappingBundles),
+        (3, (0b001, 0b001), OverlappingBundles),
+    ],
+)
+def test_disjoint_union_names_each_fault(m, sets, error):
+    with pytest.raises(error):
+        disjoint_union(m, sets)
+
+
+def test_negative_good_count_is_typed():
+    with pytest.raises(GoodCountOutOfRange):
+        full_set(-1)
+    assert full_set(0) == 0 and full_set(3) == 0b111

@@ -1,0 +1,138 @@
+"""Every name in `efxlab.__all__` that takes ints, called on boundary ints.
+
+Each call must return, or raise an `EfxLabError`, within `CALL_LIMIT_S`
+seconds, timed in this process by `signal.setitimer`.  The ints are -1, 0,
+1, 2, 17 (one past the largest supported good count), 1 << M (the first set
+number past M goods) and a negative mask; an int sequence is the empty list,
+or one or two of those ints.  Every other argument is a fixed, valid object
+over M goods, so that a call can fail only on its ints.  A valuation made
+from ints is checked by its own `validate()`; a function that reads a
+valuation does not check its table, which is out of this module's scope.
+"""
+
+from __future__ import annotations
+
+import inspect
+import re
+import signal
+from itertools import product
+
+import pytest
+
+import efxlab
+from efxlab import (
+    Allocation,
+    EncodeOptions,
+    RankValuation,
+    RealValuation,
+    TriSolveResult,
+    VerifyReport,
+    add_dummy_goods,
+    clause_counts,
+    count_allocations,
+    decode_valuations,
+    eefx_certificate,
+    enumerate_allocations,
+    equalize_for_valuation,
+    extend_counterexample,
+    is_ef1_feasible,
+    is_efx_feasible,
+    is_tefx_feasible,
+    leveled,
+    load_bundled_counterexample,
+    marginal_values,
+    minimal_satisfying_subset,
+    num_variables,
+    random_monotone_rank_valuation,
+    rank_valuation_from_order,
+    strongly_envies,
+    transfer_split,
+    var_id,
+    verify,
+)
+from efxlab.dimacs import Assignment
+from efxlab.errors import EfxLabError
+
+CALL_LIMIT_S = 3.0
+M = 3
+INTS = (-1, 0, 1, 2, 17, 1 << M, ~0b011)
+INT_LISTS = [[]] + [[x] for x in INTS] + [[x, y] for x in INTS for y in INTS]
+
+V = random_monotone_rank_valuation(M, 1)
+ALLOCATION = Allocation(M, (0b001, 0b010, 0b100))
+
+# name -> (call, one domain per argument of the call)
+CALLS = {
+    "Allocation": (Allocation, (INTS, INT_LISTS)),
+    "EncodeOptions": (lambda m, k: clause_counts(EncodeOptions(m, k, True)), (INTS, INTS + (None,))),
+    "RankValuation": (lambda m, rank: RankValuation(m, tuple(rank)).validate(), (INTS, INT_LISTS)),
+    "RealValuation": (lambda m, values: RealValuation(m, tuple(values)).validate(), (INTS, INT_LISTS)),
+    "TriSolveResult": (
+        lambda m, bundles, iterations: TriSolveResult(m, tuple(bundles), "tEFX", iterations).allocation(),
+        (INTS, INT_LISTS, INTS),
+    ),
+    "VerifyReport": (lambda n, m: VerifyReport(n, m, (), {}, None).to_text(), (INTS, INTS)),
+    "add_dummy_goods": (lambda extra: add_dummy_goods([V] * 3, extra), (INTS,)),
+    "count_allocations": (count_allocations, (INTS, INTS)),
+    "decode_valuations": (lambda m: decode_valuations(Assignment(0), m), (INTS,)),
+    "eefx_certificate": (lambda bundle, rest, n: eefx_certificate(V, bundle, rest, n), (INTS,) * 3),
+    "enumerate_allocations": (enumerate_allocations, (INTS, INTS)),
+    "equalize_for_valuation": (lambda partition: equalize_for_valuation(partition, V), (INT_LISTS,)),
+    "extend_counterexample": (lambda n: extend_counterexample(load_bundled_counterexample(), n), (INTS,)),
+    "is_ef1_feasible": (lambda index: is_ef1_feasible(V, index, ALLOCATION), (INTS,)),
+    "is_efx_feasible": (lambda index: is_efx_feasible(V, index, ALLOCATION), (INTS,)),
+    "is_tefx_feasible": (lambda index: is_tefx_feasible(V, index, ALLOCATION), (INTS,)),
+    "leveled": (lambda k: leveled(V, k), (INTS,)),
+    "marginal_values": (lambda good, size: marginal_values(V, good, size), (INTS, INTS)),
+    "minimal_satisfying_subset": (lambda pool: minimal_satisfying_subset(pool, lambda s: True), (INTS,)),
+    "num_variables": (num_variables, (INTS,)),
+    "random_monotone_rank_valuation": (random_monotone_rank_valuation, (INTS, INTS)),
+    "rank_valuation_from_order": (rank_valuation_from_order, (INTS, INT_LISTS)),
+    "strongly_envies": (lambda own, other: strongly_envies(V, own, other), (INTS, INTS)),
+    "transfer_split": (lambda first, third: transfer_split(V, first, third), (INTS, INTS)),
+    "var_id": (var_id, (INTS,) * 4),
+    "verify": (lambda jobs: verify([V] * 3, jobs), ((1, 2),)),  # jobs > 2 would start more workers
+}
+
+
+class CallTimedOut(Exception):
+    pass
+
+
+def _time_out(signum, frame):
+    raise CallTimedOut
+
+
+def _takes_ints(obj) -> bool:
+    """Whether some parameter of `obj` is annotated with int, alone or inside a type."""
+    try:
+        parameters = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return False
+    return any(re.search(r"\bint\b", str(p.annotation)) for p in parameters)
+
+
+def test_every_public_name_that_takes_ints_is_called():
+    takes_ints = {name for name in efxlab.__all__ if _takes_ints(getattr(efxlab, name))}
+    assert takes_ints == set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_boundary_ints_return_or_raise_a_typed_error_in_time(name):
+    call, domains = CALLS[name]
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    try:
+        for args in product(*domains):
+            signal.setitimer(signal.ITIMER_REAL, CALL_LIMIT_S)
+            try:
+                call(*args)
+            except EfxLabError:
+                pass
+            except CallTimedOut:
+                pytest.fail(f"{name}{tuple(args)} ran longer than {CALL_LIMIT_S} s")
+            except Exception as exc:
+                pytest.fail(f"{name}{tuple(args)} raised {type(exc).__name__}: {exc}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

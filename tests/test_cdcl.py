@@ -127,6 +127,17 @@ def test_negative_budget_is_rejected():
     assert isinstance(err.value, EfxLabError) and isinstance(err.value, ValueError)
 
 
+def test_a_variable_count_no_list_can_index_is_out_of_memory(tmp_path, capsys):
+    """2^64 declared variables cannot get a slot each: MemoryError, not OverflowError, and
+    the command line prints one error line and exits 2."""
+    with pytest.raises(MemoryError):
+        solve(CnfFormula(1 << 64, []))
+    path = tmp_path / "huge.cnf"
+    path.write_text(f"p cnf {1 << 64} 0\n")
+    assert main(["sat", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {1 << 64} variables are more than a list can index\n"
+
+
 def test_watched_propagation_agrees_with_naive_propagation():
     rng = random.Random(13)
     for _ in range(80):

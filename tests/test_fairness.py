@@ -10,7 +10,6 @@ from efxlab.errors import (
     AgentCountOutOfRange,
     ArityMismatch,
     BadPartitionInput,
-    EfxLabError,
     OverlappingBundles,
 )
 from efxlab.fairness import (
@@ -178,8 +177,8 @@ def test_bundles_outside_a_partition_are_refused(call, case):
     """Every public function that takes bundles refuses bad ones with a typed error: goods
     outside the m goods, and a missing good where the bundles must partition the goods
     (two raw sets need not cover them), with `BadPartitionInput`; a shared good with
-    `OverlappingBundles`, or `SetupViolated` in `transfer_split`."""
-    with pytest.raises(EfxLabError if case == "overlap" else BadPartitionInput):
+    `OverlappingBundles`."""
+    with pytest.raises(OverlappingBundles if case == "overlap" else BadPartitionInput):
         call(NOT_PARTITIONS[case])
 
 
@@ -273,11 +272,12 @@ def test_empty_bundle_has_no_certificate_against_larger_parts():
 
 
 def test_eefx_certificate_input_validation():
-    from efxlab.errors import BadPartitionInput
-
+    """Bundle and rest are checked as an `Allocation` is: a shared good is an overlap."""
     v = random_monotone_rank_valuation(4, 13)
-    with pytest.raises(BadPartitionInput):
+    with pytest.raises(OverlappingBundles):
         eefx_certificate(v, 0b0011, 0b0110, 3)
+    with pytest.raises(OverlappingBundles):
+        Allocation(4, (0b0011, 0b0110))
 
 
 @pytest.mark.parametrize("bundle,rest,n", [(7, 0, 1), (1, 6, 0)])

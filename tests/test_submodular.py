@@ -132,6 +132,11 @@ def test_negative_dummy_good_count_is_a_library_error():
     assert isinstance(caught.value, ValueError)
 
 
+def test_negative_good_count_is_refused_before_the_table_is_read():
+    with pytest.raises(GoodCountOutOfRange):
+        is_submodular(RealValuation(-1, ()))
+
+
 def test_dummy_goods_refuse_a_list_that_is_not_one_instance():
     r3, r4 = random_monotone_rank_valuation(3, 1), random_monotone_rank_valuation(4, 2)
     with pytest.raises(AgentCountOutOfRange):

@@ -21,7 +21,9 @@ from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import (
     AgentCountOutOfRange,
     ArityMismatch,
+    BadPartitionInput,
     GoodCountOutOfRange,
+    OverlappingBundles,
     PredicateFailsOnPool,
     SetupViolated,
 )
@@ -123,6 +125,13 @@ def test_minimal_subset_requires_pool_to_satisfy():
         minimal_satisfying_subset(0b11, lambda s: False)
 
 
+def test_minimal_subset_refuses_a_negative_pool_before_asking_the_predicate():
+    asked = []
+    with pytest.raises(BadPartitionInput):
+        minimal_satisfying_subset(-4, lambda s: asked.append(s) or True)
+    assert asked == []
+
+
 def test_minimal_subset_is_inclusion_minimal():
     v = random_monotone_rank_valuation(5, 12)
     threshold = v.rank[0b00110]
@@ -155,7 +164,7 @@ def test_transfer_split_rejects_bad_setups():
     v = numeric_order_valuation(4)
     with pytest.raises(SetupViolated):
         transfer_split(v, 0b0001, 0b1110)
-    with pytest.raises(SetupViolated):
+    with pytest.raises(OverlappingBundles):
         transfer_split(v, 0b0011, 0b0110)
 
 
