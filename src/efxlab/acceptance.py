@@ -145,7 +145,6 @@ def reduced_clause_count(opts: EncodeOptions) -> int | None:
     Subsumption keeps the distinct minimal clauses, so the count is the open
     triangles plus the distinct minimal no-EFX residues.
     """
-    opts.validate()
     m, k = opts.m, opts.level_k
     sets = [s for s in range(1 << m) if k is None or cardinality(s) < k]
     index = {s: pos for pos, s in enumerate(sets)}

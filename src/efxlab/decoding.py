@@ -19,7 +19,7 @@ Text formats, each of which states its own shape:
   arbitrary non-negative integers (used for degenerate extension instances).
   `load_valuations` tells the two block forms apart by that header.
 * dyadic dump: 2^m lines ``<set-number> <non-negative decimal integer>``,
-  read back as a validated `RealValuation`.
+  read back as a `RealValuation`, which checks itself when it is made.
 
 An integer field is an optional sign and ASCII digits, as in DIMACS
 (`dimacs.read_integer`).
@@ -76,9 +76,7 @@ def decode_valuations(assignment: Assignment, m: int) -> list[RankValuation]:
             if seen[r] != -1:
                 raise NotATotalOrder(_find_three_cycle(values, agent, m, seen[r], mask))
             seen[r] = mask
-        val = RankValuation(m, tuple(rank))
-        val.validate()
-        valuations.append(val)
+        valuations.append(RankValuation(m, tuple(rank)))
     return valuations
 
 
@@ -172,9 +170,7 @@ def load_rank_blocks(text: str) -> list[RankValuation]:
                     f"block {block}: rank {r} at position {offset}, expected {offset}"
                 )
             rank[mask] = r
-        val = RankValuation(m, tuple(rank))
-        val.validate()
-        valuations.append(val)
+        valuations.append(RankValuation(m, tuple(rank)))
     return valuations
 
 
@@ -207,9 +203,7 @@ def load_value_blocks(text: str) -> list[RealValuation]:
             if mask != offset:
                 raise LineCountMismatch(f"block {block}: expected set {offset}, got {mask}")
             values[mask] = value
-        val = RealValuation(m, tuple(values))
-        val.validate()
-        valuations.append(val)
+        valuations.append(RealValuation(m, tuple(values)))
     return valuations
 
 
@@ -240,6 +234,4 @@ def load_dyadic(text: str) -> RealValuation:
         if mask != offset:
             raise LineCountMismatch(f"expected set {offset}, got {mask}")
         values[mask] = value
-    val = RealValuation(m, tuple(values))
-    val.validate()
-    return val
+    return RealValuation(m, tuple(values))

@@ -48,11 +48,13 @@ NUM_AGENTS = 3
 
 @dataclass(frozen=True)
 class EncodeOptions:
+    """Checked when made: m by `check_good_count`, a level threshold k by `check_level`."""
+
     m: int
     level_k: int | None = None
     item_order: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_good_count(self.m)
         if self.level_k is not None:
             check_level(self.level_k, self.m)
@@ -175,7 +177,6 @@ def not_efx_clauses(m: int) -> Iterator[Clause]:
 
 def encode(opts: EncodeOptions) -> Iterator[Clause]:
     """All clause families concatenated in the canonical order."""
-    opts.validate()
     yield from monotonicity_clauses(opts.m)
     yield from transitivity_clauses(opts.m, opts.level_k)
     if opts.item_order:
@@ -194,7 +195,6 @@ def encode_formula(opts: EncodeOptions) -> CnfFormula:
 
 def clause_counts(opts: EncodeOptions) -> EncodeStats:
     """Exact per-family clause counts, computed without enumerating clauses."""
-    opts.validate()
     m, k = opts.m, opts.level_k
     mono = NUM_AGENTS * (3**m - 2**m)
     if k is None:

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .allocations import Allocation, count_allocations
-from .bitset import check_good_count, disjoint_union, full_set, singleton_bits
+from .bitset import disjoint_union, full_set, singleton_bits
 from . import fairness
 from .errors import (
     AgentCountOutOfRange,
@@ -123,14 +123,15 @@ def solve_three(valuations: Sequence[RankValuation]) -> TriSolveResult:
     The returned tag is confirmed by `_confirmed` before the result is handed
     back; the certificates on an EF1&EEFX result come from that confirmation
     (exhaustive search, one per agent).  Other than three valuations raise
-    `AgentCountOutOfRange`, mixed good counts `ArityMismatch`
-    (`shared_good_count`) and a good count outside the supported range
-    `GoodCountOutOfRange` (`check_good_count`).
+    `AgentCountOutOfRange` and mixed good counts `ArityMismatch`
+    (`shared_good_count`).  A good count outside 3..16, a rank table that is
+    not a bijection or not monotone never get here: `RankValuation` raises
+    `GoodCountOutOfRange`, `NotAPermutation` or `MonotonicityViolated` when
+    it is made.
     """
     if len(valuations) != 3:
         raise AgentCountOutOfRange("exactly three valuations required")
     m = shared_good_count(valuations)
-    check_good_count(m)
     v0 = valuations[0]
 
     round_robin = [0, 0, 0]

@@ -5,8 +5,9 @@ bijection from all ``2^m`` subsets onto the ranks ``0 .. 2^m - 1``.  Making
 non-degeneracy structural keeps every fairness predicate a pure rank
 comparison; no numeric values are needed anywhere downstream.  Real-valued
 tables may be degenerate; the extension instances use them.
-`monotonicity_violation` is the one monotonicity check: both `validate`
-methods raise on it, and `verification.verify` reports from it.  It and
+Both valuation classes check themselves when they are made: the good count
+(`check_good_count`), the table's shape, then `monotonicity_violation`, the
+one monotonicity check, which `verification.verify` also reports from.  It and
 `random_monotone_rank_valuation` walk the subset lattice through the one
 neighbour table per m, `bitset.cover_table`.
 """
@@ -18,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import cardinality, check_good_count, check_level, cover_table, full_set
+from .bitset import cardinality, check_good_count, check_level, cover_table
 from .errors import (
     AgentCountOutOfRange,
     ArityMismatch,
@@ -65,6 +66,15 @@ class RankValuation:
     m: int
     rank: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        check_good_count(self.m)
+        n_sets = 1 << self.m
+        if len(self.rank) != n_sets or sorted(self.rank) != list(range(n_sets)):
+            raise NotAPermutation(f"rank table is not a bijection on 0..{n_sets - 1}")
+        violation = monotonicity_violation(self.rank, self.m)
+        if violation is not None:
+            raise MonotonicityViolated(*violation)
+
     def value(self, mask: int) -> int:
         return self.rank[mask]
 
@@ -75,14 +85,6 @@ class RankValuation:
             by_rank[r] = mask
         return by_rank
 
-    def validate(self) -> None:
-        n_sets = full_set(self.m) + 1
-        if len(self.rank) != n_sets or sorted(self.rank) != list(range(n_sets)):
-            raise NotAPermutation(f"rank table is not a bijection on 0..{n_sets - 1}")
-        violation = monotonicity_violation(self.rank, self.m)
-        if violation is not None:
-            raise MonotonicityViolated(*violation)
-
 
 @dataclass(frozen=True)
 class RealValuation:
@@ -91,11 +93,9 @@ class RealValuation:
     m: int
     values: tuple[Fraction | int, ...]
 
-    def value(self, mask: int) -> Fraction | int:
-        return self.values[mask]
-
-    def validate(self) -> None:
-        n_sets = full_set(self.m) + 1
+    def __post_init__(self) -> None:
+        check_good_count(self.m)
+        n_sets = 1 << self.m
         if len(self.values) != n_sets:
             raise InvalidValues(f"expected {n_sets} values, got {len(self.values)}")
         if self.values[0] != 0:
@@ -106,13 +106,16 @@ class RealValuation:
         if violation is not None:
             raise MonotonicityViolated(*violation)
 
+    def value(self, mask: int) -> Fraction | int:
+        return self.values[mask]
+
 
 def rank_valuation_from_order(m: int, order: Sequence[int]) -> RankValuation:
     """Build a rank valuation from a total order of all subsets (low to high).
 
     Raises NotAPermutation if the order does not list every subset exactly
-    once, and MonotonicityViolated if some proper subset is ordered at or
-    above one of its supersets.
+    once (`RankValuation` catches a repeated set), and MonotonicityViolated
+    if some proper subset is ordered at or above one of its supersets.
     """
     check_good_count(m)
     n_sets = 1 << m
@@ -120,12 +123,10 @@ def rank_valuation_from_order(m: int, order: Sequence[int]) -> RankValuation:
     if len(order) != n_sets:
         raise NotAPermutation(f"order has {len(order)} entries, expected {n_sets}")
     for position, mask in enumerate(order):
-        if not 0 <= mask < n_sets or rank[mask] != -1:
-            raise NotAPermutation(f"set {mask} missing or repeated in order")
+        if not 0 <= mask < n_sets:
+            raise NotAPermutation(f"set {mask} is not a set of the {m} goods")
         rank[mask] = position
-    val = RankValuation(m, tuple(rank))
-    val.validate()
-    return val
+    return RankValuation(m, tuple(rank))
 
 
 def random_monotone_rank_valuation(m: int, seed: int) -> RankValuation:

@@ -611,6 +611,8 @@ def verify(valuations: Sequence[Valuation], jobs: int = 1) -> VerifyReport:
     CPU this process may use (`usable_cpus`); the merged report is
     identical to a serial scan.  `jobs` below 1 raises `JobCountOutOfRange`,
     and `shared_good_count` refuses an empty list or mixed good counts.
+    The `monotone` flags are read from the scanned tables: the two valuation
+    classes are monotone when made, so a False flag marks another `Valuation`.
     """
     check_job_count(jobs)
     n, m = len(valuations), shared_good_count(valuations)

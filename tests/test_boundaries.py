@@ -5,9 +5,10 @@ seconds, timed in this process by `signal.setitimer`.  The ints are -1, 0,
 1, 2, 17 (one past the largest supported good count), 1 << M (the first set
 number past M goods) and a negative mask; an int sequence is the empty list,
 or one or two of those ints.  Every other argument is a fixed, valid object
-over M goods, so that a call can fail only on its ints.  A valuation made
-from ints is checked by its own `validate()`; a function that reads a
-valuation does not check its table, which is out of this module's scope.
+over M goods, so that a call can fail only on its ints.  A valuation is
+checked when it is made, so a function that reads one never sees a bad
+table.  `RankValuation` also gets m = M with a table that is not monotone
+and one that is too short, and each must raise its own error type.
 """
 
 from __future__ import annotations
@@ -51,12 +52,18 @@ from efxlab import (
     verify,
 )
 from efxlab.dimacs import Assignment
-from efxlab.errors import EfxLabError
+from efxlab.errors import EfxLabError, MonotonicityViolated, NotAPermutation
 
 CALL_LIMIT_S = 3.0
 M = 3
 INTS = (-1, 0, 1, 2, 17, 1 << M, ~0b011)
 INT_LISTS = [[]] + [[x] for x in INTS] + [[x, y] for x in INTS for y in INTS]
+
+# rank tables over M goods -> the error each raises when made
+BAD_RANK_TABLES = {
+    tuple(reversed(range(1 << M))): MonotonicityViolated,
+    (0, 1, 2): NotAPermutation,
+}
 
 V = random_monotone_rank_valuation(M, 1)
 ALLOCATION = Allocation(M, (0b001, 0b010, 0b100))
@@ -65,8 +72,10 @@ ALLOCATION = Allocation(M, (0b001, 0b010, 0b100))
 CALLS = {
     "Allocation": (Allocation, (INTS, INT_LISTS)),
     "EncodeOptions": (lambda m, k: clause_counts(EncodeOptions(m, k, True)), (INTS, INTS + (None,))),
-    "RankValuation": (lambda m, rank: RankValuation(m, tuple(rank)).validate(), (INTS, INT_LISTS)),
-    "RealValuation": (lambda m, values: RealValuation(m, tuple(values)).validate(), (INTS, INT_LISTS)),
+    "RankValuation": (
+        lambda m, rank: RankValuation(m, tuple(rank)), (INTS + (M,), INT_LISTS + list(BAD_RANK_TABLES))
+    ),
+    "RealValuation": (lambda m, values: RealValuation(m, tuple(values)), (INTS, INT_LISTS)),
     "TriSolveResult": (
         lambda m, bundles, iterations: TriSolveResult(m, tuple(bundles), "tEFX", iterations).allocation(),
         (INTS, INT_LISTS, INTS),
@@ -136,3 +145,9 @@ def test_boundary_ints_return_or_raise_a_typed_error_in_time(name):
                 signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rank", list(BAD_RANK_TABLES), ids=["reversed", "short"])
+def test_bad_rank_tables_are_refused_when_made(rank):
+    with pytest.raises(BAD_RANK_TABLES[rank]):
+        RankValuation(M, rank)

@@ -562,13 +562,24 @@ def test_encode_with_a_level_out_of_range_exits_one_and_writes_nothing(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_encode_with_a_good_count_out_of_range_exits_one_and_writes_nothing(tmp_path, capsys):
+    """`EncodeOptions` refuses m=17 when it is made, before the output is opened."""
+    path = tmp_path / "out.cnf"
+    assert main(["encode", "-m", "17", "-o", str(path)]) == 1
+    assert capsys.readouterr().err == "error: good count m=17 outside supported range [3, 16]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--vals", str(tmp_path / "missing.txt")]) == 2
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["stats", "-m", "20"], ["encode", "-m", "2"], ["stats", "-m", "6", "-k", "20"], ["smt", "-m", "9"]],
+    [
+        ["stats", "-m", "20"], ["encode", "-m", "2"], ["stats", "-m", "6", "-k", "20"],
+        ["stats", "-m", "4", "--level", "9"], ["smt", "-m", "9"],
+    ],
 )
 def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
     assert main(argv) == 1
@@ -576,16 +587,26 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _value_block(values: tuple[int, ...]) -> str:
+    """One generalized value block over 3 goods, written as text: a `RealValuation` refuses a
+    malformed table when it is made, so the file cannot come from `dump_value_blocks`."""
+    return "1 3\n" + "".join(f"{s} {s:03b} {value}\n" for s, value in enumerate(values))
+
+
 @pytest.mark.parametrize(
     "argv, text, named",
     [
         pytest.param(
-            ["verify", "--vals"], dump_value_blocks([RealValuation(3, (1,) * 8)]),
+            ["verify", "--vals"], _value_block((1,) * 8),
             "empty set must have value 0", id="empty-set-valued",
         ),
         pytest.param(
-            ["verify", "--vals"], dump_value_blocks([RealValuation(3, (0, -1) + (0,) * 6)]),
+            ["verify", "--vals"], _value_block((0, -1) + (0,) * 6),
             "values must be non-negative", id="negative-value",
+        ),
+        pytest.param(
+            ["verify", "--vals"], _value_block((0, 2, 1, 3, 1, 1, 3, 4)),
+            "error: subset 1 ranked at or above superset 5", id="value-block-not-monotone",
         ),
         pytest.param(
             ["verify", "--vals"], "".join(f"{s} {s:02b} {s}\n" for s in range(4)),

@@ -85,9 +85,7 @@ def _reference_decode(assignment: Assignment, m: int) -> list[RankValuation]:
                 )
                 raise NotATotalOrder((second, middle, first))
             seen[r] = mask
-        val = RankValuation(m, tuple(rank))
-        val.validate()
-        valuations.append(val)
+        valuations.append(RankValuation(m, tuple(rank)))
     return valuations
 
 
@@ -155,7 +153,7 @@ def test_bundled_counterexample_spot_ranks():
     assert vals[1].rank[16] == 1
     assert vals[2].rank[64] == 1
     for val in vals:
-        val.validate()
+        assert RankValuation(val.m, val.rank) == val
 
 
 def test_rank_block_roundtrip():

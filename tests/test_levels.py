@@ -30,14 +30,14 @@ def test_levels_outside_zero_to_m_plus_one_are_refused_alike(k):
     with pytest.raises(LevelOutOfRange, match=message):
         leveled(random_monotone_rank_valuation(4, 0), k)
     with pytest.raises(LevelOutOfRange, match=message):
-        EncodeOptions(4, k).validate()
+        EncodeOptions(4, k)
 
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_levels_zero_and_m_plus_one_are_accepted(k):
     v = random_monotone_rank_valuation(4, 0)
     assert leveled(v, k).m == 4
-    EncodeOptions(4, k).validate()
+    assert EncodeOptions(4, k).level_k == k
 
 
 @pytest.mark.parametrize("n,m", [(3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 7)])

@@ -48,8 +48,9 @@ def test_realizations_are_submodular(seed):
 
 
 def test_diminishing_returns_agrees_with_four_point_definition():
-    # a non-realization table exercising both checkers in the failing case
-    bad = RealValuation(2, (0, 1, 1, 10))
+    # a non-realization table exercising both checkers in the failing case: the 2-good
+    # table (0, 1, 1, 10) with a worthless third good, since a valuation has at least 3
+    bad = RealValuation(3, (0, 1, 1, 10) * 2)
     ok, witness = is_submodular(bad)
     assert not ok and witness is not None
     assert not is_submodular_four_point(bad)
@@ -83,7 +84,7 @@ def test_extension_shape_and_values():
     assert extended[2].values[h0] > extended[2].values[(1 << 8) - 1] == 255
     assert extended[2].values == extended[3].values
     for v in extended:
-        v.validate()
+        assert RealValuation(v.m, v.values) == v
 
 
 def test_extension_input_validation():

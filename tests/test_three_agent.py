@@ -258,16 +258,15 @@ def test_rejects_wrong_arity_and_tiny_m():
     v = numeric_order_valuation(3)
     with pytest.raises(AgentCountOutOfRange):
         solve_three([v, v])
-    tiny = RankValuation(2, (0, 1, 2, 3))
     with pytest.raises(GoodCountOutOfRange, match="m=2"):
-        solve_three([tiny, tiny, tiny])
+        RankValuation(2, (0, 1, 2, 3))  # refused when made, so `solve_three` never sees it
 
 
 def test_more_goods_than_supported_are_refused():
-    """m=17 is refused before any value table is read, as every other entry point refuses it."""
-    big = RankValuation(17, ())
+    """m=17 is refused when the valuation is made, before its table is read, as every other
+    entry point refuses it."""
     with pytest.raises(GoodCountOutOfRange, match="m=17"):
-        solve_three([big, big, big])
+        RankValuation(17, ())
 
 
 def test_mixed_good_counts_are_an_arity_mismatch():

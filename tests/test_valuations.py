@@ -1,11 +1,13 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from efxlab.bitset import cardinality, full_set, singleton_bits
 from efxlab.errors import MonotonicityViolated, NotAPermutation
 from efxlab.valuations import (
+    RankValuation,
     RealValuation,
     leveled,
     monotonicity_violation,
@@ -42,10 +44,12 @@ def test_real_tables_and_the_scan_share_the_monotonicity_check():
     values = (0, 2, 1, 3, 1, 1, 3, 4)  # only v({g0}) > v({g0, g2}) breaks monotonicity
     assert monotonicity_violation(values, 3) == (1, 5)
     with pytest.raises(MonotonicityViolated) as err:
-        RealValuation(3, values).validate()
+        RealValuation(3, values)
     assert (err.value.subset, err.value.superset) == (1, 5)
     fine = as_real(random_monotone_rank_valuation(3, 4))
-    assert verify([fine, RealValuation(3, values), fine]).monotone == (True, False, True)
+    unchecked = SimpleNamespace(m=3, value=values.__getitem__)  # a `Valuation` not checked when made
+    assert verify([fine, unchecked, fine]).monotone == (True, False, True)
+    assert "valuation 1: NOT monotone" in verify([fine, unchecked, fine]).to_text()
 
 
 def _first_violation(values, m):
@@ -102,7 +106,8 @@ def test_random_valuation_deterministic_and_valid():
     second = random_monotone_rank_valuation(3, seed=1)
     assert first == second
     assert first != random_monotone_rank_valuation(3, seed=2)
-    random_monotone_rank_valuation(4, seed=7).validate()
+    drawn = random_monotone_rank_valuation(4, seed=7)
+    assert RankValuation(drawn.m, drawn.rank) == drawn
 
 
 def test_random_valuation_rejects_out_of_range_m():
@@ -120,7 +125,7 @@ def test_leveled_threshold_above_m_is_identity():
 def test_leveled_puts_large_sets_above_smaller_ones():
     val = random_monotone_rank_valuation(7, 2)
     out = leveled(val, 5)
-    out.validate()
+    assert RankValuation(out.m, out.rank) == out
     for large in range(1 << 7):
         if cardinality(large) < 5:
             continue
@@ -149,4 +154,5 @@ def test_leveled_is_idempotent():
 
 
 def test_numeric_order_valuation_is_valid():
-    numeric_order_valuation(4).validate()
+    v = numeric_order_valuation(4)
+    assert RankValuation(v.m, v.rank) == v
