@@ -48,8 +48,9 @@ def test_real_tables_and_the_scan_share_the_monotonicity_check():
     assert (err.value.subset, err.value.superset) == (1, 5)
     fine = as_real(random_monotone_rank_valuation(3, 4))
     unchecked = SimpleNamespace(m=3, value=values.__getitem__)  # a `Valuation` not checked when made
-    assert verify([fine, unchecked, fine]).monotone == (True, False, True)
-    assert "valuation 1: NOT monotone" in verify([fine, unchecked, fine]).to_text()
+    report = verify([fine, unchecked, fine])
+    assert report.monotone == (True, False, True)
+    assert "valuation 1: NOT monotone" in report.to_text()
 
 
 def _first_violation(values, m):

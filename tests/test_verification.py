@@ -736,8 +736,8 @@ def _mms_tuples_by_definition(rank, m):
 
 @pytest.mark.parametrize("m", range(3, 8))
 def test_mms_count_by_sorting_matches_the_pairwise_count(m):
-    """Monotone rank valuations and arbitrary rank permutations, passed as stand-ins with only
-    `m` and `rank`, since a `RankValuation` refuses a table that is not monotone."""
+    """Monotone rank valuations, and arbitrary rank permutations passed as stand-ins with only
+    `m` and `rank`, which a `RankValuation` would refuse."""
     rng = random.Random(m)
     valuations = [random_monotone_rank_valuation(m, 60 + k) for k in range(3)]
     for _ in range(3):
