@@ -8,7 +8,7 @@ or EF1-and-EEFX allocation for any three agents.  Submodular realizations
 and extensions to more agents complete the counterexample.
 """
 
-from .allocations import Allocation, count_allocations, enumerate_allocations
+from .allocations import Allocation, count_allocations
 from .decoding import (
     decode_valuations,
     dump_rank_blocks,
@@ -61,7 +61,6 @@ __all__ = [
     "dump_rank_blocks",
     "eefx_certificate",
     "encode_formula",
-    "enumerate_allocations",
     "equalize_for_valuation",
     "extend_counterexample",
     "find_mms_violations",

@@ -1,11 +1,12 @@
-"""Enumeration and counting of complete allocations with non-empty bundles.
+"""The allocation record, and counting and enumeration of complete allocations
+with non-empty bundles.
 
 An allocation of ``m`` goods to ``n`` agents is identified with the base-n
-integer whose digit ``i`` is the owner of good ``g_i``; enumeration ascends
-through these codes, keeping only codes in which every agent owns something.
-The encoder (and through its no-EFX clauses the SMT emission) and the
-acceptance checks read it in code order; the exhaustive scan in
-`verification` walks allocations bundle by bundle instead.
+integer whose digit ``i`` is the owner of good ``g_i``.  `enumerate_bundle_tuples`
+ascends through these codes and yields the bundles, not the code, of each one
+in which every agent owns something.  The encoder (and through its no-EFX
+clauses the SMT emission) and the acceptance checks read it in code order; the
+exhaustive scan in `verification` walks allocations bundle by bundle instead.
 """
 
 from __future__ import annotations
@@ -52,32 +53,20 @@ def count_allocations(n: int, m: int) -> int:
     return sum((-1) ** k * comb(n, k) * (n - k) ** m for k in range(n + 1))
 
 
-def coded_bundles(n: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(code, bundles)`` for the owner codes, ascending, that leave no bundle empty.
+def enumerate_bundle_tuples(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Bundle tuples, ascending by owner code, that leave no bundle empty.
 
     The owners run over the product with good m-1 as the first factor, so
     the last factor, good 0, is the lowest digit and codes ascend.
     """
     _check_agent_count(n, m)
     bits = [1 << good for good in reversed(range(m))]
-    for code, owners in enumerate(product(range(n), repeat=m)):
+    for owners in product(range(n), repeat=m):
         bundles = [0] * n
         for owner, bit in zip(owners, bits):
             bundles[owner] |= bit
         if 0 not in bundles:
-            yield code, tuple(bundles)
-
-
-def enumerate_bundle_tuples(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Raw bundle tuples, ascending by owner code; all bundles non-empty."""
-    for _, bundles in coded_bundles(n, m):
-        yield bundles
-
-
-def enumerate_allocations(n: int, m: int) -> Iterator[Allocation]:
-    """Every complete non-empty-bundle allocation exactly once, code order."""
-    for bundles in enumerate_bundle_tuples(n, m):
-        yield Allocation(m, bundles)
+            yield tuple(bundles)
 
 
 def singleton_histogram(n: int, m: int) -> dict[int, int]:

@@ -94,7 +94,8 @@ def read_integer(token: str) -> int:
 
 
 def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
-    """Parse DIMACS CNF; comments ignored, header validated against the body.
+    """Parse DIMACS CNF; `c` comment and blank lines ignored, header validated
+    against the body.
 
     `source` is the whole text, split into lines as by `str.splitlines`, or
     an iterable of lines such as an open text file, each item one line with
@@ -194,7 +195,7 @@ def _read_lines(
         if not tokens:
             continue
         head = tokens[0][0]
-        if head == "c" or head == "%":
+        if head == "c":
             continue
         if head == "p":
             header = _header(tokens, lineno, raw)
@@ -265,10 +266,10 @@ def _clause_lines(batch: list[Clause], formats: list[str]) -> str:
         return _clause_lines(batch, formats)
 
 
-def write_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
+def write_dimacs(formula: CnfFormula) -> str:
     """Normalized DIMACS text of `formula`, as `stream_dimacs` writes it."""
     out = io.StringIO()
-    stream_dimacs(out, formula.num_vars, len(formula.clauses), formula.clauses, comments)
+    stream_dimacs(out, formula.num_vars, len(formula.clauses), formula.clauses)
     return out.getvalue()
 
 

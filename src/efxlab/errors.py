@@ -1,4 +1,9 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library.
+
+Every class here is raised by some module, except `EfxLabError`, the one base
+class, which the command line catches.  The DIMACS, model and valuation-file
+errors derive from it directly, with no base of their own that nothing catches.
+"""
 
 from __future__ import annotations
 
@@ -84,27 +89,23 @@ class NotUtf8Text(EfxLabError):
 
 # -- DIMACS / models ----------------------------------------------------------
 
-class DimacsError(EfxLabError):
-    """Base class for CNF / model text format errors."""
-
-
-class HeaderMismatch(DimacsError):
+class HeaderMismatch(EfxLabError):
     """DIMACS header counts disagree with the body."""
 
 
-class MalformedLiteral(DimacsError):
+class MalformedLiteral(EfxLabError):
     """A token is not a valid signed literal."""
 
 
-class MissingTerminator(DimacsError):
+class MissingTerminator(EfxLabError):
     """A clause line does not end with the 0 terminator."""
 
 
-class DuplicateAssignment(DimacsError):
+class DuplicateAssignment(EfxLabError):
     """A model assigns the same variable both polarities."""
 
 
-class LiteralOutOfRange(DimacsError):
+class LiteralOutOfRange(EfxLabError):
     """A literal refers to a variable beyond the declared count."""
 
 
@@ -126,23 +127,19 @@ class NotATotalOrder(EfxLabError):
         self.cycle = cycle
 
 
-class ThreeValsFormatError(EfxLabError):
-    """Base class for valuation text format errors."""
-
-
-class LineCountMismatch(ThreeValsFormatError):
+class LineCountMismatch(EfxLabError):
     pass
 
 
-class MalformedValuationLine(ThreeValsFormatError):
+class MalformedValuationLine(EfxLabError):
     """A line has the wrong number of fields or a field that is not an integer."""
 
 
-class BitstringMismatch(ThreeValsFormatError):
+class BitstringMismatch(EfxLabError):
     pass
 
 
-class RankNotIncreasing(ThreeValsFormatError):
+class RankNotIncreasing(EfxLabError):
     pass
 
 

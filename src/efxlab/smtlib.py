@@ -7,6 +7,8 @@ one strict inequality, and the negation of "some allocation is EFX" is a
 disjunction with one conjunct per `encoding.not_efx_clauses` clause, the 2m
 negated literals of its EFX conditions.  Unsatisfiability of the script is
 equivalent to EFX existence for the given m; no solver is invoked here.
+The script holds no comments, so `tokenize_balanced`, its balance check,
+counts parentheses only.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .errors import GoodCountOutOfRange
 class SmtStats:
     m: int
     constants: int
-    positivity_assertions: int
-    monotonicity_assertions: int
-    item_order_assertions: int
     disjuncts: int
     inequalities: int
 
@@ -72,9 +71,6 @@ def emit_smtlib(m: int) -> tuple[str, SmtStats]:
     stats = SmtStats(
         m=m,
         constants=len(constants),
-        positivity_assertions=len(constants),
-        monotonicity_assertions=len(monotonicity),
-        item_order_assertions=len(item_order),
         disjuncts=len(disjuncts),
         inequalities=sum(map(len, disjuncts)),
     )
@@ -85,15 +81,8 @@ def tokenize_balanced(text: str) -> int:
     """Number of top-level s-expressions; raises on imbalance."""
     depth = 0
     top_level = 0
-    in_comment = False
     for ch in text:
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-            continue
-        if ch == ";":
-            in_comment = True
-        elif ch == "(":
+        if ch == "(":
             if depth == 0:
                 top_level += 1
             depth += 1

@@ -244,6 +244,17 @@ def _hand_out(
 def _dispatch(
     partition: tuple[int, int, int], valuations: Sequence[RankValuation]
 ) -> tuple[str | None, tuple[int, int, int]]:
+    """One step from a relabelled partition (X0, X1, X2): case 1, case 3, else the
+    remaining case.
+
+    There is no case 2, "some agent a in {1, 2} has v_a(X0) > v_a(X1)": once
+    case 1 fails it never holds.  `_relabel` leaves X2 the only bundle that
+    agents 1 and 2 find tEFX-feasible, so X0 is not tEFX-feasible for a.  If
+    v_a(X0) > v_a(X1), X1 is not what makes it so; some g in X2 has
+    v_a(X0 + g) < v_a(X2 - g).  Case 1 failing at g gives
+    v_a(X2 - g) <= max(v_a(X0 + g), v_a(X1)), so v_a(X2 - g) <= v_a(X1).
+    Then v_a(X1) > v_a(X0 + g) > v_a(X0) > v_a(X1), a contradiction.
+    """
     v0, v1, v2 = valuations
     x0, x1, x2 = partition
 
@@ -252,11 +263,6 @@ def _dispatch(
         for bit in singleton_bits(x2):
             if v.rank[x2 ^ bit] > max(v.rank[x0 | bit], v.rank[x1]):
                 return _case_shift(partition, v0, bit)
-
-    # Case 2: some non-zero agent prefers X0 over X1.
-    for agent, v in ((1, v1), (2, v2)):
-        if v.rank[x0] > v.rank[x1]:
-            return _hand_out(TAG_TEFX, x1, agent, x0, x2)
 
     # Case 3: a reduced X2 beats X1 for both non-zero agents.  Agent 1 splits;
     # agent 0 takes X1 if it can, and agent 2 its favorite side.

@@ -1,9 +1,9 @@
-"""Valuation data model: rank valuations and exact real-valued valuations.
+"""Valuation data model: rank valuations and exact integer-valued valuations.
 
 The canonical non-degenerate valuation is a *rank valuation*: a monotone
 bijection from all ``2^m`` subsets onto the ranks ``0 .. 2^m - 1``.  Making
 non-degeneracy structural keeps every fairness predicate a pure rank
-comparison; no numeric values are needed anywhere downstream.  Real-valued
+comparison; no numeric values are needed anywhere downstream.  Value
 tables may be degenerate; the extension instances use them.
 Both valuation classes check themselves when they are made: the good count
 (`check_good_count`), the table's shape, then `monotonicity_violation`, the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bitset import cardinality, check_good_count, check_level, cover_table
 from .errors import (
@@ -88,10 +87,10 @@ class RankValuation:
 
 @dataclass(frozen=True)
 class RealValuation:
-    """Exact-arithmetic valuation table; may be degenerate but must be monotone."""
+    """Integer valuation table, exact; may be degenerate but must be monotone."""
 
     m: int
-    values: tuple[Fraction | int, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         check_good_count(self.m)
@@ -106,7 +105,7 @@ class RealValuation:
         if violation is not None:
             raise MonotonicityViolated(*violation)
 
-    def value(self, mask: int) -> Fraction | int:
+    def value(self, mask: int) -> int:
         return self.values[mask]
 
 

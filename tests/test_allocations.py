@@ -2,9 +2,7 @@ import pytest
 
 from efxlab.allocations import (
     Allocation,
-    coded_bundles,
     count_allocations,
-    enumerate_allocations,
     enumerate_bundle_tuples,
     singleton_histogram,
 )
@@ -14,6 +12,7 @@ from efxlab.errors import (
     GoodCountOutOfRange,
     OverlappingBundles,
 )
+from efxlab.verification import _coded
 
 
 def decoded_bundles(n, m):
@@ -42,20 +41,20 @@ def test_enumeration_matches_closed_form(n, m):
 
 
 def test_three_goods_yields_all_singleton_assignments():
-    allocations = list(enumerate_allocations(3, 3))
+    allocations = list(enumerate_bundle_tuples(3, 3))
     assert len(allocations) == 6
-    for allocation in allocations:
-        Allocation(3, allocation.bundles)
-        assert sorted(allocation.bundles) == [1, 2, 4]
+    for bundles in allocations:
+        Allocation(3, bundles)
+        assert sorted(bundles) == [1, 2, 4]
 
 
 def test_yields_are_valid_and_unique():
     seen = set()
-    for allocation in enumerate_allocations(3, 5):
-        Allocation(5, allocation.bundles)
-        assert all(allocation.bundles)
-        assert allocation.bundles not in seen
-        seen.add(allocation.bundles)
+    for bundles in enumerate_bundle_tuples(3, 5):
+        Allocation(5, bundles)
+        assert all(bundles)
+        assert bundles not in seen
+        seen.add(bundles)
 
 
 def test_singleton_subcounts_for_seven_goods():
@@ -68,14 +67,17 @@ def test_requires_enough_goods():
     with pytest.raises(AgentCountOutOfRange):
         list(enumerate_bundle_tuples(4, 3))
     with pytest.raises(ValueError):
-        list(coded_bundles(0, 3))
+        list(enumerate_bundle_tuples(0, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coded_bundles_match_digit_by_digit_decode(n):
+    """The bundle tuples, each with its owner code (`verification._coded`), are
+    those of the ascending codes that leave no bundle empty."""
     for m in range(n, 8):
-        assert list(coded_bundles(n, m)) == list(decoded_bundles(n, m)), m
-        assert len(list(coded_bundles(n, m))) == count_allocations(n, m)
+        coded = [_coded(n, bundles) for bundles in enumerate_bundle_tuples(n, m)]
+        assert coded == list(decoded_bundles(n, m)), m
+        assert len(coded) == count_allocations(n, m)
 
 
 def test_allocation_validate_rejects_bad_partitions():

@@ -8,7 +8,9 @@ or one or two of those ints.  Every other argument is a fixed, valid object
 over M goods, so that a call can fail only on its ints.  A valuation is
 checked when it is made, so a function that reads one never sees a bad
 table.  `RankValuation` also gets m = M with a table that is not monotone
-and one that is too short, and each must raise its own error type.
+and one that is too short, and each must raise its own error type, as must
+each call in `TYPED_ERRORS`: empty value blocks, valuations of mixed good
+counts, and an order that names a set past the goods.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from efxlab import (
     count_allocations,
     decode_valuations,
     eefx_certificate,
-    enumerate_allocations,
     equalize_for_valuation,
     extend_counterexample,
     is_ef1_feasible,
@@ -50,9 +51,17 @@ from efxlab import (
     transfer_split,
     var_id,
     verify,
+    violated_condition_count,
 )
+from efxlab.decoding import load_value_blocks
 from efxlab.dimacs import Assignment
-from efxlab.errors import EfxLabError, MonotonicityViolated, NotAPermutation
+from efxlab.errors import (
+    ArityMismatch,
+    EfxLabError,
+    LineCountMismatch,
+    MonotonicityViolated,
+    NotAPermutation,
+)
 
 CALL_LIMIT_S = 3.0
 M = 3
@@ -67,6 +76,16 @@ BAD_RANK_TABLES = {
 
 V = random_monotone_rank_valuation(M, 1)
 ALLOCATION = Allocation(M, (0b001, 0b010, 0b100))
+
+# a call past an input's bounds -> the error it must raise
+TYPED_ERRORS = {
+    "value_blocks_empty": (lambda: load_value_blocks(""), LineCountMismatch),
+    "violations_mixed_goods": (
+        lambda: violated_condition_count(ALLOCATION, [V, V, random_monotone_rank_valuation(M + 1, 1)]),
+        ArityMismatch,
+    ),
+    "order_set_past_goods": (lambda: rank_valuation_from_order(M, [*range(7), 9]), NotAPermutation),
+}
 
 # name -> (call, one domain per argument of the call)
 CALLS = {
@@ -85,7 +104,6 @@ CALLS = {
     "count_allocations": (count_allocations, (INTS, INTS)),
     "decode_valuations": (lambda m: decode_valuations(Assignment(0), m), (INTS,)),
     "eefx_certificate": (lambda bundle, rest, n: eefx_certificate(V, bundle, rest, n), (INTS,) * 3),
-    "enumerate_allocations": (enumerate_allocations, (INTS, INTS)),
     "equalize_for_valuation": (lambda partition: equalize_for_valuation(partition, V), (INT_LISTS,)),
     "extend_counterexample": (lambda n: extend_counterexample(load_bundled_counterexample(), n), (INTS,)),
     "is_ef1_feasible": (lambda index: is_ef1_feasible(V, index, ALLOCATION), (INTS,)),
@@ -151,3 +169,10 @@ def test_boundary_ints_return_or_raise_a_typed_error_in_time(name):
 def test_bad_rank_tables_are_refused_when_made(rank):
     with pytest.raises(BAD_RANK_TABLES[rank]):
         RankValuation(M, rank)
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_ERRORS))
+def test_out_of_bounds_inputs_raise_their_own_error(name):
+    call, error = TYPED_ERRORS[name]
+    with pytest.raises(error):
+        call()

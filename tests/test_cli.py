@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -82,6 +83,54 @@ def test_stats_json_output_is_pinned(capsys):
     for flags in STATS_CONFIGS:
         assert main(["stats", *flags, "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STATS_DIGEST
+
+
+@pytest.fixture()
+def small_inputs(tmp_path):
+    """`efx`: three valuations over 4 goods with an EFX allocation; `hard`: the m=4, k=3
+    item-order formula, which the solver does not settle without a conflict."""
+    efx = tmp_path / "efx4.txt"
+    efx.write_text(dump_rank_blocks([random_monotone_rank_valuation(4, 100 + j) for j in range(3)]))
+    hard = tmp_path / "hard.cnf"
+    hard.write_text(write_dimacs(encode_formula(EncodeOptions(4, 3, True))))
+    return {"efx": efx, "hard": hard}
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines",
+    [
+        pytest.param(
+            ["verify", "--vals", "{efx}", "--expect-none"], 1,
+            ["EFX count: 3 / 36", "first EFX allocation: [5, 8, 2]"], id="verify-expect-none-finds-efx",
+        ),
+        pytest.param(["sat", "-i", "{hard}", "--budget", "0"], 1, ["s UNKNOWN"], id="sat-budget-spent"),
+        pytest.param(
+            ["stats", "-m", "6", "-k", "4"], 0,
+            [
+                "note: variable count 6048 = 3*P*(P-1)/2 with P=2^6 disagrees with the previously"
+                " reported 6084; the formula value is used",
+                "note: generated-clause total 189720 differs from the previously reported 189723 by -3"
+                " (0.0016%, within the 0.02% tolerance); per-family counts: item_order=0,"
+                " leveled=3465, monotonicity=1995, not_efx=540, transitivity=183720",
+            ],
+            id="stats-text-notes",
+        ),
+    ],
+)
+def test_exit_code_and_printed_lines(small_inputs, capsys, argv, code, lines):
+    assert main([arg.format(**small_inputs) for arg in argv]) == code
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line in lines] == lines
+
+
+def test_preprocess_writes_an_unsat_formula_that_sat_refutes(tmp_path, capsys):
+    cnf, reduced = tmp_path / "in.cnf", tmp_path / "out.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert main(["preprocess", "-i", str(cnf), "-o", str(reduced), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["unsat"] is True
+    assert reduced.read_text() == "p cnf 1 1\n0\n"
+    assert main(["sat", "-i", str(reduced)]) == 0
+    assert capsys.readouterr().out == "s UNSATISFIABLE\n"
 
 
 def test_sat_and_decode_pipeline(tmp_path, capsys):
@@ -359,6 +408,11 @@ M4_ARGV = ["encode", "-m", "4", "-k", "2", "--item-order"]
 M4_COMMENT = "no-EFX encoding: m=4 level_k=2 item_order=True"
 
 
+def m4_artifact() -> str:
+    """What `M4_ARGV` writes: its comment line, then the formula."""
+    return f"c {M4_COMMENT}\n" + write_dimacs(encode_formula(M4_OPTS))
+
+
 @pytest.fixture()
 def m4_cnf(tmp_path):
     path = tmp_path / "efx4.cnf"
@@ -375,7 +429,7 @@ def _preprocessed(path: Path) -> str:
     "argv, artifact, line, key, value",
     [
         pytest.param(
-            M4_ARGV, lambda cnf: write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT]),
+            M4_ARGV, lambda cnf: m4_artifact(),
             "total clauses: 711", "total_clauses", 711, id="encode",
         ),
         pytest.param(
@@ -447,13 +501,27 @@ def test_failing_command_leaves_its_output_path_as_it_was(tmp_path, capsys, exis
     assert [child.name for child in tmp_path.iterdir()] == ([] if existing is None else ["left.cnf"])
 
 
+def test_command_failing_mid_write_leaves_its_output_file_as_it_was(tmp_path, monkeypatch, capsys):
+    def write_then_fail(opts, out, comments):
+        out.write("p cnf 1 1\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_dimacs_stream", write_then_fail)
+    path = tmp_path / "kept.cnf"
+    path.write_bytes(b"kept bytes\n")
+    assert main(["encode", "-m", "4", "-o", str(path)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert path.read_bytes() == b"kept bytes\n"
+    assert [child.name for child in tmp_path.iterdir()] == ["kept.cnf"]  # no kept.cnf.*.tmp
+
+
 def test_successful_output_replaces_the_file_behind_a_link_and_keeps_its_mode(tmp_path, capsys):
     path, link = tmp_path / "efx4.cnf", tmp_path / "latest.cnf"
     path.write_text("c an older and longer file\n" * 2000)
     path.chmod(0o640)
     link.symlink_to(path.name)
     assert main([*M4_ARGV, "-o", str(link)]) == 0
-    assert path.read_text() == write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT])
+    assert path.read_text() == m4_artifact()
     assert path.stat().st_mode & 0o777 == 0o640
     assert link.is_symlink()
     assert sorted(child.name for child in tmp_path.iterdir()) == ["efx4.cnf", "latest.cnf"]
@@ -469,7 +537,7 @@ def test_output_to_a_named_pipe_is_written_in_place(tmp_path, capsys):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
-    assert artifact.decode() == write_dimacs(encode_formula(M4_OPTS), [M4_COMMENT])
+    assert artifact.decode() == m4_artifact()
 
 
 def test_output_into_a_missing_directory_exits_two_naming_the_path(tmp_path, capsys):

@@ -63,11 +63,11 @@ def test_out_of_range_literal_detected():
 
 def test_write_parse_roundtrip_on_normalized_text():
     formula = CnfFormula(4, [(1, -2), (3, 4, -1), (-4,)])
-    text = write_dimacs(formula, comments=["round trip"])
+    text = write_dimacs(formula)
     again = parse_dimacs(text)
     assert again.num_vars == formula.num_vars
     assert again.clauses == formula.clauses
-    assert write_dimacs(again, comments=["round trip"]) == text
+    assert write_dimacs(again) == text
 
 
 def test_both_writers_give_identical_bytes(monkeypatch):
@@ -78,7 +78,7 @@ def test_both_writers_give_identical_bytes(monkeypatch):
     monkeypatch.setattr(encoding, "encode", lambda _: iter(clauses))
     out = io.StringIO()
     encoding.write_dimacs_stream(opts, out, ["c1"])
-    assert out.getvalue() == write_dimacs(CnfFormula(8, clauses), ["c1"])
+    assert out.getvalue() == "c c1\n" + write_dimacs(CnfFormula(8, clauses))
     assert out.getvalue().endswith("p cnf 8 3\n0\n-3 0\n1 -2 3 -4 5 -6 7 -8 0\n")
 
 
@@ -94,8 +94,8 @@ def test_write_dimacs_bytes_at_every_clause_width(monkeypatch, batch):
     wide = tuple(lit if lit % 2 else -lit for lit in range(1, 41))
     monkeypatch.setattr(dimacs, "WRITE_BATCH", batch)
     assert write_dimacs(CnfFormula(40, [])) == "p cnf 40 0\n"
-    text = write_dimacs(CnfFormula(40, [(), (7,), wide, (-1, 2), wide, ()]), ["c1", "c2"])
-    assert text == "c c1\nc c2\np cnf 40 6\n0\n7 0\n" + WIDE + "-1 2 0\n" + WIDE + "0\n"
+    text = write_dimacs(CnfFormula(40, [(), (7,), wide, (-1, 2), wide, ()]))
+    assert text == "p cnf 40 6\n0\n7 0\n" + WIDE + "-1 2 0\n" + WIDE + "0\n"
 
 
 def test_stream_writer_checks_the_emitted_count(monkeypatch):
@@ -235,7 +235,7 @@ def reference_parse_dimacs(source):
     clauses, pending = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -308,7 +308,7 @@ def _scattered(rng, num_vars, count):
             if line:
                 lines.append(" ".join(line))
                 line = []
-            lines.append(rng.choice(["", "   ", "c mid-body 1 2 0", "%"]))
+            lines.append(rng.choice(["", "   ", "c mid-body 1 2 0", "c"]))
     if line:
         lines.append(" ".join(line))
     return lines
@@ -379,7 +379,7 @@ def _break(rng, lines, faults=7):
     A bad token goes into the second half of the body, so that it comes
     after several batches that are read at once."""
     lines = list(lines)
-    body = [i for i, line in enumerate(lines) if line.split() and line.split()[0][0] not in "cp%"]
+    body = [i for i, line in enumerate(lines) if line.split() and line.split()[0][0] not in "cp"]
     late = body[len(body) // 2:]
     headers = [i for i, line in enumerate(lines) if line.startswith("p")]
     fault = rng.randrange(faults)
@@ -498,6 +498,8 @@ def test_parse_from_lines_matches_parse_from_text(newline):
         ("p cnf 12 2\n1_0 -2 0\n\u0661 0\n", MalformedLiteral, "line 2: bad literal '1_0'"),
         ("p cnf 12 2\n1 -2 0\n\u0661 0\n", MalformedLiteral, "line 3: bad literal '\u0661'"),
         ("c\np cnf 1_0 2\n", HeaderMismatch, "line 2: non-integer header counts"),
+        ("p cnf 2 1\n1 -2 0\n%\n", MalformedLiteral, "line 3: bad literal '%'"),
+        ("p cnf 2 1\n1 -2 0\n%\n0\n", MalformedLiteral, "line 3: bad literal '%'"),  # a SATLIB trailer
     ],
 )
 def test_parse_errors_name_the_line(text, error, message):

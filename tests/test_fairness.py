@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from efxlab.allocations import Allocation, enumerate_allocations
+from efxlab.allocations import Allocation
 from efxlab.bitset import full_set, singleton_bits
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import (
@@ -30,7 +30,7 @@ from efxlab.three_agent import equalize_for_valuation, solve_three, transfer_spl
 from efxlab.valuations import random_monotone_rank_valuation
 from efxlab.verification import verify
 
-from conftest import numeric_order_valuation
+from conftest import all_allocations, numeric_order_valuation
 
 
 def test_strong_envy_needs_a_removable_good():
@@ -73,7 +73,7 @@ def test_singleton_allocation_is_efx_for_identical_agents():
 def test_violation_count_zero_iff_efx():
     """Both agree with a reference kept here: no agent strongly envies another's bundle."""
     vals = [random_monotone_rank_valuation(4, 40 + j) for j in range(3)]
-    for allocation in enumerate_allocations(3, 4):
+    for allocation in all_allocations(3, 4):
         count = violated_condition_count(allocation, vals)
         bundles = allocation.bundles
         envy_free = not any(
@@ -201,7 +201,7 @@ def test_shape_errors_are_value_errors(call, args):
 
 def test_favorite_bundle_is_tefx_and_efx_feasible():
     vals = [random_monotone_rank_valuation(5, 60 + j) for j in range(3)]
-    for allocation in list(enumerate_allocations(3, 5))[:40]:
+    for allocation in list(all_allocations(3, 5))[:40]:
         for agent, v in enumerate(vals):
             favorite = max(range(3), key=lambda j: v.value(allocation.bundles[j]))
             assert is_tefx_feasible(v, favorite, allocation)
@@ -210,7 +210,7 @@ def test_favorite_bundle_is_tefx_and_efx_feasible():
 
 def test_efx_feasible_implies_tefx_and_ef1():
     vals = [random_monotone_rank_valuation(5, 70 + j) for j in range(3)]
-    for allocation in list(enumerate_allocations(3, 5))[::7]:
+    for allocation in list(all_allocations(3, 5))[::7]:
         for agent, v in enumerate(vals):
             for j in range(3):
                 if is_efx_feasible(v, j, allocation):
@@ -253,7 +253,7 @@ def test_ef1_fails_when_every_single_removal_still_beats():
 
 def test_eefx_certificate_exists_for_efx_feasible_bundle():
     vals = [random_monotone_rank_valuation(4, 90 + j) for j in range(3)]
-    for allocation in list(enumerate_allocations(3, 4))[::5]:
+    for allocation in list(all_allocations(3, 4))[::5]:
         for agent, v in enumerate(vals):
             bundle = allocation.bundles[agent]
             rest = full_set(4) ^ bundle

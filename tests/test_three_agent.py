@@ -9,6 +9,7 @@ one traversing the witnessed-transfer branch to the certificate exit.
 """
 
 import hashlib
+import itertools
 import re
 from heapq import heapify, heappop, heappush
 
@@ -252,6 +253,31 @@ def test_results_are_pinned():
 def test_dispatch_path_seeds(m, seed):
     result = solve_three(seeded_triple(m, seed))
     assert result.tag in (TAG_TEFX, TAG_EF1_EEFX)
+
+
+def test_case_1_failing_leaves_x0_below_x1():
+    """The lemma in `_dispatch`'s docstring, by brute force over every partition
+    (X0, X1, X2) of the goods, empty bundles included: for an agent that finds X0
+    not tEFX-feasible and has no good g of X2 with v(X2 - g) > max(v(X0 + g), v(X1)),
+    v(X0) < v(X1), so `_dispatch` needs no case for an agent that prefers X0."""
+    met = needs_case_1 = 0
+    for m, seeds in ((3, 40), (4, 20), (5, 10)):
+        for seed in range(seeds):
+            v = random_monotone_rank_valuation(m, 900 + seed)
+            for owners in itertools.product(range(3), repeat=m):
+                partition = tuple(
+                    sum(1 << good for good, owner in enumerate(owners) if owner == j) for j in range(3)
+                )
+                x0, x1, x2 = partition
+                if fairness.is_tefx_feasible(v, 0, Allocation(m, partition)):
+                    continue
+                if any(v.rank[x2 ^ bit] > max(v.rank[x0 | bit], v.rank[x1]) for bit in singleton_bits(x2)):
+                    needs_case_1 += v.rank[x0] > v.rank[x1]
+                    continue
+                met += 1
+                assert v.rank[x0] < v.rank[x1], (m, seed, partition)
+    assert met >= 500
+    assert needs_case_1  # without case 1 failing, X0 does beat X1
 
 
 def test_rejects_wrong_arity_and_tiny_m():

@@ -9,12 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from efxlab import verification
-from efxlab.allocations import (
-    Allocation,
-    coded_bundles,
-    count_allocations,
-    enumerate_allocations,
-)
+from efxlab.allocations import Allocation, count_allocations, enumerate_bundle_tuples
 from efxlab.bitset import goods, submasks
 from efxlab.decoding import load_bundled_counterexample
 from efxlab.errors import AgentCountOutOfRange, ArityMismatch, JobCountOutOfRange
@@ -43,7 +38,7 @@ from efxlab.verification import (
     verify,
 )
 
-from conftest import as_real, numeric_order_valuation
+from conftest import all_allocations, as_real, numeric_order_valuation
 
 FEATURED_QUAD = (0b00000110, 0b10010001, 0b00010100, 0b10000011)
 
@@ -82,13 +77,13 @@ def test_report_matches_fairness_predicates_on_small_instance():
         n, m = len(vals), vals[0].m
         report = verify(vals)
         histogram: dict[int, int] = {}
-        for allocation in enumerate_allocations(n, m):
+        for allocation in all_allocations(n, m):
             count = violated_condition_count(allocation, vals)
             histogram[count] = histogram.get(count, 0) + 1
         assert report.violation_histogram == histogram
         assert report.total_allocations == count_allocations(n, m)
 
-        expected = sum(1 for a in enumerate_allocations(n, m) if is_efx(a, vals))
+        expected = sum(1 for a in all_allocations(n, m) if is_efx(a, vals))
         assert report.efx_count == expected == histogram.get(0, 0)
         if expected:
             assert is_efx(Allocation(m, report.first_efx_witness), vals)
@@ -152,7 +147,7 @@ def _full_scan(vals):
     conditions = (n - 1) * m
     hist: dict[int, int] = {}
     witness = None
-    for _, bundles in coded_bundles(n, m):
+    for bundles in enumerate_bundle_tuples(n, m):
         held = 0
         for i, table, rows, others in agents:
             own = table[bundles[i]]
@@ -203,7 +198,7 @@ def test_witness_is_first_efx_allocation_in_code_order(monkeypatch, jobs):
     monkeypatch.setattr(verification, "usable_cpus", lambda: 3)  # jobs chunks on any host
     for vals in _instances_with_efx():
         n, m = len(vals), vals[0].m
-        first = next(a for a in enumerate_allocations(n, m) if is_efx(a, vals))
+        first = next(a for a in all_allocations(n, m) if is_efx(a, vals))
         report = verify(vals, jobs=jobs)
         assert report.efx_count > 0
         assert report.first_efx_witness == first.bundles
@@ -249,7 +244,7 @@ def test_scan_shares_of_first_bundles_merge_to_the_full_scan():
         expected: dict[int, int] = {}
         efx_codes = []
         efx_weight = 0
-        for c, bundles in coded_bundles(n, m):
+        for c, bundles in (_coded(n, bundles) for bundles in enumerate_bundle_tuples(n, m)):
             orbit = _orbit(bundles, classes, n)
             assert c in orbit
             if c != min(orbit) or bundles[first] not in share:
@@ -636,7 +631,7 @@ def _brute_force_report(vals):
     n, m = len(vals), vals[0].m
     hist: dict[int, int] = {}
     witness = None
-    for allocation in enumerate_allocations(n, m):
+    for allocation in all_allocations(n, m):
         count = violated_condition_count(allocation, vals)
         hist[count] = hist.get(count, 0) + 1
         if count == 0 and witness is None:
