@@ -20,7 +20,7 @@ import json
 import os
 import stat
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TextIO
 
 from . import acceptance, cdcl, smtlib, three_agent, verification
@@ -34,7 +34,7 @@ from .decoding import (
     load_rank_blocks,
     load_valuations,
 )
-from .dimacs import CnfFormula, parse_dimacs, parse_model, stream_dimacs, write_model
+from .dimacs import CnfFormula, parse_dimacs, parse_model, read_integer, stream_dimacs, write_model
 from .encoding import EncodeOptions, clause_counts, good_count, write_dimacs_stream
 from .errors import EfxLabError, IndexOutOfRange, NotUtf8Text
 from .simplify import preprocess
@@ -74,7 +74,7 @@ def _read(path: str) -> str:
 
 
 def _parse_dimacs_file(path: str) -> CnfFormula:
-    """Parse a DIMACS file line by line, without holding its whole text."""
+    """Parse a DIMACS file a piece at a time, without holding its whole text."""
     with _open(path) as handle:
         return parse_dimacs(handle)
 
@@ -132,16 +132,6 @@ def _is_stdout(found: os.stat_result) -> bool:
 def _report_to(out: TextIO | None) -> TextIO:
     """The stream for a command's report: stderr if its artifact went to stdout."""
     return sys.stderr if out is sys.stdout else sys.stdout
-
-
-def _conflict_budget(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"conflict budget must be an integer, got {text!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"conflict budget must be >= 0, got {budget}")
-    return budget
 
 
 def _print_report(payload: dict, as_json: bool, file: TextIO) -> None:
@@ -236,7 +226,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     valuations = load_valuations(_read(args.vals))
     report = verification.verify(valuations, jobs=args.jobs)
-    print(report.to_json() if args.json else report.to_text(), end="")
+    if args.json:
+        print(report.to_json())
+    else:
+        print(report.to_text(), end="")
     if args.expect_none and report.efx_count != 0:
         return EXIT_DOMAIN
     if args.expect_some and report.efx_count == 0:
@@ -320,86 +313,77 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return EXIT_DOMAIN if failed else EXIT_OK
 
 
+def _shared(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one option for every subcommand that shares it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The `efxlab` parser.  An option that several subcommands take is declared
+    once, in a parent parser, and every integer option reads its argument by
+    `read_integer`, the rule for integers in files."""
     parser = argparse.ArgumentParser(
         prog="efxlab",
         description="Encode, solve, verify, and construct around EFX existence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    encode = sub.add_parser("encode", help="write the no-EFX CNF in DIMACS format")
-    encode.add_argument("-m", type=int, required=True, help="number of goods")
-    encode.add_argument("-k", "--level", type=int, default=None, help="level threshold")
-    encode.add_argument("--item-order", action="store_true", help="pin agent 0's singleton order")
-    encode.add_argument("-o", "--output", default="-", help="output path (- for stdout)")
-    encode.add_argument("--json", action="store_true")
-    encode.set_defaults(func=cmd_encode)
+    def command(
+        name: str, func: Callable[[argparse.Namespace], int], summary: str, *parents: argparse.ArgumentParser
+    ) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=summary, parents=parents)
+        subparser.register("type", int, read_integer)  # `type=int` reads by the file rule
+        subparser.set_defaults(func=func)
+        return subparser
 
-    stats = sub.add_parser("stats", help="per-family clause counts without writing a file")
-    stats.add_argument("-m", type=int, required=True)
-    stats.add_argument("-k", "--level", type=int, default=None)
-    stats.add_argument("--item-order", action="store_true")
-    stats.add_argument("--json", action="store_true")
-    stats.set_defaults(func=cmd_stats)
+    source = _shared("-i", "--input", required=True, help="input path (- for stdin)")
+    output = _shared("-o", "--output", default="-", help="output path (- for stdout)")
+    vals = _shared("--vals", required=True, help="valuation file")
+    as_json = _shared("--json", action="store_true", help="print the report as JSON")
+    goods_m = _shared("-m", type=int, required=True, help="number of goods")
+    level = _shared("-k", "--level", type=int, default=None, help="level threshold")
+    level.add_argument("--item-order", action="store_true", help="pin agent 0's singleton order")
 
-    pre = sub.add_parser("preprocess", help="unit propagation + subsumption on a DIMACS file")
-    pre.add_argument("-i", "--input", required=True)
-    pre.add_argument("-o", "--output", default=None)
-    pre.add_argument("--json", action="store_true")
-    pre.set_defaults(func=cmd_preprocess)
+    command("encode", cmd_encode, "write the no-EFX CNF in DIMACS format", goods_m, level, output, as_json)
+    command("stats", cmd_stats, "per-family clause counts without writing a file", goods_m, level, as_json)
 
-    sat = sub.add_parser("sat", help="run the embedded CDCL solver on a DIMACS file")
-    sat.add_argument("-i", "--input", required=True)
-    sat.add_argument("--budget", type=_conflict_budget, default=None, help="conflict budget")
-    sat.set_defaults(func=cmd_sat)
+    pre = command(
+        "preprocess", cmd_preprocess, "unit propagation + subsumption on a DIMACS file", source, as_json
+    )
+    # the one optional artifact: without -o, preprocess writes no formula
+    pre.add_argument("-o", "--output", default=None, help="also write the reduced formula here")
 
-    decode = sub.add_parser("decode", help="turn a model (v lines) into valuation blocks")
-    decode.add_argument("-i", "--input", required=True)
-    decode.add_argument("-o", "--output", default="-")
-    decode.set_defaults(func=cmd_decode)
+    sat = command("sat", cmd_sat, "run the embedded CDCL solver on a DIMACS file", source)
+    sat.add_argument("--budget", type=int, default=None, help="conflict budget")
 
-    verify = sub.add_parser("verify", help="exhaustively scan all allocations of an instance")
-    verify.add_argument("--vals", required=True)
+    command("decode", cmd_decode, "turn a model (v lines) into valuation blocks", source, output)
+
+    verify = command("verify", cmd_verify, "exhaustively scan all allocations of an instance", vals, as_json)
     expect = verify.add_mutually_exclusive_group()
     expect.add_argument("--expect-none", action="store_true", help="exit 1 if any EFX allocation exists")
     expect.add_argument("--expect-some", action="store_true", help="exit 1 if no EFX allocation exists")
     verify.add_argument("--jobs", type=int, default=1,
                         help="worker processes, at most one per usable CPU (default: 1, serial)")
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
 
-    sub_sm = sub.add_parser("submodular", help="dyadic submodular realization of one valuation")
-    sub_sm.add_argument("--vals", required=True)
+    sub_sm = command(
+        "submodular", cmd_submodular, "dyadic submodular realization of one valuation", vals, output
+    )
     sub_sm.add_argument("--agent", type=int, default=0)
-    sub_sm.add_argument("-o", "--output", default="-")
-    sub_sm.set_defaults(func=cmd_submodular)
 
-    check_sm = sub.add_parser("check-submodular", help="diminishing-returns check of a dyadic dump")
-    check_sm.add_argument("-i", "--input", required=True)
-    check_sm.set_defaults(func=cmd_check_submodular)
+    command("check-submodular", cmd_check_submodular, "diminishing-returns check of a dyadic dump", source)
 
-    extend = sub.add_parser("extend", help="extend the 8-good instance to n >= 4 agents")
-    extend.add_argument("--vals", required=True)
+    extend = command("extend", cmd_extend, "extend the 8-good instance to n >= 4 agents", vals, output)
     extend.add_argument("-n", "--agents", type=int, required=True)
-    extend.add_argument("-o", "--output", default="-")
-    extend.set_defaults(func=cmd_extend)
 
-    solve3 = sub.add_parser("solve3", help="run the constructive three-agent algorithm")
-    solve3.add_argument("--vals", required=True)
-    solve3.add_argument("--json", action="store_true")
-    solve3.set_defaults(func=cmd_solve3)
+    command("solve3", cmd_solve3, "run the constructive three-agent algorithm", vals, as_json)
+    command("smt", cmd_smt, "emit the QF_LRA encoding as SMT-LIB 2", goods_m, output, as_json)
 
-    smt = sub.add_parser("smt", help="emit the QF_LRA encoding as SMT-LIB 2")
-    smt.add_argument("-m", type=int, required=True)
-    smt.add_argument("-o", "--output", default="-")
-    smt.add_argument("--json", action="store_true")
-    smt.set_defaults(func=cmd_smt)
-
-    selfcheck = sub.add_parser("selfcheck", help="run the acceptance suite")
+    selfcheck = command("selfcheck", cmd_selfcheck, "run the acceptance suite")
     selfcheck.add_argument("--quick", action="store_true", help="skip the slow criteria")
     selfcheck.add_argument("--jobs", type=int, default=verification.usable_cpus())
     selfcheck.add_argument("-v", "--verbose", action="store_true")
-    selfcheck.set_defaults(func=cmd_selfcheck)
 
     return parser
 

@@ -2,10 +2,11 @@
 
 `stream_dimacs` writes every DIMACS text the package produces, with one `%d`
 line format per clause width; `write_dimacs` is its string form.
-`parse_dimacs` reads DIMACS back a batch of lines at a time.  `write_model`
-writes the `v` lines that `parse_model` reads.  A literal, a header count or
-a model literal is an optional sign and ASCII decimal digits, nothing else;
-`read_integer` is that rule, and the valuation files read their integers by it.
+`parse_dimacs` reads DIMACS back, from a text or a file, a batch of lines at
+a time.  `write_model` writes the `v` lines that `parse_model` reads.  A
+literal, a header count or a model literal is an optional sign and ASCII
+decimal digits, nothing else; `read_integer` is that rule, and the valuation
+files and the command line's integer options are read by it too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
 
 Clause = tuple[int, ...]
 
-# Characters of a text that `parse_dimacs` splits into lines at once.
+# Characters of a text or file that `parse_dimacs` splits into lines at once.
 TEXT_CHUNK = 1 << 16
 # Lines that `parse_dimacs` reads as one batch.
 BATCH_LINES = 1 << 11
@@ -78,6 +79,14 @@ def _text_chunks(text: str) -> Iterator[str]:
         start = end
 
 
+def _file_chunks(file: IO[str]) -> Iterator[str]:
+    """`file` read in pieces of about `TEXT_CHUNK` characters, each completed
+    to the end of its line by `readline`, so the pieces' `splitlines` are the
+    whole text's, and only one piece is held at once."""
+    while piece := file.read(TEXT_CHUNK):
+        yield piece + file.readline()
+
+
 def _decimal(text: str) -> bool:
     """Whether `text` is ASCII without "_", so that `int()` reads a
     whitespace-free piece of it only if that is an optional sign and decimal
@@ -87,23 +96,25 @@ def _decimal(text: str) -> bool:
 
 
 def read_integer(token: str) -> int:
-    """`token` as an int if it is an optional sign and ASCII digits, else ValueError."""
-    if not _decimal(token):
+    """`token` as an int if it is an optional sign and ASCII digits, else ValueError.
+
+    A token split from a line has no whitespace around it; a command-line
+    argument may, and `int()` would skip it.
+    """
+    if not _decimal(token) or token.strip() != token:
         raise ValueError(token)
     return int(token)
 
 
-def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
+def parse_dimacs(source: str | IO[str]) -> CnfFormula:
     """Parse DIMACS CNF; `c` comment and blank lines ignored, header validated
     against the body.
 
-    `source` is the whole text, split into lines as by `str.splitlines`, or
-    an iterable of lines such as an open text file, each item one line with
-    or without its terminator; a file is read `BATCH_LINES` lines at a time,
-    never held whole.  In an item, a character other than a line feed or
-    carriage return at which `splitlines` would break (a form feed, say) is
-    whitespace.  A literal is an optional sign and ASCII digits.  Errors name
-    the 1-based line.
+    `source` is the whole text or an open text file, never held whole: a
+    file is read `TEXT_CHUNK` characters at a time.  Either is split into
+    lines as by `str.splitlines`, which also breaks at a form feed, say, and
+    read `BATCH_LINES` lines at a time.  A literal is an optional sign and
+    ASCII digits.  Errors name the 1-based line.
 
     Literals come from a table from token text to literal, cleared at every
     header (a header may lower the variable count).  A token met for the
@@ -120,10 +131,8 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
     pending: list[int] = []
     table: dict[str, int] = {}  # token text -> checked non-zero literal
 
-    if isinstance(source, str):
-        lines = chain.from_iterable(map(str.splitlines, _text_chunks(source)))
-    else:
-        lines = iter(source)
+    chunks = _text_chunks(source) if isinstance(source, str) else _file_chunks(source)
+    lines = chain.from_iterable(map(str.splitlines, chunks))
     lineno = 1
     for batch in iter(lambda: list(islice(lines, BATCH_LINES)), []):
         if header is None or pending or not _read_batch(batch, header[0], clauses, table):
@@ -226,8 +235,7 @@ def _read_lines(
 def _header(parts: list[str], lineno: int, raw: str) -> tuple[int, int]:
     """Variable and clause counts of a `p cnf <vars> <clauses>` line."""
     if parts[:2] != ["p", "cnf"] or len(parts) != 4:
-        line = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
-        raise HeaderMismatch(f"line {lineno}: malformed header {line!r}")
+        raise HeaderMismatch(f"line {lineno}: malformed header {raw!r}")
     try:
         num_vars, num_clauses = read_integer(parts[2]), read_integer(parts[3])
     except ValueError as exc:

@@ -125,6 +125,7 @@ def test_negative_budget_is_rejected():
     with pytest.raises(BudgetOutOfRange) as err:
         solve(pigeonhole(4, 3), conflict_budget=-5)
     assert isinstance(err.value, EfxLabError) and isinstance(err.value, ValueError)
+    assert str(err.value) == "conflict budget must be >= 0, got -5"
 
 
 def test_a_variable_count_no_list_can_index_is_out_of_memory(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -646,11 +647,11 @@ def test_io_errors_exit_two(tmp_path, capsys):
     "argv",
     [
         ["stats", "-m", "20"], ["encode", "-m", "2"], ["stats", "-m", "6", "-k", "20"],
-        ["stats", "-m", "4", "--level", "9"], ["smt", "-m", "9"],
+        ["stats", "-m", "4", "--level", "9"], ["smt", "-m", "9"], ["sat", "-i", "{hard}", "--budget", "-5"],
     ],
 )
-def test_out_of_range_arguments_exit_one_with_one_error_line(argv, capsys):
-    assert main(argv) == 1
+def test_out_of_range_arguments_exit_one_with_one_error_line(small_inputs, argv, capsys):
+    assert main([arg.format(**small_inputs) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -749,14 +750,14 @@ def test_out_of_range_counts_on_valuation_files_exit_one(counterexample_file, ca
     assert err.startswith("error:") and named in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("budget", ["-5", "many"])
+@pytest.mark.parametrize("budget", ["many"])
 def test_bad_conflict_budget_is_a_usage_error(tmp_path, capsys, budget):
     cnf = tmp_path / "tiny.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")
     with pytest.raises(SystemExit) as exc:
         main(["sat", "-i", str(cnf), "--budget", budget])
     assert exc.value.code == 2
-    assert "conflict budget" in capsys.readouterr().err
+    assert "argument --budget: invalid int value: 'many'" in capsys.readouterr().err
 
 
 def test_zero_conflict_budget_is_accepted(tmp_path, capsys):
@@ -794,6 +795,79 @@ def test_quick_selfcheck_output_is_pinned(capsys):
     masked = re.sub(r"\(\d+\.\ds\)$", "(N.Ns)", capsys.readouterr().out, flags=re.M)
     digest = hashlib.sha256(masked.encode()).hexdigest()
     assert digest == "01c0947d60c8205f2c14293ff1612802cb1138f7665928e9a722fa4cd2509cc4"
+
+
+OPTION_STRINGS = {
+    "encode": "-h --help -m -k --level --item-order -o --output --json",
+    "stats": "-h --help -m -k --level --item-order --json",
+    "preprocess": "-h --help -i --input --json -o --output",
+    "sat": "-h --help -i --input --budget",
+    "decode": "-h --help -i --input -o --output",
+    "verify": "-h --help --vals --json --expect-none --expect-some --jobs",
+    "submodular": "-h --help --vals -o --output --agent",
+    "check-submodular": "-h --help -i --input",
+    "extend": "-h --help --vals -o --output -n --agents",
+    "solve3": "-h --help --vals --json",
+    "smt": "-h --help -m -o --output --json",
+    "selfcheck": "-h --help --quick --jobs -v --verbose",
+}
+
+
+def _subparsers():
+    """Each subcommand's parser by name."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_each_subcommand_takes_its_option_strings():
+    taken = {
+        name: sorted(option for action in subparser._actions for option in action.option_strings)
+        for name, subparser in _subparsers().items()
+    }
+    assert taken == {name: sorted(options.split()) for name, options in OPTION_STRINGS.items()}
+
+
+# each integer option, after the arguments its command requires
+INTEGER_OPTIONS = [
+    pytest.param(["encode"], "-m", "m", id="encode-m"),
+    pytest.param(["stats"], "-m", "m", id="stats-m"),
+    pytest.param(["smt"], "-m", "m", id="smt-m"),
+    pytest.param(["encode", "-m", "6"], "-k", "level", id="encode-k"),
+    pytest.param(["stats", "-m", "6"], "-k", "level", id="stats-k"),
+    pytest.param(["sat", "-i", "f.cnf"], "--budget", "budget", id="sat-budget"),
+    pytest.param(["verify", "--vals", "v.txt"], "--jobs", "jobs", id="verify-jobs"),
+    pytest.param(["selfcheck"], "--jobs", "jobs", id="selfcheck-jobs"),
+    pytest.param(["submodular", "--vals", "v.txt"], "--agent", "agent", id="submodular-agent"),
+    pytest.param(["extend", "--vals", "v.txt"], "-n", "agents", id="extend-n"),
+]
+
+
+@pytest.mark.parametrize("argv, option, dest", INTEGER_OPTIONS)
+def test_integer_options_read_integers_as_files_do(capsys, argv, option, dest):
+    assert getattr(build_parser().parse_args([*argv, option, "+3"]), dest) == 3
+    for token in ("\u0661", "1_0", " 3"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, token])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid int value: {token!r}" in err and err.count("error:") == 1
+
+
+def test_every_integer_option_is_in_the_table():
+    declared = {
+        (name, action.option_strings[0])
+        for name, subparser in _subparsers().items()
+        for action in subparser._actions
+        if action.type is int
+    }
+    assert declared == {(param.values[0][0], param.values[1]) for param in INTEGER_OPTIONS}
+
+
+def test_a_form_feed_ends_a_line_in_a_dimacs_file(tmp_path, capsys):
+    cnf = tmp_path / "form_feed.cnf"
+    cnf.write_text("c note\fp cnf 1 1\n1 0\n")
+    assert main(["sat", "-i", str(cnf)]) == 0
+    assert capsys.readouterr().out == "s SATISFIABLE\nv 1 0\n"
 
 
 def test_readme_command_lines_parse():

@@ -2,6 +2,7 @@ import functools
 import io
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -225,23 +226,19 @@ def _decimal_int(token):
     return int(token)
 
 
-def reference_parse_dimacs(source):
-    """The per-token parser: the token rule, `int()` and the range check on every token.
-
-    `source` is a text, split as by `str.splitlines`, or a list of lines.
-    """
-    lines = source.splitlines() if isinstance(source, str) else source
+def reference_parse_dimacs(text):
+    """The per-token parser: the token rule, `int()` and the range check on every
+    token, over the lines of `text` as `str.splitlines` splits it."""
     num_vars = num_clauses = None
     clauses, pending = [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if parts[:2] != ["p", "cnf"] or len(parts) != 4:
-                shown = raw.rstrip("\r\n")  # a line read from a file keeps its terminator
-                raise HeaderMismatch(f"line {lineno}: malformed header {shown!r}")
+                raise HeaderMismatch(f"line {lineno}: malformed header {raw!r}")
             try:
                 num_vars, num_clauses = _decimal_int(parts[2]), _decimal_int(parts[3])
             except ValueError as exc:
@@ -442,22 +439,18 @@ def _count_batches(monkeypatch):
 
 @functools.cache
 def _cases(*texts_args, **texts_kwargs):
-    """`_random_texts(...)`, each text with the reference outcomes of the text
-    and of its lines as a file yields them."""
-    cases = []
-    for text in _random_texts(*texts_args, **texts_kwargs):
-        lines = list(io.StringIO(text, newline=""))  # split at "\n", "\r\n" and "\r" only
-        cases.append((text, _outcome(reference_parse_dimacs, text), _outcome(reference_parse_dimacs, lines)))
-    return cases
+    """`_random_texts(...)`, each text with the reference outcome."""
+    texts = _random_texts(*texts_args, **texts_kwargs)
+    return [(text, _outcome(reference_parse_dimacs, text)) for text in texts]
 
 
 def _parse_as_the_reference(cases):
-    """Check that each text, and its lines as a file, parse as the reference
-    parses them; the number of texts that raised."""
+    """Check that each text, and the same text as a file, parse as the
+    reference parses the text; the number of texts that raised."""
     raised = 0
-    for text, want, want_lines in cases:
+    for text, want in cases:
         assert _outcome(parse_dimacs, text) == want, text
-        assert _outcome(parse_dimacs, io.StringIO(text, newline="")) == want_lines, text
+        assert _outcome(parse_dimacs, io.StringIO(text, newline="")) == want, text
         raised += isinstance(want[0], type)
     return raised
 
@@ -561,21 +554,43 @@ def test_batches_of_one_clause_width_are_read_at_once(monkeypatch):
         assert seen == {"at_once": len(batches) - by_line, "by_line": by_line}
 
 
+class _CountedFile(io.StringIO):
+    """A text file that records how far into it it was asked to read."""
+
+    asked = 0
+
+    def read(self, size=-1):
+        return self._counted(super().read(size))
+
+    def readline(self, size=-1):
+        return self._counted(super().readline(size))
+
+    def _counted(self, text):
+        self.asked = self.tell()
+        return text
+
+
 @pytest.mark.parametrize("batch", [7, dimacs.BATCH_LINES])
 def test_a_stream_is_read_no_further_than_the_batch_of_a_bad_line(monkeypatch, batch):
     monkeypatch.setattr(dimacs, "BATCH_LINES", batch)
-    for bad in (2, 3 * batch, 3 * batch + 1, 5 * batch + 2):
-        asked = 0
-
-        def lines():
-            nonlocal asked
-            for lineno in range(1, bad + 10 * batch):
-                asked = lineno
-                yield "p cnf 3 1\n" if lineno == 1 else ("1 x 0\n" if lineno == bad else "1 -2 0\n")
-
+    line = "1 -2 0\n"
+    for chunk, bad in product((1, 100, dimacs.TEXT_CHUNK), (2, 3 * batch, 3 * batch + 1, 5 * batch + 2)):
+        monkeypatch.setattr(dimacs, "TEXT_CHUNK", chunk)
+        # the lines up to the end of the bad line's batch, and at most one piece beyond them
+        ahead = bad + batch + chunk // len(line) + 1
+        body = ("1 x 0\n" if lineno == bad else line for lineno in range(2, ahead + 10 * batch))
+        text = "p cnf 3 1\n" + "".join(body)
+        file = _CountedFile(text)
         with pytest.raises(MalformedLiteral, match=f"^line {bad}: bad literal 'x'$"):
-            parse_dimacs(lines())
-        assert asked < bad + batch
+            parse_dimacs(file)
+        assert text.count("\n", 0, file.asked) <= ahead
+
+
+def test_a_form_feed_ends_a_line_in_a_text_and_in_a_file():
+    text = "c note\fp cnf 1 1\n1 0\n"
+    for source in (text, io.StringIO(text)):
+        parsed = parse_dimacs(source)
+        assert (parsed.num_vars, parsed.clauses) == (1, [(1,)])
 
 
 def test_negative_header_counts_are_rejected():
