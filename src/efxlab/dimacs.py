@@ -14,11 +14,16 @@ from __future__ import annotations
 import io
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import gt
 from typing import IO
 
+from .bitset import check_good_count
 from .errors import (
+    AgentCountOutOfRange,
+    ArityMismatch,
     DuplicateAssignment,
+    GoodCountOutOfRange,
     HeaderMismatch,
     LiteralOutOfRange,
     MalformedLiteral,
@@ -335,11 +340,32 @@ def parse_model(text: str, num_vars: int | None = None) -> Assignment:
 def assignment_from_ranks(
     rank_tables: list[tuple[int, ...]], var_of: Callable[[int, int, int], int]
 ) -> Assignment:
-    """Every comparison `v_i(A) < v_i(B)`, numbered 1 .. len(values) as by `encoding.var_id`."""
-    values: dict[int, bool] = {}
+    """Every comparison `v_i(A) < v_i(B)` of the rank tables, as the ids 1 .. len(values).
+
+    `var_of(i, a, b)` must number x(i, a, b) for a < b as `encoding.var_id` does:
+    agent-major, and row a of an agent, the comparisons of set a with every
+    set b > a, is the run of consecutive ids that follows the row before it.
+    So a row costs two `var_of` calls, for its first and its last id, and is
+    filled in one step.  No tables raise `AgentCountOutOfRange`, tables of
+    unequal length `ArityMismatch`, a length that is not 2^m for a supported m
+    `GoodCountOutOfRange`, and a row that `var_of` does not number as the next
+    run of ids `LiteralOutOfRange`.
+    """
+    if not rank_tables:
+        raise AgentCountOutOfRange("need at least one rank table")
     n_sets = len(rank_tables[0])
+    if any(len(rank) != n_sets for rank in rank_tables):
+        raise ArityMismatch(f"rank tables of unequal length: {[len(rank) for rank in rank_tables]}")
+    if n_sets.bit_count() != 1:
+        raise GoodCountOutOfRange(f"a rank table of {n_sets} entries is not one per set of m goods")
+    check_good_count(n_sets.bit_length() - 1)
+    values: dict[int, bool] = {}
+    start = 1
     for agent, rank in enumerate(rank_tables):
-        for a in range(n_sets):
-            for b in range(a + 1, n_sets):
-                values[var_of(agent, a, b)] = rank[a] < rank[b]
+        for a in range(n_sets - 1):
+            end = start + n_sets - 1 - a  # row a is x(agent, a, b) for b = a+1 .. n_sets-1
+            if var_of(agent, a, a + 1) != start or var_of(agent, a, n_sets - 1) != end - 1:
+                raise LiteralOutOfRange(f"x({agent}, {a}, b) for b > {a} must be the ids {start}..{end - 1}")
+            values.update(zip(range(start, end), map(gt, rank[a + 1 :], repeat(rank[a]))))
+            start = end
     return Assignment(len(values), values)

@@ -95,6 +95,8 @@ def var_id(agent: int, a: int, b: int, m: int) -> int:
     The one variable order, which other modules may read: ids from 1,
     agent-major, then the pairs lo < hi of set numbers in lexicographic
     order, so x(i, a, a+1) .. x(i, a, P-1) are consecutive ids, P = 2^m.
+    Two readers take such a row of set a as one run: `decoding.decode_valuations`
+    and `dimacs.assignment_from_ranks`.
     An agent outside 0..2 or a == b raises `IndexOutOfRange`, a set outside
     0..P-1 `BadPartitionInput`, a negative m `GoodCountOutOfRange`.
     """

@@ -18,7 +18,8 @@ class GoodCountOutOfRange(EfxLabError, ValueError):
     """A number of goods lies outside the range an operation supports.
 
     The good count m is negative, or outside the supported range where an operation
-    needs one (`bitset.check_good_count`); or a set size, such as the result size of
+    needs one (`bitset.check_good_count`); a table length is not 2^m for such an m
+    (`dimacs.assignment_from_ranks`); or a set size, such as the result size of
     `verification.marginal_values`, lies outside 1..m.
     """
 
@@ -106,7 +107,9 @@ class DuplicateAssignment(EfxLabError):
 
 
 class LiteralOutOfRange(EfxLabError):
-    """A literal refers to a variable beyond the declared count."""
+    """A literal refers to a variable beyond the declared count, or a numbering of
+    comparison variables puts a row elsewhere than the next ids
+    (`dimacs.assignment_from_ranks`)."""
 
 
 # -- decoding -----------------------------------------------------------------

@@ -10,7 +10,10 @@ checked when it is made, so a function that reads one never sees a bad
 table.  `RankValuation` also gets m = M with a table that is not monotone
 and one that is too short, and each must raise its own error type, as must
 each call in `TYPED_ERRORS`: empty value blocks, valuations of mixed good
-counts, and an order that names a set past the goods.
+counts, an order that names a set past the goods, and comparison models
+built from no rank tables, tables of unequal length, or tables of a length
+that is not 2^m for a supported m.  A variable numbering whose rows are not
+the next runs of ids is refused at the first such row, which its message names.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import inspect
 import re
 import signal
+from functools import partial
 from itertools import product
 
 import pytest
@@ -54,11 +58,14 @@ from efxlab import (
     violated_condition_count,
 )
 from efxlab.decoding import load_value_blocks
-from efxlab.dimacs import Assignment
+from efxlab.dimacs import Assignment, assignment_from_ranks
 from efxlab.errors import (
+    AgentCountOutOfRange,
     ArityMismatch,
     EfxLabError,
+    GoodCountOutOfRange,
     LineCountMismatch,
+    LiteralOutOfRange,
     MonotonicityViolated,
     NotAPermutation,
 )
@@ -75,6 +82,7 @@ BAD_RANK_TABLES = {
 }
 
 V = random_monotone_rank_valuation(M, 1)
+VAR_OF = partial(var_id, m=M)
 ALLOCATION = Allocation(M, (0b001, 0b010, 0b100))
 
 # a call past an input's bounds -> the error it must raise
@@ -85,6 +93,14 @@ TYPED_ERRORS = {
         ArityMismatch,
     ),
     "order_set_past_goods": (lambda: rank_valuation_from_order(M, [*range(7), 9]), NotAPermutation),
+    "rank_tables_none": (lambda: assignment_from_ranks([], VAR_OF), AgentCountOutOfRange),
+    "rank_tables_unequal": (lambda: assignment_from_ranks([tuple(range(4)), V.rank], VAR_OF), ArityMismatch),
+    "rank_tables_not_2_to_the_m": (
+        lambda: assignment_from_ranks([tuple(range(12))] * 3, VAR_OF), GoodCountOutOfRange
+    ),
+    "rank_tables_below_min_goods": (
+        lambda: assignment_from_ranks([tuple(range(4))] * 3, VAR_OF), GoodCountOutOfRange
+    ),
 }
 
 # name -> (call, one domain per argument of the call)
@@ -176,3 +192,19 @@ def test_out_of_bounds_inputs_raise_their_own_error(name):
     call, error = TYPED_ERRORS[name]
     with pytest.raises(error):
         call()
+
+
+# a numbering of x(i, a, b) over M goods -> the message naming its first bad row
+FIRST_ROW = r"x\(0, 0, b\) for b > 0 must be the ids 1\.\.7"
+BAD_NUMBERINGS = {
+    "another-m": (partial(var_id, m=M + 1), r"x\(0, 1, b\) for b > 1 must be the ids 8\.\.13"),
+    "first-id-off": (lambda i, a, b: VAR_OF(i, a, b) - (b == a + 1), FIRST_ROW),
+    "last-id-off": (lambda i, a, b: VAR_OF(i, a, b) + (b == 7), FIRST_ROW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERINGS))
+def test_a_row_not_numbered_as_the_next_ids_is_refused(name):
+    var_of, message = BAD_NUMBERINGS[name]
+    with pytest.raises(LiteralOutOfRange, match=f"^{message}$"):
+        assignment_from_ranks([V.rank] * 3, var_of)

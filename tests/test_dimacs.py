@@ -7,15 +7,17 @@ from itertools import product
 import pytest
 
 from efxlab import dimacs, encoding
+from efxlab.decoding import decode_valuations, load_bundled_counterexample
 from efxlab.dimacs import (
     Assignment,
     CnfFormula,
+    assignment_from_ranks,
     parse_dimacs,
     parse_model,
     write_dimacs,
     write_model,
 )
-from efxlab.encoding import EncodeOptions, EncodeStats, encode_formula
+from efxlab.encoding import NUM_AGENTS, EncodeOptions, EncodeStats, encode_formula, var_id
 from efxlab.errors import (
     DuplicateAssignment,
     HeaderMismatch,
@@ -23,6 +25,7 @@ from efxlab.errors import (
     MalformedLiteral,
     MissingTerminator,
 )
+from efxlab.valuations import random_monotone_rank_valuation
 
 
 def test_parse_single_unit_clause():
@@ -598,3 +601,46 @@ def test_negative_header_counts_are_rejected():
         parse_dimacs("c vars\np cnf -3 0\n")
     with pytest.raises(HeaderMismatch, match="line 1: negative header counts"):
         parse_dimacs("p cnf 3 -1\n")
+
+
+def reference_assignment_from_ranks(rank_tables, var_of):
+    """The definition `assignment_from_ranks` must meet: one `var_of` call per pair a < b."""
+    values = {}
+    n_sets = len(rank_tables[0])
+    for agent, rank in enumerate(rank_tables):
+        for a in range(n_sets):
+            for b in range(a + 1, n_sets):
+                values[var_of(agent, a, b)] = rank[a] < rank[b]
+    return Assignment(len(values), values)
+
+
+def _rank_tables(m, seed):
+    """The shipped m=8 counterexample for seed None, else a seeded random triple."""
+    if seed is None:
+        return [v.rank for v in load_bundled_counterexample()]
+    return [random_monotone_rank_valuation(m, seed + j).rank for j in range(NUM_AGENTS)]
+
+
+@pytest.mark.parametrize("m, seed", [(8, None)] + [(m, 10 * m + s) for m in range(3, 8) for s in (1, 2)])
+def test_rows_build_the_assignment_of_the_per_pair_definition(m, seed):
+    ranks = _rank_tables(m, seed)
+    built = assignment_from_ranks(ranks, lambda i, a, b: var_id(i, a, b, m))
+    reference = reference_assignment_from_ranks(ranks, lambda i, a, b: var_id(i, a, b, m))
+    assert built.values == reference.values
+    assert list(built.values) == list(reference.values)
+    assert built.num_vars == reference.num_vars
+    decoded = decode_valuations(parse_model(write_model(built), built.num_vars), m)
+    assert [v.rank for v in decoded] == ranks
+
+
+def test_assignment_from_ranks_calls_var_of_at_most_twice_per_row():
+    calls = 0
+
+    def counted_var_id(agent, a, b):
+        nonlocal calls
+        calls += 1
+        return var_id(agent, a, b, 8)
+
+    assignment_from_ranks(_rank_tables(8, None), counted_var_id)
+    rows = NUM_AGENTS * ((1 << 8) - 1)  # every set but the last has a row of larger sets
+    assert calls <= 2 * rows == 1_530
