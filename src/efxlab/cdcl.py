@@ -43,7 +43,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from operator import neg
 
 from .dimacs import Assignment, CnfFormula
@@ -129,7 +128,7 @@ class _Solver:
         self.learned_from = len(clauses)
         # only variables that occur in a clause are decided; the rest take their
         # saved phase in the model
-        self.branch_vars = sorted(set(map(abs, chain.from_iterable(formula.clauses))))
+        self.branch_vars = sorted(set(map(abs, formula.literals())))
         self._rebuild_heap()
 
     # -- clause plumbing -------------------------------------------------

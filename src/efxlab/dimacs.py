@@ -3,7 +3,9 @@
 `stream_dimacs` writes every DIMACS text the package produces, with one `%d`
 line format per clause width; `write_dimacs` is its string form.
 `parse_dimacs` reads DIMACS back, from a text or a file, a batch of lines at
-a time.  `write_model` writes the `v` lines that `parse_model` reads.  A
+a time, into a `ClauseStore`: one array of literals, as MiniSat keeps its
+clauses in one arena (Eén & Sörensson, SAT 2003), instead of a tuple per
+clause.  `write_model` writes the `v` lines that `parse_model` reads.  A
 literal, a header count or a model literal is an optional sign and ASCII
 decimal digits, nothing else; `read_integer` is that rule, and the valuation
 files and the command line's integer options are read by it too.
@@ -12,10 +14,11 @@ files and the command line's integer options are read by it too.
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Iterable, Iterator
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import gt
+from operator import eq, gt
 from typing import IO
 
 from .bitset import check_good_count
@@ -40,15 +43,109 @@ BATCH_LINES = 1 << 11
 WRITE_BATCH = 8192
 
 
+class ClauseStore(Sequence[Clause]):
+    """Clauses of a parsed formula: one `array('i')` of their literals, in
+    order, plus run-length clause widths (a width, and how many clauses of
+    that width come next).
+
+    It iterates, indexes, has a length and compares equal as the list of
+    tuples it stands for; a list of the same clauses compares equal to it.
+    Every literal it yields goes through one table, `shared`, so equal
+    literals are one int object, in every tuple and every pass.  `runs`
+    gives the clauses one run of equal width at a time.  Indexing walks the
+    runs, so it suits the odd lookup, not a loop.
+    """
+
+    __slots__ = ("literals", "shared", "_widths", "_counts")
+
+    def __init__(self) -> None:
+        self.literals = array("i")
+        self.shared: dict[int, int] = {}  # each literal of the store -> its one int object
+        self._widths = array("i")  # per run, its clause width; runs are maximal
+        self._counts = array("q")  # per run, its number of clauses
+
+    def append(self, clause: list[int]) -> None:
+        """Add `clause`, whose literals must be in `shared`."""
+        self.literals.fromlist(clause)
+        self._add_run(len(clause), 1)
+
+    def append_run(self, width: int, literals: list[int]) -> None:
+        """Add clauses of `width` >= 1 literals each, whose literals, in
+        order, are `literals`, which must be in `shared`."""
+        self.literals.fromlist(literals)
+        self._add_run(width, len(literals) // width)
+
+    def _add_run(self, width: int, count: int) -> None:
+        if self._widths and self._widths[-1] == width:
+            self._counts[-1] += count
+        else:
+            self._widths.append(width)
+            self._counts.append(count)
+
+    def runs(self) -> Iterator[tuple[int, Iterator[Clause]]]:
+        """Each run of clauses of one width, in order: the width, and the
+        clauses as tuples of shared literals, made as they are read."""
+        get = self.shared.__getitem__
+        view = memoryview(self.literals)
+        start = 0
+        for width, count in zip(self._widths, self._counts):
+            end = start + width * count
+            yield width, (zip(*[map(get, view[start:end])] * width) if width else repeat((), count))
+            start = end
+
+    def __iter__(self) -> Iterator[Clause]:
+        return chain.from_iterable(clauses for _, clauses in self.runs())
+
+    def __len__(self) -> int:
+        return sum(self._counts)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += len(self)
+        start = 0
+        for width, count in zip(self._widths, self._counts):
+            if 0 <= index < count:
+                at = start + index * width
+                return tuple(map(self.shared.__getitem__, self.literals[at : at + width]))
+            index -= count
+            start += width * count
+        raise IndexError("clause index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ClauseStore):
+            return (self.literals, self._widths, self._counts) == (other.literals, other._widths, other._counts)
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ClauseStore({list(self)!r})"
+
+
 @dataclass
 class CnfFormula:
+    """`clauses` is any sequence of clauses: a list of tuples, or the
+    `ClauseStore` that `parse_dimacs` fills."""
+
     num_vars: int
-    clauses: list[Clause]
+    clauses: Sequence[Clause]
+
+    def literals(self) -> Iterable[int]:
+        """Every literal of every clause, in order: a store's array itself."""
+        if isinstance(self.clauses, ClauseStore):
+            return self.clauses.literals
+        return chain.from_iterable(self.clauses)
 
     def check_literals(self) -> None:
         """Raises LiteralOutOfRange, naming the first bad literal, unless every
         literal is nonzero and of magnitude at most `num_vars`."""
-        lits = set(chain.from_iterable(self.clauses))
+        lits = self.literals()
+        if not isinstance(lits, array):
+            lits = set(lits)
         if 0 not in lits and (not lits or -self.num_vars <= min(lits) and max(lits) <= self.num_vars):
             return
         for clause in self.clauses:
@@ -112,27 +209,27 @@ def read_integer(token: str) -> int:
 
 
 def parse_dimacs(source: str | IO[str]) -> CnfFormula:
-    """Parse DIMACS CNF; `c` comment and blank lines ignored, header validated
-    against the body.
+    """Parse DIMACS CNF into a `ClauseStore`; `c` comment and blank lines
+    ignored, header validated against the body.
 
     `source` is the whole text or an open text file, never held whole: a
     file is read `TEXT_CHUNK` characters at a time.  Either is split into
     lines as by `str.splitlines`, which also breaks at a form feed, say, and
     read `BATCH_LINES` lines at a time.  A literal is an optional sign and
-    ASCII digits.  Errors name the 1-based line.
+    ASCII digits.  A later header may change the variable count, but not to
+    below a variable already read.  Errors name the 1-based line.
 
-    Literals come from a table from token text to literal, cleared at every
-    header (a header may lower the variable count).  A token met for the
-    first time also looks up its value's plain spelling, `str(value)`, and
-    takes that entry's int if there is one, so equal literals share one int
-    object however they are written ("300", "+300", "0300"), and the table
-    keeps str keys only.  A batch of clauses of one width after the header
-    is read at once (`_read_batch`); any other batch, or one with a token
-    that fails the checks, line by line (`_read_lines`), which raises the
-    errors.
+    Literals come from a table from token text to literal.  A token met for
+    the first time takes its value's int from the store's `shared` table if
+    there is one, so equal literals share one int object however they are
+    written ("300", "+300", "0300").  Since no header lowers the count below
+    a literal read, every token in the table stays in range.  A batch of
+    clauses of one width after the header is read at once (`_read_batch`);
+    any other batch, or one with a token that fails the checks, line by line
+    (`_read_lines`), which raises the errors.
     """
     header: tuple[int, int] | None = None
-    clauses: list[Clause] = []
+    clauses = ClauseStore()
     pending: list[int] = []
     table: dict[str, int] = {}  # token text -> checked non-zero literal
 
@@ -154,11 +251,11 @@ def parse_dimacs(source: str | IO[str]) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: dict[str, int]) -> bool:
-    """Append the clauses of `batch` if its tokens are clauses of one width
+def _read_batch(batch: list[str], num_vars: int, clauses: ClauseStore, table: dict[str, int]) -> bool:
+    """Add the clauses of `batch` if its tokens are clauses of one width
     w >= 1, each closed by "0", and every token not in `table` is a literal
-    in range (then added to it, with its plain spelling).  Otherwise change
-    nothing and return False.
+    in range (then added to it, and its value to `clauses.shared`).
+    Otherwise change nothing and return False.
     """
     tokens = " ".join(batch).split()
     if not tokens or tokens[-1] != "0":
@@ -169,12 +266,10 @@ def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: d
     if not width or extra or tokens[width::step].count("0") != count:
         return False
     del tokens[width::step]  # a "0" left is caught below: it is never in the table, nor learned
-    start = len(clauses)
     lookup = table.__getitem__
     try:
-        clauses.extend(zip(*[map(lookup, tokens)] * width))
-    except KeyError:  # tokens not seen since the header: check them together
-        del clauses[start:]
+        literals = list(map(lookup, tokens))
+    except KeyError:  # tokens not seen yet: check them together
         new = list(set(tokens).difference(table))
         if not _decimal("".join(new)):
             return False
@@ -184,9 +279,9 @@ def _read_batch(batch: list[str], num_vars: int, clauses: list[Clause], table: d
             return False
         if 0 in values or max(map(abs, values)) > num_vars:
             return False
-        shared = table.setdefault
-        table.update(zip(new, [shared(str(value), value) for value in values]))
-        clauses.extend(zip(*[map(lookup, tokens)] * width))
+        table.update(zip(new, map(clauses.shared.setdefault, values, values)))
+        literals = list(map(lookup, tokens))
+    clauses.append_run(width, literals)
     return True
 
 
@@ -194,7 +289,7 @@ def _read_lines(
     batch: list[str],
     lineno: int,
     header: tuple[int, int] | None,
-    clauses: list[Clause],
+    clauses: ClauseStore,
     pending: list[int],
     table: dict[str, int],
 ) -> tuple[int, int] | None:
@@ -204,6 +299,7 @@ def _read_lines(
     literal; any other goes through the token rule, then is a terminator
     "0" (never in the table) or a literal that passes the range check.
     """
+    shared = clauses.shared
     for lineno, raw in enumerate(batch, start=lineno):
         tokens = raw.split()
         if not tokens:
@@ -212,8 +308,13 @@ def _read_lines(
         if head == "c":
             continue
         if head == "p":
+            num_vars = header[0] if header else 0  # no literal read so far exceeds it
             header = _header(tokens, lineno, raw)
-            table.clear()
+            top = max(map(abs, shared)) if header[0] < num_vars and shared else 0
+            if top > header[0]:
+                raise HeaderMismatch(
+                    f"line {lineno}: header lowers the variable count to {header[0]}, below variable {top} already read"
+                )
             continue
         if header is None:
             raise HeaderMismatch(f"line {lineno}: clause before header")
@@ -225,14 +326,14 @@ def _read_lines(
                 except ValueError as exc:
                     raise MalformedLiteral(f"line {lineno}: bad literal {token!r}") from exc
                 if lit == 0:
-                    clauses.append(tuple(pending))
+                    clauses.append(pending)
                     pending.clear()
                     continue
                 if abs(lit) > header[0]:
                     raise LiteralOutOfRange(
                         f"line {lineno}: literal {lit} exceeds {header[0]} variables"
                     )
-                lit = table[token] = table.setdefault(str(lit), lit)
+                lit = table[token] = shared.setdefault(lit, lit)
             pending.append(lit)
     return header
 

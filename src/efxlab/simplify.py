@@ -27,11 +27,12 @@ enable further propagation, so that is the fixpoint.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, compress, filterfalse
+from itertools import chain, combinations, compress, filterfalse
 from operator import ne, not_
 
-from .dimacs import Clause, CnfFormula
+from .dimacs import Clause, ClauseStore, CnfFormula
 
 # Candidates up to this width look up each of their proper subsets among the
 # kept literal sets (at most 2^width probes); wider ones scan watch lists.
@@ -62,11 +63,24 @@ class SimplifyResult:
         return CnfFormula(self.formula.num_vars, units + list(self.formula.clauses))
 
 
+def _runs(clauses: Sequence[Clause]) -> Iterable[tuple[int | None, Iterable[Clause]]]:
+    """A `ClauseStore`'s runs of clauses of one width, each with its width;
+    any other sequence as one run of mixed widths (width None)."""
+    return clauses.runs() if isinstance(clauses, ClauseStore) else [(None, clauses)]
+
+
 def propagate_units(formula: CnfFormula) -> SimplifyResult:
-    """Unit propagation to fixpoint, without subsumption."""
+    """Unit propagation to fixpoint, without subsumption.
+
+    A `ClauseStore` is read one run of equal width at a time, so its unit
+    clauses are found without making a tuple for any wider clause, and each
+    wider clause is a tuple only while the first sweep looks at it, or for
+    as long as it stays in the residue.
+    """
     clauses = formula.clauses
     # true literals in assignment order: the unit clauses first
-    trail = list(dict.fromkeys(clause[0] for clause in clauses if len(clause) == 1))
+    units = (clause for width, run in _runs(clauses) if width in (1, None) for clause in run)
+    trail = list(dict.fromkeys(clause[0] for clause in units if len(clause) == 1))
     true_lits = set(trail)
     false_lits = {-lit for lit in trail}
     unsat = not true_lits.isdisjoint(false_lits)
@@ -75,7 +89,8 @@ def propagate_units(formula: CnfFormula) -> SimplifyResult:
     # that hold no assigned literal and no repeated one are kept as they are.
     residue: list[Clause] = []
     derived: list[int] = []  # units the sweep left, not yet assigned
-    for clause in () if unsat else clauses:
+    wider = chain.from_iterable(run for width, run in _runs(clauses) if width != 1)
+    for clause in () if unsat else wider:
         if len(clause) == 1 or not true_lits.isdisjoint(clause):
             continue
         if clause and false_lits.isdisjoint(clause) and len(set(clause)) == len(clause):

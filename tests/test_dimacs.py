@@ -231,9 +231,11 @@ def _decimal_int(token):
 
 def reference_parse_dimacs(text):
     """The per-token parser: the token rule, `int()` and the range check on every
-    token, over the lines of `text` as `str.splitlines` splits it."""
+    token, over the lines of `text` as `str.splitlines` splits it; a header may
+    not lower the variable count below a variable already read."""
     num_vars = num_clauses = None
     clauses, pending = [], []
+    top = 0  # the largest variable read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -248,6 +250,10 @@ def reference_parse_dimacs(text):
                 raise HeaderMismatch(f"line {lineno}: non-integer header counts") from exc
             if num_vars < 0 or num_clauses < 0:
                 raise HeaderMismatch(f"line {lineno}: negative header counts")
+            if top > num_vars:
+                raise HeaderMismatch(
+                    f"line {lineno}: header lowers the variable count to {num_vars}, below variable {top} already read"
+                )
             continue
         if num_vars is None:
             raise HeaderMismatch(f"line {lineno}: clause before header")
@@ -263,6 +269,7 @@ def reference_parse_dimacs(text):
                 if abs(lit) > num_vars:
                     raise LiteralOutOfRange(f"line {lineno}: literal {lit} exceeds {num_vars} variables")
                 pending.append(lit)
+                top = max(top, abs(lit))
     if num_vars is None or num_clauses is None:
         raise HeaderMismatch("missing 'p cnf' header")
     if pending:
@@ -387,7 +394,7 @@ def _break(rng, lines, faults=7):
         i = rng.choice(late)
         token = rng.choice(["x", "1.5", "--2", "1-", "0x1", "1_0", "-1_0", "\u0661", "2\u0663", "\uff11"])
         lines[i] = _plant(rng, lines[i], token)
-    elif fault == 1 and body:  # a literal past the count, maybe one cached before a lower header
+    elif fault == 1 and body:  # a literal past the count, maybe past a lower header's only
         i = rng.choice(late)
         counts = [int(lines[h].split()[2]) for h in headers if h < i]
         lit = rng.choice((1, -1)) * rng.randint(counts[-1] + 1, max(counts) + 1)
@@ -483,8 +490,12 @@ def test_parse_from_lines_matches_parse_from_text(newline):
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("p cnf 5 2\n5 0\np cnf 3 2\n5 0\n", LiteralOutOfRange, "line 4: literal 5 exceeds 3 variables"),
-        ("p cnf 5 2\n-5 1 0\np cnf 3 2\n1 -5 0\n", LiteralOutOfRange, "line 4: literal -5 exceeds 3 variables"),
+        ("p cnf 5 2\n1 0\np cnf 3 2\n5 0\n", LiteralOutOfRange, "line 4: literal 5 exceeds 3 variables"),
+        ("p cnf 5 2\n-2 1 0\np cnf 3 2\n1 -5 0\n", LiteralOutOfRange, "line 4: literal -5 exceeds 3 variables"),
+        ("p cnf 5 3\n5 1 0\np cnf 3 3\n1 2 0\n-1 3 0\n", HeaderMismatch,
+         "line 3: header lowers the variable count to 3, below variable 5 already read"),
+        ("p cnf 5 2\n-2 1 0\n-5 0\np cnf 6 2\np cnf 4 2\n", HeaderMismatch,
+         "line 5: header lowers the variable count to 4, below variable 5 already read"),
         ("p cnf 3 1\n4 0\n", LiteralOutOfRange, "line 2: literal 4 exceeds 3 variables"),
         ("p cnf 3 2\n1 0\n2 0 x 0\n", MalformedLiteral, "line 3: bad literal 'x'"),
         ("0\np cnf 3 1\n", HeaderMismatch, "line 1: clause before header"),
