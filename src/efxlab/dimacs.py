@@ -120,8 +120,6 @@ class ClauseStore(Sequence[Clause]):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"ClauseStore({list(self)!r})"
 

@@ -490,12 +490,15 @@ def test_parse_from_lines_matches_parse_from_text(newline):
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("p cnf 5 2\n1 0\np cnf 3 2\n5 0\n", LiteralOutOfRange, "line 4: literal 5 exceeds 3 variables"),
-        ("p cnf 5 2\n-2 1 0\np cnf 3 2\n1 -5 0\n", LiteralOutOfRange, "line 4: literal -5 exceeds 3 variables"),
+        ("p cnf 5 2\n5 0\np cnf 3 2\n5 0\n", HeaderMismatch,
+         "line 3: header lowers the variable count to 3, below variable 5 already read"),
+        ("p cnf 5 2\n-5 1 0\np cnf 3 2\n1 -5 0\n", HeaderMismatch,
+         "line 3: header lowers the variable count to 3, below variable 5 already read"),
         ("p cnf 5 3\n5 1 0\np cnf 3 3\n1 2 0\n-1 3 0\n", HeaderMismatch,
          "line 3: header lowers the variable count to 3, below variable 5 already read"),
         ("p cnf 5 2\n-2 1 0\n-5 0\np cnf 6 2\np cnf 4 2\n", HeaderMismatch,
          "line 5: header lowers the variable count to 4, below variable 5 already read"),
+        ("p cnf 5 2\n1 0\np cnf 3 2\n5 0\n", LiteralOutOfRange, "line 4: literal 5 exceeds 3 variables"),
         ("p cnf 3 1\n4 0\n", LiteralOutOfRange, "line 2: literal 4 exceeds 3 variables"),
         ("p cnf 3 2\n1 0\n2 0 x 0\n", MalformedLiteral, "line 3: bad literal 'x'"),
         ("0\np cnf 3 1\n", HeaderMismatch, "line 1: clause before header"),
